@@ -3,7 +3,7 @@ polynomials, its dual transform into weighted Bergman spaces on the bi-disk,
 the associated singular-value theory, and the fractional Hankel reduction.
 """
 
-from .specfun import bessel_i, hermite_real, laguerre, log_gamma
+from .specfun import hermite_real
 from .ito_hermite import ZeroSet, hermite_ito, null_index_set, psi, zero_radii
 from .quadrature import QuadratureRule, bidisk_rule, integrate, plane_rule, quadrant_rule
 from .kernels import (
@@ -21,7 +21,6 @@ from .transforms import (
     angular_coefficients,
     bargmann2_apply,
     bergman_norm,
-    dual_apply,
     dual_apply_coeff,
     frft_apply,
     hankel_apply,

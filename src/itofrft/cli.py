@@ -9,8 +9,8 @@ spectra additionally go to CSV.  Exit codes: 0 success, 1 domain error,
 import argparse
 import csv
 import json
-import math
 import os
+import re
 import sys
 import time
 
@@ -59,8 +59,6 @@ def load_coeff_file(path):
             val = complex(float(rec["re"]), float(rec["im"]))
         except (KeyError, TypeError, ValueError):
             raise DomainError("coefficient records need integer m, n and re, im")
-        if m < 0 or n < 0:
-            raise DomainError("coefficient indices must be non-negative")
         if (m, n) in coeffs:
             raise DomainError("duplicate coefficient index (%d, %d)" % (m, n))
         coeffs[(m, n)] = val
@@ -159,6 +157,15 @@ def cmd_transform(args):
     return 0
 
 
+def _sub_spectrum(spec, max_m, max_n):
+    """The [0, max_m] x [0, max_n] corner of a tabulated spectrum."""
+    return spectral.Spectrum(
+        params=spec.params,
+        values=spec.values[: max_m + 1, : max_n + 1],
+        cutoff=(max_m, max_n),
+    )
+
+
 def cmd_spectrum(args):
     if args.alpha <= 0 or args.beta <= 0:
         print(
@@ -167,7 +174,12 @@ def cmd_spectrum(args):
         )
         return 1
     w = complex(args.w_re, args.w_im)
-    spec = spectral.spectrum(args.nu, args.alpha, args.beta, w, args.max_m, args.max_n)
+    # one table serves the requested box and every Schatten cut: an entry of
+    # the recurrence does not depend on the size of the box around it
+    cuts = (10, 20, 40)
+    box = max(args.max_m, args.max_n, *cuts)
+    table = spectral.spectrum(args.nu, args.alpha, args.beta, w, box, box)
+    spec = _sub_spectrum(table, args.max_m, args.max_n)
     out_dir = os.environ.get(OUT_DIR_ENV, args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "spectrum.csv")
@@ -191,11 +203,8 @@ def cmd_spectrum(args):
             {"m": m, "n": n, "s": s} for (m, n), s in spec.sorted_values()[:10]
         ],
         "schatten_partial": {
-            str(cut): spectral.schatten_partial(
-                spectral.spectrum(args.nu, args.alpha, args.beta, w, cut, cut),
-                args.schatten,
-            )
-            for cut in (10, 20, 40)
+            str(cut): spectral.schatten_partial(_sub_spectrum(table, cut, cut), args.schatten)
+            for cut in cuts
         },
         "schatten_p": args.schatten,
         "kw": {"value": kw.value, "lower": kw.lower, "upper": kw.upper},
@@ -258,8 +267,18 @@ def cmd_verify(args):
     return 0 if report["passed"] else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a value such as -1e-05 after a flag as a
+    negative number: the negative-number pattern of argparse up to at least
+    Python 3.11 has no exponent form and takes such a value for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="itofrft",
         description="2D fractional Fourier transform for complex Hermite "
         "polynomials, its Bergman-space dual, and the associated spectra.",

@@ -1,9 +1,10 @@
 """Ito-Hermite polynomials H^nu_{m,n}, their normalized versions psi^nu_{m,n},
 and their zero structure.
 
-Evaluation is by two-term recurrences in (m, n), which are numerically stable;
-the explicit alternating finite sum is kept in the test suite as an oracle
-only, since it cancels catastrophically for large |z|.
+Evaluation is by the normalized two-term recurrence in (m, n) of `psi_table`,
+which every other evaluation reads from; the explicit alternating finite sum
+is kept in the test suite as an oracle only, since it cancels
+catastrophically for large |z|.
 """
 
 import math
@@ -17,7 +18,6 @@ from .specfun import DEGREE_CAP
 __all__ = [
     "ZeroSet",
     "hermite_ito",
-    "hermite_ito_table",
     "psi",
     "psi_table",
     "zero_radii",
@@ -52,33 +52,10 @@ class ZeroSet:
     includes_origin: bool
 
 
-def hermite_ito_table(nu, z, max_m, max_n):
-    """Table of H^nu_{m,n}(z, conj(z)) for all m <= max_m, n <= max_n.
-
-    Returns a complex array of shape (max_m+1, max_n+1) + shape(z); `z` may be
-    a scalar or an ndarray.  Built from H_{0,n} = (nu conj(z))^n and the
-    recurrence H_{m+1,n} = nu z H_{m,n} - n nu H_{m,n-1}.
-    """
-    _check_nu(nu)
-    _check_index(max_m, max_n)
-    z = np.asarray(z, dtype=complex)
-    zc = np.conj(z)
-    H = np.zeros((max_m + 1, max_n + 1) + z.shape, dtype=complex)
-    H[0, 0] = 1.0
-    for n in range(1, max_n + 1):
-        H[0, n] = nu * zc * H[0, n - 1]
-    for m in range(max_m):
-        H[m + 1, 0] = nu * z * H[m, 0]
-        for n in range(1, max_n + 1):
-            H[m + 1, n] = nu * z * H[m, n] - n * nu * H[m, n - 1]
-    return H
-
-
-def hermite_ito(nu, m, n, z):
-    """H^nu_{m,n}(z, conj(z)); scalar or vectorized over an ndarray z."""
-    table = hermite_ito_table(nu, z, m, n)
-    out = table[m, n]
-    return complex(out) if out.ndim == 0 else out
+def _require_finite(values, what):
+    if not np.all(np.isfinite(values)):
+        raise OverflowError("%s overflows double precision" % what)
+    return values
 
 
 def psi_table(nu, z, max_m, max_n):
@@ -86,7 +63,9 @@ def psi_table(nu, z, max_m, max_n):
 
     Uses the normalized recurrence
         psi_{m+1,n} = sqrt(nu/(m+1)) z psi_{m,n} - sqrt(n/(m+1)) psi_{m,n-1}
-    so that no intermediate overflows even at the degree cap.
+    so that no intermediate overflows where the entries themselves fit in
+    double precision.  Far from the origin at high degree they do not, and
+    the table raises OverflowError rather than return inf or NaN entries.
     """
     _check_nu(nu)
     _check_index(max_m, max_n)
@@ -94,14 +73,39 @@ def psi_table(nu, z, max_m, max_n):
     zc = np.conj(z)
     P = np.zeros((max_m + 1, max_n + 1) + z.shape, dtype=complex)
     P[0, 0] = math.sqrt(nu / math.pi)
-    for n in range(1, max_n + 1):
-        P[0, n] = math.sqrt(nu / n) * zc * P[0, n - 1]
-    for m in range(max_m):
-        c = math.sqrt(nu / (m + 1))
-        P[m + 1, 0] = c * z * P[m, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, max_n + 1):
-            P[m + 1, n] = c * z * P[m, n] - math.sqrt(n / (m + 1)) * P[m, n - 1]
+            P[0, n] = math.sqrt(nu / n) * zc * P[0, n - 1]
+        for m in range(max_m):
+            c = math.sqrt(nu / (m + 1))
+            P[m + 1, 0] = c * z * P[m, 0]
+            for n in range(1, max_n + 1):
+                P[m + 1, n] = c * z * P[m, n] - math.sqrt(n / (m + 1)) * P[m, n - 1]
+    # a non-finite entry makes the z psi_{m,n} term of every entry below it
+    # non-finite too, so the last row shows any overflow in the table
+    _require_finite(P[max_m], "psi table up to index (%d, %d) at nu=%g" % (max_m, max_n, nu))
     return P
+
+
+def hermite_ito(nu, m, n, z):
+    """H^nu_{m,n}(z, conj(z)); scalar or vectorized over an ndarray z.
+
+    Read off the normalized table as psi_{m,n} (pi nu^{m+n-1} m! n!)^{1/2},
+    with the scale formed in log space; raises OverflowError where the value
+    exceeds double precision.
+    """
+    P = psi_table(nu, z, m, n)
+    log_scale = 0.5 * (
+        math.log(math.pi)
+        + (m + n - 1) * math.log(nu)
+        + math.lgamma(m + 1.0)
+        + math.lgamma(n + 1.0)
+    )
+    # an exact zero, such as H_{m,n}(0) for m != n, stays zero at any scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(P[m, n] == 0, 0j, P[m, n] * np.exp(log_scale))
+    out = _require_finite(out, "H^nu_(%d,%d) at nu=%g" % (m, n, nu))
+    return complex(out) if out.ndim == 0 else out
 
 
 def psi(nu, m, n, z):

@@ -57,18 +57,11 @@ def mehler_closed(p, z, w):
         K_{u,v}(z, w) = (1 - uv)^{-1} exp[(-uv nu (|z|^2 + |w|^2)
                                            + nu u z w + nu v conj(z) conj(w)) / (1 - uv)].
 
-    Equals (pi/nu) times the bilinear psi-series `mehler_series`; vectorized
-    over ndarray z, w.
+    Equals (pi/nu) times the bilinear psi-series `mehler_series`, and
+    (pi/nu) times the fractional Fourier kernel at (conj(z), w), which is how
+    it is evaluated; vectorized over ndarray z, w.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    uv = p.u * p.v
-    num = (
-        -uv * p.nu * (np.abs(z) ** 2 + np.abs(w) ** 2)
-        + p.nu * p.u * z * w
-        + p.nu * p.v * np.conj(z) * np.conj(w)
-    )
-    out = _guarded_exp(num / (1.0 - uv)) / (1.0 - uv)
+    out = math.pi / p.nu * frft_kernel_raw(p.nu, p.u, p.v, np.conj(z), w)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -93,7 +86,8 @@ def mehler_series(p, z, w, trunc):
 def frft_kernel_raw(nu, u, v, zeta, xi):
     """Fractional Fourier kernel with elementwise (u, v); no validation.
 
-    Broadcasting workhorse behind `frft_kernel` and the integral transforms.
+    Broadcasting workhorse behind `frft_kernel`, `mehler_closed` and the
+    integral transforms: the one place the kernel exponent is written.
     """
     zeta = np.asarray(zeta, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
@@ -153,12 +147,8 @@ def gram_kernel(nu, alpha, beta, w, zeta, z, trunc):
     if trunc < 0:
         raise ValueError("trunc must be >= 0")
     pw = np.abs(psi_table(nu, complex(w), trunc, trunc)) ** 2
-    g = np.array(
-        [
-            [gamma_norm(alpha, beta, m, n) for n in range(trunc + 1)]
-            for m in range(trunc + 1)
-        ]
-    )
+    ks = np.arange(trunc + 1)
+    g = gamma_norm(alpha, beta, ks[:, None], ks)
     pz = psi_table(nu, z, trunc, trunc)
     pzeta = np.conj(psi_table(nu, zeta, trunc, trunc))
     out = np.einsum("mn,mn...->...", pw * g, pz * pzeta)

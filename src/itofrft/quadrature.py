@@ -53,6 +53,12 @@ def _disk_polar(alpha, n_radial, n_angular):
     return nodes.ravel(), weights.ravel()
 
 
+def _tensor(x, wx, y, wy):
+    # product rule: node pairs (x_i, y_j) in row-major order, weights wx_i wy_j
+    nodes = np.stack([np.repeat(x, len(y)), np.tile(y, len(x))], axis=1)
+    return nodes, np.repeat(wx, len(y)) * np.tile(wy, len(x))
+
+
 def plane_rule(nu, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
     """Polar product rule for the Gaussian plane measure e^{-nu |z|^2} dA.
 
@@ -84,12 +90,9 @@ def bidisk_rule(alpha, beta, n_radial, n_angular):
     """
     if alpha <= -1 or beta <= -1:
         raise ValueError("bidisk weights require alpha, beta > -1")
-    zu, wu = _disk_polar(alpha, n_radial, n_angular)
-    zv, wv = _disk_polar(beta, n_radial, n_angular)
-    nodes = np.empty((len(zu) * len(zv), 2), dtype=complex)
-    nodes[:, 0] = np.repeat(zu, len(zv))
-    nodes[:, 1] = np.tile(zv, len(zu))
-    weights = np.repeat(wu, len(zv)) * np.tile(wv, len(zu))
+    nodes, weights = _tensor(
+        *_disk_polar(alpha, n_radial, n_angular), *_disk_polar(beta, n_radial, n_angular)
+    )
     return QuadratureRule(
         kind="bidisk",
         nodes=nodes,
@@ -110,12 +113,7 @@ def quadrant_rule(alpha, beta, n=DEFAULT_N_RADIAL):
         raise ValueError("quadrant weights require alpha, beta > -1")
     if n < 1:
         raise ValueError("rule size must be >= 1")
-    s, ws = roots_genlaguerre(n, alpha)
-    t, wt = roots_genlaguerre(n, beta)
-    nodes = np.empty((n * n, 2), dtype=float)
-    nodes[:, 0] = np.repeat(s, n)
-    nodes[:, 1] = np.tile(t, n)
-    weights = np.repeat(ws, n) * np.tile(wt, n)
+    nodes, weights = _tensor(*roots_genlaguerre(n, alpha), *roots_genlaguerre(n, beta))
     return QuadratureRule(
         kind="quadrant",
         nodes=nodes,

@@ -1,88 +1,24 @@
-"""Scalar special functions used by every kernel and normalization constant.
+"""Special functions that scipy does not cover as needed here.
 
-All functions are pure and thread-safe.  Degrees are capped at 200; every
-caller in this package stays far below that.
+Gamma ratios, the modified Bessel function I_nu and the generalized Laguerre
+polynomials come from `scipy.special`.  Only the physicists' Hermite
+recurrence stays, because the classical Mehler check evaluates it in
+extended (longdouble) precision.  Degrees are capped at 200; every caller in
+this package stays far below that.
 """
-
-import math
 
 import numpy as np
 
 DEGREE_CAP = 200
 
-_BESSEL_MAX_TERMS = 500
-_BESSEL_REL_TOL = 1e-16
-
-
-def _check_degree(n):
-    if n < 0:
-        raise ValueError("degree must be non-negative, got %r" % (n,))
-    if n > DEGREE_CAP:
-        raise ValueError("degree %d exceeds cap %d" % (n, DEGREE_CAP))
-
-
-def log_gamma(x):
-    """Natural log of the Gamma function for x > 0.
-
-    Ratios of large Gamma values must be computed as exp of log differences;
-    Gamma(x) itself overflows for x beyond ~171.
-    """
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0, got %r" % (x,))
-    return math.lgamma(x)
-
-
-def bessel_i(order, x):
-    """Modified Bessel function I_order(x) by its ascending power series.
-
-    The series is summed until the next term falls below 1e-16 of the running
-    sum, with a hard cap of 500 terms.  Intended for x <= ~60 where the raw
-    series is stable; large-argument asymptotics are out of scope.
-    """
-    if order < 0:
-        raise ValueError("bessel_i requires order >= 0, got %r" % (order,))
-    if x < 0:
-        raise ValueError("bessel_i requires x >= 0, got %r" % (x,))
-    half = 0.5 * x
-    # covers x == 0 and subnormal x where x/2 underflows to zero
-    if half == 0.0:
-        return 1.0 if order == 0 else 0.0
-    # term_0 = (x/2)^order / Gamma(order+1), assembled in log space
-    term = math.exp(order * math.log(half) - math.lgamma(order + 1.0))
-    total = term
-    for n in range(1, _BESSEL_MAX_TERMS + 1):
-        term *= half * half / (n * (order + n))
-        total += term
-        if term < _BESSEL_REL_TOL * total:
-            return total
-    raise RuntimeError(
-        "bessel_i series did not converge within %d terms (order=%g, x=%g)"
-        % (_BESSEL_MAX_TERMS, order, x)
-    )
-
-
-def laguerre(n, order, x):
-    """Generalized Laguerre polynomial L_n^(order)(x) by the n-recurrence.
-
-    `x` may be a scalar or a numpy array.
-    """
-    _check_degree(n)
-    x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else x
-    prev = 1.0 if not isinstance(x, np.ndarray) else np.ones_like(x)
-    if n == 0:
-        return prev
-    cur = 1.0 + order - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + order - x) * cur - (k + order) * prev) / (k + 1)
-    return cur
-
 
 def hermite_real(n, x):
     """Physicists' Hermite polynomial H_n(x) via H_{n+1} = 2x H_n - 2n H_{n-1}.
 
-    `x` may be a scalar or a numpy array.
+    `x` may be a scalar or a numpy array; a longdouble array stays longdouble.
     """
-    _check_degree(n)
+    if not 0 <= n <= DEGREE_CAP:
+        raise ValueError("degree must lie in [0, %d], got %r" % (DEGREE_CAP, n))
     prev = 1.0 if not isinstance(x, np.ndarray) else np.ones_like(x)
     if n == 0:
         return prev

@@ -7,13 +7,12 @@ which overflows early.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
 
-from .specfun import DEGREE_CAP, log_gamma
-from .ito_hermite import psi, psi_table
+from .ito_hermite import psi_table
 
 __all__ = [
     "BergmanParams",
@@ -61,33 +60,23 @@ class BergmanParams:
 def gamma_norm(alpha, beta, m, n):
     """Squared Bergman norm of the monomial z^m w^n:
     pi^2 Gamma(alpha+1) Gamma(beta+1) m! n! / (Gamma(alpha+m+2) Gamma(beta+n+2)).
+
+    `m` and `n` may be integer arrays; the result broadcasts over them.
     """
     if alpha <= -1 or beta <= -1:
         raise ValueError("gamma_norm requires alpha, beta > -1")
-    return math.exp(
-        2.0 * math.log(math.pi)
-        + log_gamma(alpha + 1.0)
-        + log_gamma(beta + 1.0)
-        + log_gamma(m + 1.0)
-        + log_gamma(n + 1.0)
-        - log_gamma(alpha + m + 2.0)
-        - log_gamma(beta + n + 2.0)
-    )
+
+    def log_ratio(a, k):
+        k = np.asarray(k, dtype=float)
+        return gammaln(a + 1.0) + gammaln(k + 1.0) - gammaln(a + k + 2.0)
+
+    return np.exp(2.0 * math.log(math.pi) + log_ratio(alpha, m) + log_ratio(beta, n))
 
 
 def singular_value(nu, alpha, beta, m, n, w):
-    """Singular value s_{m,n}(w) = |psi^nu_{m,n}(w)| gamma_{m,n}^{1/2}."""
-    BergmanParams(alpha, beta).require_bounded()
-    return abs(psi(nu, m, n, complex(w))) * math.sqrt(gamma_norm(alpha, beta, m, n))
-
-
-def _gamma_grid(alpha, beta, max_m, max_n):
-    ms = np.arange(max_m + 1)
-    ns = np.arange(max_n + 1)
-    la = gammaln(ms + 1.0) - gammaln(alpha + ms + 2.0)
-    lb = gammaln(ns + 1.0) - gammaln(beta + ns + 2.0)
-    logc = 2.0 * math.log(math.pi) + gammaln(alpha + 1.0) + gammaln(beta + 1.0)
-    return np.exp(logc + la[:, None] + lb[None, :])
+    """Singular value s_{m,n}(w) = |psi^nu_{m,n}(w)| gamma_{m,n}^{1/2}; the
+    corner entry of the spectrum over [0, m] x [0, n]."""
+    return spectrum(nu, alpha, beta, w, m, n)[m, n]
 
 
 @dataclass(frozen=True)
@@ -112,10 +101,12 @@ class Spectrum:
 
 
 def spectrum(nu, alpha, beta, w, max_m, max_n):
-    """Tabulate singular_value over the index box [0, max_m] x [0, max_n]."""
+    """Singular values s_{m,n}(w) = |psi^nu_{m,n}(w)| gamma_{m,n}^{1/2} over
+    the index box [0, max_m] x [0, max_n]."""
     BergmanParams(alpha, beta).require_bounded()
     P = np.abs(psi_table(nu, complex(w), max_m, max_n))
-    vals = P * np.sqrt(_gamma_grid(alpha, beta, max_m, max_n))
+    g = gamma_norm(alpha, beta, np.arange(max_m + 1)[:, None], np.arange(max_n + 1))
+    vals = P * np.sqrt(g)
     return Spectrum(
         params={"nu": nu, "alpha": alpha, "beta": beta, "w": complex(w)},
         values=vals,
@@ -171,16 +162,16 @@ def operator_norm_bound(nu, alpha, beta, w, n_nodes=KW_DEFAULT_NODES):
 
 def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
     """Upper bound e^{nu |w|^2} * sum_{m>p_cut} sum_{n>q_cut} gamma_{m,n} on the
-    squared distance to the finite-rank truncation, summed up to the degree cap.
+    squared distance to the finite-rank truncation.
 
-    Decreasing in both cuts; its decay to zero is the compactness diagnostic.
+    Each axis sum telescopes: sum_{m>p} m!/Gamma(m+alpha+2)
+    = Gamma(p+2) / (alpha Gamma(p+alpha+2)), which is (p+alpha+2)/alpha times
+    its first term.  Decreasing in both cuts; its decay to zero is the
+    compactness diagnostic.
     """
     BergmanParams(alpha, beta).require_bounded()
     if p_cut < 0 or q_cut < 0:
         raise ValueError("cuts must be non-negative")
-    ms = np.arange(p_cut + 1, DEGREE_CAP + 1)
-    ns = np.arange(q_cut + 1, DEGREE_CAP + 1)
-    ta = float(np.sum(np.exp(gammaln(ms + 1.0) - gammaln(alpha + ms + 2.0))))
-    tb = float(np.sum(np.exp(gammaln(ns + 1.0) - gammaln(beta + ns + 2.0))))
-    logc = 2.0 * math.log(math.pi) + gammaln(alpha + 1.0) + gammaln(beta + 1.0)
-    return math.exp(nu * abs(complex(w)) ** 2 + logc) * ta * tb
+    first = gamma_norm(alpha, beta, p_cut + 1, q_cut + 1)
+    axes = (p_cut + alpha + 2.0) * (q_cut + beta + 2.0) / (alpha * beta)
+    return float(math.exp(nu * abs(complex(w)) ** 2) * first * axes)

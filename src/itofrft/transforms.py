@@ -7,24 +7,23 @@ accepted wherever a transform integrates its input.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .specfun import DEGREE_CAP, bessel_i
+from scipy.special import ive, roots_genlaguerre
+
+from .specfun import DEGREE_CAP
 from .ito_hermite import psi_table
-from .kernels import TransformParams, frft_kernel_raw
+from .kernels import frft_kernel_raw
 from .quadrature import integrate
 from .spectral import gamma_norm
-from scipy.special import roots_genlaguerre
 
 __all__ = [
     "CoeffFunction",
     "RadialFunction",
     "frft_apply",
-    "frft_matrix",
-    "dual_apply",
     "dual_apply_coeff",
     "adjoint_apply",
     "bergman_norm",
@@ -60,15 +59,20 @@ class CoeffFunction:
         return math.sqrt(sum(abs(a) ** 2 for a in self.coeffs.values()))
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if not self.coeffs:
-            out = np.zeros(z.shape, dtype=complex)
-            return complex(0) if out.ndim == 0 else out
-        max_m = max(m for m, _ in self.coeffs)
-        max_n = max(n for _, n in self.coeffs)
-        P = psi_table(self.nu, z, max_m, max_n)
-        out = sum(a * P[m, n] for (m, n), a in self.coeffs.items())
+        out = sum(t for _, _, t in _coeff_terms(self, np.asarray(z, dtype=complex)))
         return complex(out) if np.ndim(out) == 0 else out
+
+
+def _coeff_terms(f, z):
+    """(m, n, a_{m,n} psi_{m,n}(z)) for each coefficient of f, from one table.
+
+    The empty expansion gives one zero term, so that a sum over the terms
+    always has the shape of z."""
+    coeffs = f.coeffs or {(0, 0): 0j}
+    max_m = max(m for m, _ in coeffs)
+    max_n = max(n for _, n in coeffs)
+    P = psi_table(f.nu, z, max_m, max_n)
+    return [(m, n, a * P[m, n]) for (m, n), a in coeffs.items()]
 
 
 @dataclass(frozen=True)
@@ -88,16 +92,6 @@ class RadialFunction:
         return cls(profile=lambda r: f(np.asarray(r, dtype=complex)), kind="coeff_profile")
 
 
-def _check_plane_rule(rule, nu):
-    if rule.kind != "plane":
-        raise ValueError("expected a plane quadrature rule, got kind=%r" % rule.kind)
-    if not math.isclose(rule.params.get("nu", -1.0), nu, rel_tol=1e-12):
-        raise ValueError(
-            "rule was built for nu=%r but the transform uses nu=%r"
-            % (rule.params.get("nu"), nu)
-        )
-
-
 def frft_apply(p, f, xi, rule):
     """2D fractional Fourier transform at the point xi:
 
@@ -106,44 +100,32 @@ def frft_apply(p, f, xi, rule):
     by plane quadrature.  The normalized basis functions are eigenfunctions:
     psi_{m,n} maps to u^m v^n psi_{m,n}.
     """
-    _check_plane_rule(rule, p.nu)
+    if rule.kind != "plane":
+        raise ValueError("expected a plane quadrature rule, got kind=%r" % rule.kind)
+    if not math.isclose(rule.params.get("nu", -1.0), p.nu, rel_tol=1e-12):
+        raise ValueError(
+            "rule was built for nu=%r but the transform uses nu=%r"
+            % (rule.params.get("nu"), p.nu)
+        )
     xi = complex(xi)
     return integrate(rule, lambda z: np.asarray(f(z)) * frft_kernel_raw(p.nu, p.u, p.v, z, xi))
-
-
-def frft_matrix(nu, us, vs, xi, rule):
-    """Kernel matrix K^nu_{u_j, v_j}(zeta_i; xi) over plane nodes zeta_i and
-    parameter pairs (u_j, v_j), for batch evaluation of many transforms with a
-    common target point."""
-    _check_plane_rule(rule, nu)
-    us = np.asarray(us, dtype=complex).ravel()
-    vs = np.asarray(vs, dtype=complex).ravel()
-    return frft_kernel_raw(nu, us[None, :], vs[None, :], rule.nodes[:, None], complex(xi))
-
-
-def dual_apply(nu, w, f, uv, rule):
-    """Dual transform evaluated at the bi-disk point (u, v); by construction
-    the same integral as `frft_apply` read at the target w."""
-    u, v = uv
-    return frft_apply(TransformParams(nu, complex(u), complex(v)), f, w, rule)
 
 
 def dual_apply_coeff(nu, w, f, uv):
     """Quadrature-free dual transform of a finite expansion:
     sum a_{m,n} psi_{m,n}(w) u^m v^n.
 
-    (u, v) entries may be scalars or arrays (broadcast elementwise).
+    (u, v) entries may be scalars or arrays (broadcast elementwise).  The
+    dual transform at (u, v) is the integral `frft_apply` computes with
+    TransformParams(nu, u, v), read at the target w.
     """
-    u = np.asarray(uv[0], dtype=complex)
-    v = np.asarray(uv[1], dtype=complex)
-    if not f.coeffs:
-        out = np.zeros(np.broadcast(u, v).shape, dtype=complex)
-        return complex(0) if out.ndim == 0 else out
-    w = complex(w)
-    max_m = max(m for m, _ in f.coeffs)
-    max_n = max(n for _, n in f.coeffs)
-    P = psi_table(nu, w, max_m, max_n)
-    out = sum(a * P[m, n] * u**m * v**n for (m, n), a in f.coeffs.items())
+    if nu != f.nu:
+        raise ValueError(
+            "f is expanded in the basis for nu=%r but the transform uses nu=%r"
+            % (f.nu, nu)
+        )
+    u, v = (np.asarray(c, dtype=complex) for c in uv)
+    out = sum(t * u**m * v**n for m, n, t in _coeff_terms(f, complex(w)))
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -202,9 +184,10 @@ def hankel_apply(nu, order, u, v, psi_profile, y, n_radial=64):
     if not np.all(np.isfinite(samples)):
         i = int(np.argmax(~np.isfinite(samples)))
         raise ValueError("non-finite radial sample at x=%g" % x[i])
-    bess = np.array([bessel_i(order, bx) for bx in b * x])
-    total = complex(np.dot(wt, samples * bess))
-    return (u / v) ** (order / 2.0) * math.exp(-ell * u * v * y * y) * total
+    # I_order(bx) e^{-ell uv y^2} = ive(order, bx) e^{bx - ell uv y^2}
+    bx = b * x
+    factor = ive(order, bx) * np.exp(bx - ell * u * v * y * y)
+    return (u / v) ** (order / 2.0) * complex(np.dot(wt, samples * factor))
 
 
 def rotational_frft(nu, u, v, k, psi_profile, xi, n_radial=64):

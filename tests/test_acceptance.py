@@ -3,10 +3,11 @@
 Each criterion is implemented as a named check in itofrft.verify; this module
 runs the acceptance battery once and asserts every check at its stated
 tolerance.  The compactness-tail criterion is known to fail: the requested
-ratio of finite-rank tails at cutoffs (20, 20) versus (2, 2) is analytically
-about 2.7e-2 for alpha = beta = 1 (each axis tail telescopes to ~1/(p+2)), so
-the 1e-3 threshold is not attainable by any correct implementation.  The
-check is kept faithful and reports red rather than being weakened.
+ratio of finite-rank tails at cutoffs (20, 20) versus (2, 2) is exactly
+(4/22)^2 ~ 3.3e-2 for alpha = beta = 1 (each axis tail telescopes to
+1/(p+2)), so the 1e-3 threshold is not attainable by any correct
+implementation.  The check is kept faithful and reports red rather than
+being weakened.
 """
 
 import pytest

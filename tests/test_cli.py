@@ -9,7 +9,7 @@ import pytest
 
 from itofrft.cli import load_coeff_file, save_coeff_file
 from itofrft.ito_hermite import psi
-from itofrft.spectral import singular_value
+from itofrft.spectral import schatten_partial, singular_value, spectrum
 from itofrft.transforms import CoeffFunction
 
 CLI = [sys.executable, "-m", "itofrft.cli"]
@@ -54,6 +54,22 @@ class TestHermiteCommand:
         res = run_cli("hermite", "eval", "--m", "-1")
         assert res.returncode == 2
         assert res.stderr.strip()
+
+    def test_overflow(self):
+        # H_{200,200}(0.5) is near 1e374: a one-line error, never NaN output
+        res = run_cli("hermite", "eval", "--m", "200", "--n", "200", "--z-re", "0.5")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "overflow" in res.stderr
+
+    def test_nullset_overflow(self):
+        res = run_cli(
+            "hermite", "nullset", "--w-re", "60", "--max-m", "200", "--max-n", "200"
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
 
     def test_domain_error(self):
         res = run_cli("hermite", "eval", "--nu", "0")
@@ -116,6 +132,20 @@ class TestTransformCommand:
         jsonschema.validate(doc, schemas["transform_output"])
         assert doc[0]["point"] == {"u": 0.3, "v": 0.2}
         assert doc[0]["value"]["re"] == pytest.approx(0.3 * psi(1.0, 1, 0, 1.0).real)
+
+    def test_negative_value_in_exponent_form(self, tmp_path):
+        path = write_coeffs(tmp_path / "f.json", 1.0, {(0, 1): 1.0})
+        args = (
+            "transform", "--kind", "dual", "--input", path,
+            "--grid-center-im", "0.5", "--grid-count", "1",
+        )
+        spaced = run_cli(*args, "--w-re", "-2.5e-1", "--w-im", "-1e-05")
+        assert spaced.returncode == 0, spaced.stderr
+        joined = run_cli(*args, "--w-re=-0.25", "--w-im=-0.00001")
+        assert spaced.stdout == joined.stdout
+        value = json.loads(spaced.stdout)[0]["value"]
+        want = psi(1.0, 0, 1, -0.25 - 1e-05j) * 0.5
+        assert complex(value["re"], value["im"]) == pytest.approx(want, rel=1e-13)
 
     def test_hankel_fixed_point(self, tmp_path, schemas):
         # psi_00 is the constant 1/sqrt(pi), a fixed profile at order 0
@@ -207,6 +237,10 @@ class TestSpectrumCommand:
         # Hilbert-Schmidt partial sums grow with the cutoff
         parts = summary["schatten_partial"]
         assert parts["10"] <= parts["20"] <= parts["40"]
+        # each cut is read off one table, and equals its own spectrum's sum
+        for cut in (10, 20, 40):
+            want = schatten_partial(spectrum(1.0, 1.0, 1.0, 0.0, cut, cut), 2.0)
+            assert parts[str(cut)] == pytest.approx(want, rel=1e-14)
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         import os

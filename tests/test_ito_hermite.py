@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import eval_genlaguerre
 
 from itofrft.ito_hermite import (
     ZeroSet,
     hermite_ito,
-    hermite_ito_table,
     null_index_set,
     psi,
     psi_table,
     zero_radii,
 )
-from itofrft.specfun import DEGREE_CAP, laguerre
+from itofrft.specfun import DEGREE_CAP
 
 
 def hermite_ito_sum(nu, m, n, z):
@@ -59,7 +59,7 @@ class TestHermiteIto:
 
     def test_conjugate_symmetry(self):
         zs = np.linspace(-1, 1, 7)[:, None] + 1j * np.linspace(-1, 1, 7)[None, :]
-        H = hermite_ito_table(1.7, zs, 6, 6)
+        H = np.array([[hermite_ito(1.7, m, n, zs) for n in range(7)] for m in range(7)])
         np.testing.assert_allclose(H, np.conj(H.transpose(1, 0, 2, 3)), atol=1e-11)
 
     def test_laguerre_factorization(self):
@@ -72,7 +72,7 @@ class TestHermiteIto:
                     * math.factorial(n)
                     * nu**m
                     * z ** (m - n)
-                    * laguerre(n, m - n, nu * abs(z) ** 2)
+                    * eval_genlaguerre(n, m - n, nu * abs(z) ** 2)
                 )
                 assert hermite_ito(nu, m, n, z) == pytest.approx(expect, rel=1e-11)
 
@@ -90,6 +90,18 @@ class TestHermiteIto:
         with pytest.raises(ValueError):
             hermite_ito(1.0, DEGREE_CAP + 1, 0, 0.0)
 
+    def test_overflow_raises(self):
+        # H_{200,200}(0.5) = 200! L_200(0.25) is near 1e374; the pytest
+        # configuration also fails the test if a RuntimeWarning escapes
+        with pytest.raises(OverflowError):
+            hermite_ito(1.0, 200, 200, 0.5)
+
+    def test_large_value_below_overflow(self):
+        # H_{n,n}(0) = (-1)^n n! nu^n, still finite at n = 170
+        assert hermite_ito(1.0, 170, 170, 0.0) == pytest.approx(math.factorial(170), rel=1e-11)
+        # off the diagonal H_{m,n}(0) = 0, even where the scale exceeds 1e308
+        assert hermite_ito(1.0, 200, 199, 0.0) == 0.0
+
 
 class TestPsi:
     def test_ground_state(self):
@@ -105,6 +117,11 @@ class TestPsi:
     def test_no_overflow_at_cap(self):
         vals = psi_table(1.0, 1.5 + 0.5j, DEGREE_CAP, 0)
         assert np.all(np.isfinite(vals))
+
+    def test_overflow_raises(self):
+        # far from the origin the high-degree entries exceed double precision
+        with pytest.raises(OverflowError):
+            psi_table(1.0, 60.0, 200, 200)
 
     def test_table_shape(self):
         P = psi_table(1.0, np.zeros((2, 5), dtype=complex), 3, 4)
@@ -156,6 +173,11 @@ class TestNullIndexSet:
     def test_origin(self):
         idx = null_index_set(1.0, 0.0, 3, 3, 1e-12)
         assert idx == {(m, n) for m in range(4) for n in range(4) if m != n}
+
+    def test_overflow_raises(self):
+        # a non-finite entry is never below tol, so it would drop out unseen
+        with pytest.raises(OverflowError):
+            null_index_set(1.0, 60.0, 200, 200, 1e-10)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):

@@ -1,88 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, strategies as st
 
-from itofrft.specfun import DEGREE_CAP, bessel_i, hermite_real, laguerre, log_gamma
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        # Gamma(2.5) = 1.5 * 0.5 * sqrt(pi)
-        assert log_gamma(2.5) == pytest.approx(math.log(0.75 * math.sqrt(math.pi)), rel=1e-14)
-
-    def test_large_argument(self):
-        # Stirling keeps log Gamma finite long after Gamma itself overflows
-        assert log_gamma(500.0) == pytest.approx(scipy.special.gammaln(500.0), rel=1e-14)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, x):
-        with pytest.raises(ValueError):
-            log_gamma(x)
-
-    @given(st.floats(min_value=1e-3, max_value=100.0))
-    def test_functional_equation(self, x):
-        # log Gamma(x+1) = log Gamma(x) + log x
-        assert log_gamma(x + 1.0) == pytest.approx(log_gamma(x) + math.log(x), abs=1e-9)
-
-
-class TestBesselI:
-    def test_at_zero(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(1, 0.0) == 0.0
-        assert bessel_i(2.5, 0.0) == 0.0
-
-    def test_against_scipy(self):
-        for order in (0, 0.5, 1, 2, 2.7, 5, 10):
-            for x in (1e-8, 0.1, 1.0, 3.0, 10.0, 30.0, 60.0):
-                assert bessel_i(order, x) == pytest.approx(
-                    scipy.special.iv(order, x), rel=1e-12
-                ), (order, x)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            bessel_i(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_i(0, -1.0)
-
-    @given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.0, max_value=50.0))
-    def test_monotone_in_x(self, a, b):
-        lo, hi = sorted((a, b))
-        assert bessel_i(0, lo) <= bessel_i(0, hi) * (1 + 1e-15)
-
-
-class TestLaguerre:
-    def test_low_degrees(self):
-        assert laguerre(0, 3.0, 7.0) == 1.0
-        assert laguerre(1, 2.0, 0.0) == 3.0
-        # L_2^{(1)}(x) = 3 - 3x + x^2/2
-        assert laguerre(2, 1.0, 0.0) == pytest.approx(3.0)
-        assert laguerre(2, 1.0, 2.0) == pytest.approx(3.0 - 6.0 + 2.0)
-
-    def test_against_scipy(self):
-        xs = np.linspace(0.0, 20.0, 11)
-        for n in range(9):
-            for order in (0.0, 0.5, 2.0):
-                np.testing.assert_allclose(
-                    laguerre(n, order, xs),
-                    scipy.special.eval_genlaguerre(n, order, xs),
-                    rtol=1e-11,
-                    atol=1e-11,
-                )
-
-    def test_array_shape(self):
-        xs = np.ones((3, 4))
-        assert laguerre(4, 0.0, xs).shape == (3, 4)
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            laguerre(DEGREE_CAP + 1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            laguerre(-1, 0.0, 1.0)
+from itofrft.specfun import DEGREE_CAP, hermite_real
 
 
 class TestHermiteReal:

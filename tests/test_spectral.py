@@ -1,12 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from itofrft.ito_hermite import psi
 from itofrft.quadrature import bidisk_rule, integrate
-from itofrft.specfun import DEGREE_CAP
 from itofrft.spectral import (
     BergmanParams,
     KwBracket,
@@ -49,6 +48,14 @@ class TestGammaNorm:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             gamma_norm(-1.0, 0.0, 0, 0)
+
+    def test_broadcasts_over_indices(self):
+        ms, ns = np.arange(5)[:, None], np.arange(3)
+        grid = gamma_norm(1.5, 0.5, ms, ns)
+        assert grid.shape == (5, 3)
+        for m in range(5):
+            for n in range(3):
+                assert grid[m, n] == gamma_norm(1.5, 0.5, m, n)
 
 
 class TestSingularValue:
@@ -154,12 +161,33 @@ class TestOperatorNormBound:
 class TestFiniteRankTail:
     def test_telescoping_value(self):
         # at alpha = beta = 1 the per-axis tail telescopes:
-        # sum_{m=p+1}^{cap} m! / Gamma(m+3) = 1/(p+2) - 1/(cap+2)
+        # sum_{m>p} m! / Gamma(m+3) = sum_{m>p} 1/(m+1) - 1/(m+2) = 1/(p+2)
         p, q = 5, 9
-        ta = 1.0 / (p + 2) - 1.0 / (DEGREE_CAP + 2)
-        tb = 1.0 / (q + 2) - 1.0 / (DEGREE_CAP + 2)
-        want = math.exp(1.0) * math.pi**2 * ta * tb
+        want = math.exp(1.0) * math.pi**2 / ((p + 2) * (q + 2))
         assert finite_rank_tail(1.0, 1.0, 1.0, 1.0, p, q) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,beta,p,q", [(0.5, 2.5, 0, 3), (1.7, 1.2, 150, 20)])
+    def test_matches_full_series(self, alpha, beta, p, q):
+        # the whole double series, summed by mpmath with no degree cap; the
+        # terms decay only like m^(-alpha-1), so Euler-Maclaurin summation
+        def axis(a, cut):
+            return mpmath.nsum(
+                lambda m: mpmath.gamma(m + 1) / mpmath.gamma(m + a + 2),
+                [cut + 1, mpmath.inf],
+                method="euler-maclaurin",
+            )
+
+        nu, w = 0.8, 0.6 - 0.9j
+        want = (
+            mpmath.exp(nu * abs(w) ** 2)
+            * mpmath.pi**2
+            * mpmath.gamma(alpha + 1)
+            * mpmath.gamma(beta + 1)
+            * axis(alpha, p)
+            * axis(beta, q)
+        )
+        got = finite_rank_tail(nu, alpha, beta, w, p, q)
+        assert got == pytest.approx(float(want), rel=1e-10)
 
     def test_monotone_decreasing(self):
         vals = [finite_rank_tail(1.0, 1.0, 1.0, 0.5, p, p) for p in (2, 5, 10, 50)]

@@ -1,13 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
+from scipy.special import eval_genlaguerre, gamma as gamma_fn
 
 from itofrft.ito_hermite import psi
-from itofrft.kernels import TransformParams, frft_kernel
+from itofrft.kernels import TransformParams, frft_kernel, frft_kernel_raw
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
-from itofrft.specfun import laguerre
 from itofrft.spectral import gamma_norm
 from itofrft.transforms import (
     CoeffFunction,
@@ -16,10 +16,8 @@ from itofrft.transforms import (
     angular_coefficients,
     bargmann2_apply,
     bergman_norm,
-    dual_apply,
     dual_apply_coeff,
     frft_apply,
-    frft_matrix,
     hankel_apply,
     rotational_frft,
 )
@@ -88,7 +86,8 @@ class TestFrft:
     def test_matrix_matches_kernel(self, rule):
         us = np.array([0.3, 0.5j])
         vs = np.array([0.2, -0.4])
-        K = frft_matrix(1.0, us, vs, 0.6 - 0.1j, rule)
+        # broadcast over plane nodes x parameter pairs, as the verify checks do
+        K = frft_kernel_raw(1.0, us, vs, rule.nodes[:, None], 0.6 - 0.1j)
         assert K.shape == (len(rule.nodes), 2)
         p = TransformParams(1.0, 0.5j, -0.4)
         np.testing.assert_allclose(
@@ -100,8 +99,8 @@ class TestDual:
     def test_matches_frft(self, rule):
         f = CoeffFunction(nu=1.0, coeffs={(1, 1): 1.0, (0, 2): 0.5})
         w, uv = 0.8 + 0.3j, (0.4, -0.25j)
-        direct = frft_apply(TransformParams(1.0, *uv), f, w, rule)
-        assert dual_apply(1.0, w, f, uv, rule) == direct
+        quad = frft_apply(TransformParams(1.0, *uv), f, w, rule)
+        assert dual_apply_coeff(1.0, w, f, uv) == pytest.approx(quad, abs=1e-11)
 
     def test_coeff_route(self):
         f = CoeffFunction(nu=1.0, coeffs={(2, 1): 3.0})
@@ -119,10 +118,17 @@ class TestDual:
         f = CoeffFunction(nu=1.0, coeffs={})
         assert dual_apply_coeff(1.0, 1.0, f, (0.5, 0.5)) == 0.0
 
+    def test_rejects_other_nu(self):
+        # f's coefficients refer to the nu = 1 basis; reading them in the
+        # nu = 2 basis would silently transform a different function
+        f = CoeffFunction(nu=1.0, coeffs={(1, 0): 1.0})
+        with pytest.raises(ValueError):
+            dual_apply_coeff(2.0, 0.5, f, (0.3, 0.2))
+
     def test_vanishes_on_zero_circle(self, rule):
         # w = 1 lies on the zero circle of psi_{1,1} at nu = 1
         f = CoeffFunction(nu=1.0, coeffs={(1, 1): 1.0})
-        assert abs(dual_apply(1.0, 1.0, f, (0.5, 0.5), rule)) < 1e-12
+        assert abs(frft_apply(TransformParams(1.0, 0.5, 0.5), f, 1.0, rule)) < 1e-12
 
 
 class TestAdjoint:
@@ -194,6 +200,22 @@ class TestHankel:
         assert reduced == pytest.approx(full, rel=1e-9)
         assert reduced == pytest.approx(u * xi, rel=1e-9)
 
+    @pytest.mark.parametrize("order,y", [(1, 2.0), (3, 4.0)])
+    def test_matches_bessel_integral(self, order, y):
+        # the defining integral with mpmath's I_order, for the mode-k profile
+        # x^k, against the Laguerre rule with scipy's exponentially scaled ive
+        nu, u, v = 1.2, 0.5, 0.3
+        ell = nu / (1.0 - u * v)
+        b = 2.0 * ell * mpmath.sqrt(u * v) * y
+        integral = mpmath.quad(
+            lambda x: x ** (order + 1) * mpmath.besseli(order, b * x)
+            * mpmath.exp(-ell * (x * x + u * v * y * y)),
+            [0, 2, 5, mpmath.inf],
+        )
+        want = 2.0 * ell * (u / v) ** (order / 2.0) * integral
+        got = hankel_apply(nu, order, u, v, lambda x: x**order, y)
+        assert got == pytest.approx(complex(want), rel=1e-12)
+
     def test_parameter_validation(self):
         prof = lambda x: np.ones_like(x)
         with pytest.raises(ValueError):
@@ -245,7 +267,7 @@ class TestBargmann2:
         qrule = quadrant_rule(alpha, beta, 48)
         z, w = 0.3, -0.2 + 0.1j
         for m, n in [(0, 0), (1, 0), (2, 1)]:
-            phi = lambda s, t: laguerre(m, alpha, s) * laguerre(n, beta, t)
+            phi = lambda s, t: eval_genlaguerre(m, alpha, s) * eval_genlaguerre(n, beta, t)
             want = (
                 gamma_fn(alpha + m + 1.0) / math.factorial(m)
                 * gamma_fn(beta + n + 1.0) / math.factorial(n)
