@@ -216,6 +216,40 @@ def cmd_spectrum(args):
     return 0
 
 
+_CONFIG_KEYS = ("sizes", "tolerances", "checks", "out_dir")
+
+
+def _config_problem(config):
+    """Why a parsed verify config is malformed, or None when it is valid."""
+    if not isinstance(config, dict):
+        return "expected a JSON object, got %s" % type(config).__name__
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        return "unknown keys %s (allowed: %s)" % (unknown, ", ".join(_CONFIG_KEYS))
+    sizes = config.get("sizes", {})
+    if not isinstance(sizes, dict):
+        return "'sizes' must be an object"
+    for key, val in sizes.items():
+        if key not in verify_mod.DEFAULT_SIZES:
+            return "unknown size %r (allowed: %s)" % (key, ", ".join(verify_mod.DEFAULT_SIZES))
+        if isinstance(val, bool) or not isinstance(val, int) or val < 8:
+            return "size %r must be an integer >= 8, got %r" % (key, val)
+    tolerances = config.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        return "'tolerances' must be an object"
+    for key, val in tolerances.items():
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
+            return "tolerance %r must be a number > 0, got %r" % (key, val)
+    names = config.get("checks")
+    if names is not None and (
+        not isinstance(names, list) or not all(isinstance(n, str) for n in names)
+    ):
+        return "'checks' must be a list of check names"
+    if not isinstance(config.get("out_dir", "."), str):
+        return "'out_dir' must be a string"
+    return None
+
+
 def cmd_verify(args):
     if args.config is not None:
         try:
@@ -229,20 +263,13 @@ def cmd_verify(args):
             return 2
     else:
         config = {}
+    problem = _config_problem(config)
+    if problem:
+        print("invalid config: %s" % problem, file=sys.stderr)
+        return 2
     sizes = config.get("sizes", {})
-    if any(v < 8 for v in sizes.values()):
-        print("config sizes must be >= 8", file=sys.stderr)
-        return 2
     tolerances = config.get("tolerances", {})
-    if any(t <= 0 for t in tolerances.values()):
-        print("config tolerances must be positive", file=sys.stderr)
-        return 2
     names = config.get("checks")
-    if names is not None and (
-        not isinstance(names, list) or not all(isinstance(s, str) for s in names)
-    ):
-        print("config 'checks' must be a list of check names", file=sys.stderr)
-        return 2
     out_dir = os.environ.get(OUT_DIR_ENV, config.get("out_dir", "."))
     os.makedirs(out_dir, exist_ok=True)
     try:

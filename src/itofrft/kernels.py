@@ -3,8 +3,13 @@ Mehler function, the fractional Fourier kernel, the bi-disk Bergman
 reproducing kernel, and the Gram kernel of the dual transform.
 
 All exponentials are computed after assembling the full complex exponent; an
-overflow guard rejects exponents whose real part exceeds 700 (parameters near
-|uv| -> 1 blow up; callers here stay at |u|, |v| <= 0.6).
+overflow guard rejects exponents whose real part exceeds 700.  The exponent
+grows like 1/(1 - uv), so it is the guard, not a parameter range, that bounds
+the inputs: the bi-disk rules of `verify` reach |u|, |v| = 0.977-0.999.
+
+Kernel matrices are built `BLOCK_ENTRIES` entries at a time by the callers
+that contract them (`transforms.adjoint_apply` and the `singular_values`
+check), so their memory stays bounded whatever the number of nodes.
 """
 
 import math
@@ -26,6 +31,9 @@ __all__ = [
 
 _EXP_GUARD = 700.0
 
+# entries of one kernel block: 16 MB of complex128
+BLOCK_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class TransformParams:
@@ -43,12 +51,6 @@ class TransformParams:
                 "fractional parameters must lie in the open unit disk, got u=%r v=%r"
                 % (self.u, self.v)
             )
-
-
-def _guarded_exp(exponent):
-    if np.max(np.real(exponent)) > _EXP_GUARD:
-        raise OverflowError("kernel exponent real part exceeds %g" % _EXP_GUARD)
-    return np.exp(exponent)
 
 
 def mehler_closed(p, z, w):
@@ -88,18 +90,36 @@ def frft_kernel_raw(nu, u, v, zeta, xi):
 
     Broadcasting workhorse behind `frft_kernel`, `mehler_closed` and the
     integral transforms: the one place the kernel exponent is written.
+
+    The exponent nu [-uv (|zeta|^2 + |xi|^2) + u conj(zeta) xi
+    + v zeta conj(xi)] / (1 - uv) is a + b |zeta|^2 + p conj(zeta) + q zeta,
+    with coefficients formed at the broadcast shape of (u, v, xi) alone:
+
+        b = -nu uv / (1-uv),  a = b |xi|^2,
+        p = nu u xi / (1-uv),  q = nu v conj(xi) / (1-uv).
+
+    The full-size result is assembled, guarded, exponentiated and scaled by
+    nu / (pi (1-uv)) in one buffer.
     """
     zeta = np.asarray(zeta, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    uv = u * v
-    num = (
-        -uv * (np.abs(zeta) ** 2 + np.abs(xi) ** 2)
-        + u * np.conj(zeta) * xi
-        + v * zeta * np.conj(xi)
-    )
-    return nu / (math.pi * (1.0 - uv)) * _guarded_exp(nu * num / (1.0 - uv))
+    c = nu / (1.0 - u * v)
+    b = -c * u * v
+    a = b * (xi.real**2 + xi.imag**2)
+    p = c * u * xi
+    q = c * v * np.conj(xi)
+    out = np.empty(np.broadcast_shapes(a.shape, zeta.shape), dtype=complex)
+    np.multiply(b, zeta.real**2 + zeta.imag**2, out=out)
+    out += a
+    out += p * np.conj(zeta)
+    out += q * zeta
+    if np.max(out.real) > _EXP_GUARD:
+        raise OverflowError("kernel exponent real part exceeds %g" % _EXP_GUARD)
+    np.exp(out, out=out)
+    out *= c / math.pi
+    return out
 
 
 def frft_kernel(p, zeta, xi):

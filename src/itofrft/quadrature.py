@@ -8,9 +8,12 @@ Every rule bakes the analytic weight of its measure into the weights, so
   bidisk   : integral over D x D of f(u, v) (1-|u|^2)^alpha (1-|v|^2)^beta dA
   quadrant : integral over (0,inf)^2 of f(s, t) s^alpha t^beta e^{-s-t} ds dt
 
-Rules are immutable after construction.  `integrate` evaluates f on the whole
-node array at once, so f must accept numpy arrays and be safe to call on all
-nodes in one batch.
+Rules are immutable after construction.  `integrate` evaluates f on all nodes
+in one call, so f must accept numpy arrays and broadcast.  A plane rule passes
+its complex node array.  The bidisk and quadrant rules are tensor products and
+keep their two per-axis node arrays in `axes`; `integrate` passes them as an
+(nx, 1) column and a (1, ny) row, so f sees the whole grid by broadcasting and
+computes a factor of one variable (u^m, v^n, a kernel power) once per axis.
 """
 
 import math
@@ -31,14 +34,16 @@ class QuadratureRule:
     nodes: np.ndarray  # (N,) complex for plane, (N, 2) for bidisk/quadrant
     weights: np.ndarray  # (N,) real, strictly positive
     params: dict = field(default_factory=dict)
+    # tensor rules: per-axis nodes (x, y), with nodes[i * len(y) + j] = (x_i, y_j)
+    axes: tuple | None = None
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
             raise ValueError("nodes and weights must have equal length")
         if np.any(self.weights <= 0):
             raise ValueError("all quadrature weights must be strictly positive")
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        for arr in (self.nodes, self.weights, *(self.axes or ())):
+            arr.setflags(write=False)
 
 
 def _disk_polar(alpha, n_radial, n_angular):
@@ -53,10 +58,15 @@ def _disk_polar(alpha, n_radial, n_angular):
     return nodes.ravel(), weights.ravel()
 
 
-def _tensor(x, wx, y, wy):
+def _tensor(kind, x, wx, y, wy, params):
     # product rule: node pairs (x_i, y_j) in row-major order, weights wx_i wy_j
-    nodes = np.stack([np.repeat(x, len(y)), np.tile(y, len(x))], axis=1)
-    return nodes, np.repeat(wx, len(y)) * np.tile(wy, len(x))
+    return QuadratureRule(
+        kind=kind,
+        nodes=np.stack([np.repeat(x, len(y)), np.tile(y, len(x))], axis=1),
+        weights=np.repeat(wx, len(y)) * np.tile(wy, len(x)),
+        params=params,
+        axes=(x, y),
+    )
 
 
 def plane_rule(nu, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
@@ -90,14 +100,11 @@ def bidisk_rule(alpha, beta, n_radial, n_angular):
     """
     if alpha <= -1 or beta <= -1:
         raise ValueError("bidisk weights require alpha, beta > -1")
-    nodes, weights = _tensor(
-        *_disk_polar(alpha, n_radial, n_angular), *_disk_polar(beta, n_radial, n_angular)
-    )
-    return QuadratureRule(
-        kind="bidisk",
-        nodes=nodes,
-        weights=weights,
-        params={
+    return _tensor(
+        "bidisk",
+        *_disk_polar(alpha, n_radial, n_angular),
+        *_disk_polar(beta, n_radial, n_angular),
+        {
             "alpha": float(alpha),
             "beta": float(beta),
             "n_radial": n_radial,
@@ -113,34 +120,43 @@ def quadrant_rule(alpha, beta, n=DEFAULT_N_RADIAL):
         raise ValueError("quadrant weights require alpha, beta > -1")
     if n < 1:
         raise ValueError("rule size must be >= 1")
-    nodes, weights = _tensor(*roots_genlaguerre(n, alpha), *roots_genlaguerre(n, beta))
-    return QuadratureRule(
-        kind="quadrant",
-        nodes=nodes,
-        weights=weights,
-        params={"alpha": float(alpha), "beta": float(beta), "n": n},
+    return _tensor(
+        "quadrant",
+        *roots_genlaguerre(n, alpha),
+        *roots_genlaguerre(n, beta),
+        {"alpha": float(alpha), "beta": float(beta), "n": n},
     )
 
 
-def integrate(rule, f):
-    """Sum of weights times f at the nodes.
-
-    For plane rules f is called as f(z) on the complex node array; for bidisk
-    and quadrant rules as f(x, y) on the two node columns.  f may evaluate the
-    nodes concurrently provided it is itself safe for concurrent calls.
-    Raises on any non-finite sample, naming the offending node.
-    """
-    if rule.nodes.ndim == 2:
-        vals = f(rule.nodes[:, 0], rule.nodes[:, 1])
+def _samples(rule, f):
+    # f at every node, called as `integrate` documents, flat in node order
+    if rule.axes is not None:
+        x, y = rule.axes
+        vals, shape = f(x[:, None], y[None, :]), (len(x), len(y))
+    elif rule.nodes.ndim == 2:
+        vals, shape = f(rule.nodes[:, 0], rule.nodes[:, 1]), rule.weights.shape
     else:
-        vals = f(rule.nodes)
-    vals = np.asarray(vals, dtype=complex)
-    if vals.shape != rule.weights.shape:
-        vals = np.broadcast_to(vals, rule.weights.shape)
+        vals, shape = f(rule.nodes), rule.weights.shape
+    vals = np.broadcast_to(np.asarray(vals, dtype=complex), shape).ravel()
     bad = ~np.isfinite(vals)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(
             "non-finite integrand sample at node %r" % (rule.nodes[i],)
         )
-    return complex(np.dot(rule.weights, vals))
+    return vals
+
+
+def integrate(rule, f):
+    """Sum of weights times f at the nodes.
+
+    For plane rules f is called as f(z) on the complex node array.  For
+    bidisk and quadrant rules f is called once as f(x[:, None], y[None, :])
+    on the rule's two axes; any result that broadcasts to (len(x), len(y))
+    is accepted (a function of one variable, a constant, the full grid) and
+    read row-major, the order of `rule.nodes`.  A hand-built rule with two
+    node columns and no axes calls f(x, y) on the columns.  f may evaluate
+    the nodes concurrently provided it is itself safe for concurrent calls.
+    Raises ValueError on any non-finite sample, naming the offending node.
+    """
+    return complex(np.dot(rule.weights, _samples(rule, f)))

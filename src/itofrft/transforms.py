@@ -16,8 +16,8 @@ from scipy.special import ive, roots_genlaguerre
 
 from .specfun import DEGREE_CAP
 from .ito_hermite import psi_table
-from .kernels import frft_kernel_raw
-from .quadrature import integrate
+from .kernels import BLOCK_ENTRIES, frft_kernel_raw
+from .quadrature import _samples, integrate
 from .spectral import gamma_norm
 
 __all__ = [
@@ -130,22 +130,35 @@ def dual_apply_coeff(nu, w, f, uv):
 
 
 def adjoint_apply(nu, w, alpha, beta, g, z, rule):
-    """Adjoint of the dual transform at the planar point z:
+    """Adjoint of the dual transform at the planar point(s) z:
 
         integral over D^2 of g(u, v) conj(K^nu_{u,v}(z; w)) dmu_{alpha,beta}(u, v).
+
+    z may be an array: the result has its shape, and a scalar z gives a
+    complex number.  g is sampled once on the rule's grid, as `integrate`
+    calls it, and the weighted samples are contracted against conj(K) for
+    `BLOCK_ENTRIES // len(rule.nodes)` points of z at a time, so memory stays
+    bounded for any number of points.  A non-finite sample of g raises
+    ValueError naming the node.
     """
     if rule.kind != "bidisk":
         raise ValueError("expected a bidisk quadrature rule, got kind=%r" % rule.kind)
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not math.isclose(rule.params.get(name, math.nan), val, rel_tol=1e-12):
             raise ValueError("rule %s does not match the transform %s" % (name, name))
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     w = complex(w)
-    return integrate(
-        rule,
-        lambda u, v: np.asarray(g(u, v))
-        * np.conj(frft_kernel_raw(nu, u, v, z, w)),
-    )
+    # conj(K) . (weights g) = conj(K . conj(weights g)), one conjugation per point
+    weighted = np.conj(rule.weights * _samples(rule, g))
+    u, v = rule.nodes[:, 0], rule.nodes[:, 1]
+    flat = z.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    step = max(1, BLOCK_ENTRIES // len(weighted))
+    for i in range(0, len(flat), step):
+        # one expression, so that each kernel block is freed before the next
+        block = flat[i : i + step, None]
+        out[i : i + step] = np.conj(frft_kernel_raw(nu, u, v, block, w) @ weighted)
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def bergman_norm(coeffs, alpha, beta):

@@ -11,7 +11,13 @@ from scipy.special import eval_genlaguerre, gammaln, ive
 
 from .specfun import hermite_real
 from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
-from .kernels import TransformParams, frft_kernel_raw, mehler_closed, bergman_kernel
+from .kernels import (
+    BLOCK_ENTRIES,
+    TransformParams,
+    bergman_kernel,
+    frft_kernel_raw,
+    mehler_closed,
+)
 from .quadrature import bidisk_rule, integrate, plane_rule, quadrant_rule
 from .spectral import finite_rank_tail, gamma_norm, kw_constant, spectrum
 from .transforms import (
@@ -152,12 +158,16 @@ def check_kernel_autocorrelation(sizes):
 def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, sizes):
     rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
     brule = bidisk_rule(alpha, beta, 8, 10)
-    # plane nodes x bidisk nodes
-    K = frft_kernel_raw(nu, brule.nodes[:, 0], brule.nodes[:, 1], rule.nodes[:, None], w)
-    P = psi_table(nu, rule.nodes, max_m, max_n).reshape((max_m + 1) * (max_n + 1), -1)
-    images = (P * rule.weights) @ K  # modes x bidisk nodes
-    s2 = (np.abs(images) ** 2) @ brule.weights
-    return np.sqrt(np.maximum(s2.real, 0.0)).reshape(max_m + 1, max_n + 1)
+    PW = psi_table(nu, rule.nodes, max_m, max_n).reshape((max_m + 1) * (max_n + 1), -1)
+    PW *= rule.weights
+    # the plane x bidisk kernel matrix, a block of bidisk nodes at a time
+    s2 = np.zeros(len(PW))
+    step = max(1, BLOCK_ENTRIES // len(rule.nodes))
+    for i in range(0, len(brule.weights), step):
+        u, v = brule.nodes[i : i + step].T
+        images = PW @ frft_kernel_raw(nu, u, v, rule.nodes[:, None], w)
+        s2 += (images.real**2 + images.imag**2) @ brule.weights[i : i + step]
+    return np.sqrt(s2).reshape(max_m + 1, max_n + 1)
 
 
 def check_singular_values(sizes):
@@ -469,9 +479,7 @@ def check_adjoint_identity(sizes):
         brule,
         lambda u, v: dual_apply_coeff(nu, w, f, (u, v)) * np.conj(g(u, v)),
     )
-    rstar = np.array(
-        [adjoint_apply(nu, w, alpha, beta, g, z, brule) for z in prule.nodes]
-    )
+    rstar = adjoint_apply(nu, w, alpha, beta, g, prule.nodes, brule)
     rhs = complex(np.dot(prule.weights, f(prule.nodes) * np.conj(rstar)))
     return _result("adjoint_identity", abs(lhs - rhs), 1e-8)
 

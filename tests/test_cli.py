@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -304,6 +305,36 @@ class TestVerifyCommand:
     def test_bad_tolerances(self, tmp_path):
         cfg = self._config(tmp_path, {"tolerances": {"orthonormality": 0.0}})
         assert run_cli("verify", "--config", cfg).returncode == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"sizes": {"n_radial": "64"}},
+            {"tolerances": {"orthonormality": "1e-9"}},
+            [{"sizes": {"n_radial": 64}}],
+            {"sizes": {"n_radail": 64}},
+            {"sizes": {"n_radial": True}},
+            {"size": {"n_radial": 64}},
+            {"out_dir": 3},
+        ],
+        ids=[
+            "size_as_string",
+            "tolerance_as_string",
+            "top_level_list",
+            "misspelled_size",
+            "size_as_bool",
+            "unknown_top_level_key",
+            "out_dir_not_string",
+        ],
+    )
+    def test_malformed_config(self, tmp_path, doc):
+        # one line on stderr and exit 2, never a traceback or a default run
+        env = dict(os.environ, ITOFRFT_OUT_DIR=str(tmp_path))
+        res = run_cli("verify", "--config", self._config(tmp_path, doc), env=env)
+        assert res.returncode == 2, res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_check_name(self, tmp_path):
         cfg = self._config(tmp_path, {"checks": ["no_such_check"]})

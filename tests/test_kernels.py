@@ -7,6 +7,7 @@ from itofrft.kernels import (
     TransformParams,
     bergman_kernel,
     frft_kernel,
+    frft_kernel_raw,
     gram_kernel,
     mehler_closed,
     mehler_series,
@@ -71,6 +72,69 @@ class TestFrftKernel:
         p = TransformParams(1.0, 0.9, 0.0)
         with pytest.raises(OverflowError):
             frft_kernel(p, 30.0, 30.0)
+
+
+def reference_kernel(nu, u, v, zeta, xi):
+    """The kernel written directly: the exponent assembled term by term at
+    full size, guarded on its real part, exponentiated and scaled."""
+    zeta, xi, u, v = (np.asarray(a, dtype=complex) for a in (zeta, xi, u, v))
+    uv = u * v
+    num = (
+        -uv * (np.abs(zeta) ** 2 + np.abs(xi) ** 2)
+        + u * np.conj(zeta) * xi
+        + v * zeta * np.conj(xi)
+    )
+    exponent = nu * num / (1.0 - uv)
+    if np.max(np.real(exponent)) > 700.0:
+        raise OverflowError("reference exponent real part exceeds 700")
+    return nu / (math.pi * (1.0 - uv)) * np.exp(exponent)
+
+
+class TestFrftKernelRaw:
+    """The hoisted evaluation against the direct expression, to relative
+    1e-13: the two sum the same exponent terms in another order."""
+
+    def assert_matches(self, nu, u, v, zeta, xi):
+        got = frft_kernel_raw(nu, u, v, zeta, xi)
+        want = reference_kernel(nu, u, v, zeta, xi)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_scalar(self):
+        self.assert_matches(1.3, 0.4 - 0.2j, 0.35j, 0.7 - 0.4j, -0.2 + 0.9j)
+
+    def test_broadcast_column_by_row(self):
+        zeta = np.array([0.0, 0.3 + 0.2j, -1.0 + 1.1j, 1.5, -0.7 - 1.2j])[:, None]
+        xi = np.array([0.9j, -0.4 + 0.6j, 2.0, 0.1 - 0.1j])
+        self.assert_matches(0.8, 0.5, -0.3 + 0.1j, zeta, xi)
+
+    def test_complex_parameters_near_the_circle(self):
+        # elementwise (u, v) up to modulus 0.99, as the bi-disk rules give
+        rng = np.random.default_rng(5)
+        radius = np.array([0.0, 0.3, 0.6, 0.9, 0.97, 0.99])
+        u = radius * np.exp(2j * math.pi * rng.random(radius.size))
+        v = radius[::-1] * np.exp(2j * math.pi * rng.random(radius.size))
+        zeta = (rng.standard_normal(7) + 1j * rng.standard_normal(7))[:, None]
+        self.assert_matches(1.0, u, v, zeta, 0.8 - 0.3j)
+        self.assert_matches(2.0, u[:, None], v[None, :], 0.4 + 0.5j, -0.6j)
+
+    def test_both_mehler_argument_orders(self):
+        # mehler_closed(p, z, w) evaluates the kernel at (conj z, w)
+        z = np.array([0.3 + 0.2j, -1.0 + 1.1j, 1.5])[:, None]
+        w = np.array([-0.7 - 1.2j, 0.9j])[None, :]
+        for a, b in ((z, w), (w, z)):
+            self.assert_matches(1.0, 0.45 + 0.1j, -0.3j, np.conj(a), b)
+
+    def test_guard_threshold(self):
+        # v = 0: the exponent is nu u conj(zeta) xi, real 0.5 zeta here
+        edge = 1400.0
+        below, above = edge * (1 - 1e-12), edge * (1 + 1e-12)
+        val = frft_kernel_raw(1.0, 0.5, 0.0, below, 1.0)
+        assert np.isfinite(val)
+        assert val == pytest.approx(reference_kernel(1.0, 0.5, 0.0, below, 1.0), rel=1e-13)
+        for fn in (frft_kernel_raw, reference_kernel):
+            with pytest.raises(OverflowError):
+                fn(1.0, 0.5, 0.0, np.array([0.0, above]), 1.0)
 
 
 class TestBergmanKernel:

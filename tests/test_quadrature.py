@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,3 +112,49 @@ class TestRuleObjects:
     def test_scalar_integrand_broadcast(self):
         rule = bidisk_rule(0.0, 0.0, 8, 8)
         assert integrate(rule, lambda u, v: 2.0) == pytest.approx(2 * math.pi**2)
+
+
+class TestTensorGrid:
+    """Tensor rules call f once on the broadcast (x[:, None], y[None, :]) grid
+    of their axes; the result must equal the sum over the flat node columns."""
+
+    RULES = {
+        "bidisk": lambda: bidisk_rule(1.0, 0.5, 6, 5),
+        "quadrant": lambda: quadrant_rule(0.5, 1.5, 12),
+    }
+    INTEGRANDS = {
+        "first_only": lambda x, y: np.exp(-0.5 * x) + x**2,
+        "second_only": lambda x, y: np.conj(y) ** 3 - 0.25j * y,
+        "scalar": lambda x, y: 2.0 - 1.0j,
+        "full_grid": lambda x, y: np.exp(0.3 * x * np.conj(y)) / (2.0 + x + y),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RULES))
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    def test_matches_flat_columns(self, kind, name):
+        rule, f = self.RULES[kind](), self.INTEGRANDS[name]
+        x, y = rule.axes
+        assert len(x) * len(y) == len(rule.weights)
+        flat = np.broadcast_to(f(rule.nodes[:, 0], rule.nodes[:, 1]), rule.weights.shape)
+        want = complex(np.dot(rule.weights, flat))
+        assert integrate(rule, f) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_axes_match_nodes(self):
+        rule = bidisk_rule(0.0, 1.0, 4, 3)
+        x, y = rule.axes
+        np.testing.assert_array_equal(rule.nodes[:, 0], np.repeat(x, len(y)))
+        np.testing.assert_array_equal(rule.nodes[:, 1], np.tile(y, len(x)))
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_nonfinite_names_the_node(self):
+        rule = bidisk_rule(1.0, 1.0, 4, 4)
+        x, y = rule.axes
+        k = 5 * len(y) + 7
+        target = rule.nodes[k]
+
+        def f(u, v):
+            return np.where((u == target[0]) & (v == target[1]), np.inf, 1.0)
+
+        with pytest.raises(ValueError, match=re.escape("at node %r" % (target,))):
+            integrate(rule, f)

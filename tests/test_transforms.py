@@ -6,7 +6,7 @@ import pytest
 from scipy.special import eval_genlaguerre, gamma as gamma_fn
 
 from itofrft.ito_hermite import psi
-from itofrft.kernels import TransformParams, frft_kernel, frft_kernel_raw
+from itofrft.kernels import BLOCK_ENTRIES, TransformParams, frft_kernel, frft_kernel_raw
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
 from itofrft.spectral import gamma_norm
 from itofrft.transforms import (
@@ -142,6 +142,35 @@ class TestAdjoint:
         brule = bidisk_rule(2.0, 1.0, 8, 8)
         with pytest.raises(ValueError):
             adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: 1.0, 0.3, brule)
+
+    def test_array_z_matches_pointwise(self):
+        nu, w, alpha, beta = 1.0, 0.7 - 0.2j, 1.0, 0.5
+        brule = bidisk_rule(alpha, beta, 8, 8)
+        g = lambda u, v: 1.0 + u * np.conj(v) - 0.5j * v**2
+        rng = np.random.default_rng(3)
+        zs = (rng.standard_normal(300) + 1j * rng.standard_normal(300)).reshape(20, 15)
+        # more than one kernel block of points, the last one partial
+        per_block = BLOCK_ENTRIES // len(brule.weights)
+        assert zs.size > per_block and zs.size % per_block
+        got = adjoint_apply(nu, w, alpha, beta, g, zs, brule)
+        assert got.shape == zs.shape
+        want = np.array(
+            [adjoint_apply(nu, w, alpha, beta, g, z, brule) for z in zs.ravel()]
+        ).reshape(zs.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_scalar_z_returns_complex(self):
+        brule = bidisk_rule(1.0, 1.0, 8, 8)
+        out = adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: u + v, 0.3 - 0.1j, brule)
+        assert type(out) is complex
+
+    def test_nonfinite_sample_rejected(self):
+        brule = bidisk_rule(1.0, 1.0, 8, 8)
+        with pytest.raises(ValueError, match="non-finite"):
+            adjoint_apply(
+                1.0, 0.5, 1.0, 1.0, lambda u, v: np.where(u == u.flat[3], np.nan, 1.0),
+                np.zeros(4), brule,
+            )
 
     def test_recovers_gram_coefficient(self, rule):
         # adjoint(dual(psi_{m,n})) = gamma_{m,n} |psi_{m,n}(w)|^2 psi_{m,n},
