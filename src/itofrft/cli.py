@@ -18,7 +18,6 @@ import numpy as np
 
 from . import ito_hermite, spectral, verify as verify_mod
 from .kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed
-from .quadrature import plane_rule
 from .transforms import (
     CoeffFunction,
     RadialFunction,
@@ -130,11 +129,10 @@ def cmd_transform(args):
             raise DomainError("fractional parameters must lie in the open unit disk")
         if args.kind == "frft":
             p = TransformParams(f.nu, u, v)
-            rule = plane_rule(f.nu, args.n_radial, args.n_angular)
             for xr in _axis(args.grid_center_re, args.grid_half, args.grid_count):
                 for xi_im in _axis(args.grid_center_im, args.grid_half, args.grid_count):
                     xi = complex(xr, xi_im)
-                    val = frft_apply(p, f, xi, rule)
+                    val = frft_apply(p, f, xi)
                     records.append({"point": _cnum(xi), "value": _cnum(val)})
         else:
             w = complex(args.w_re, args.w_im)
@@ -359,8 +357,6 @@ def build_parser():
     pt.add_argument("--grid-center-im", type=float, default=0.0)
     pt.add_argument("--grid-half", type=float, default=0.5)
     pt.add_argument("--grid-count", type=int, default=3)
-    pt.add_argument("--n-radial", type=int, default=64)
-    pt.add_argument("--n-angular", type=int, default=64)
     pt.set_defaults(fn=cmd_transform)
 
     ps = sub.add_parser("spectrum", help="tabulate singular values")

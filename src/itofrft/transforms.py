@@ -2,8 +2,11 @@
 adjoint, the second Bargmann transform, and the fractional Hankel reduction.
 
 Finite psi-expansions (`CoeffFunction`) are the preferred input
-representation; plain callables sampled at quadrature nodes are also
-accepted wherever a transform integrates its input.
+representation: the 2D transform and its dual evaluate them exactly through
+the eigenrelation psi_{m,n} -> u^m v^n psi_{m,n}, with no quadrature.  Plain
+callables are also accepted; `frft_apply` integrates them on a plane
+quadrature rule, which then serves as the independent cross-check of the
+exact route.
 """
 
 import math
@@ -92,21 +95,49 @@ class RadialFunction:
         return cls(profile=lambda r: f(np.asarray(r, dtype=complex)), kind="coeff_profile")
 
 
-def frft_apply(p, f, xi, rule):
+def _eigen_sum(nu, f, point, uv):
+    """sum a_{m,n} u^m v^n psi_{m,n}(point) for a finite expansion f, from
+    one psi table at the point; (u, v) entries broadcast elementwise.
+
+    This is the eigenrelation of the transform with parameters (nu, u, v), so
+    the psi_{m,n} of f must be its eigenfunctions: f.nu must equal nu.
+    """
+    if nu != f.nu:
+        raise ValueError(
+            "f is expanded in the basis for nu=%r but the transform uses nu=%r"
+            % (f.nu, nu)
+        )
+    u, v = (np.asarray(c, dtype=complex) for c in uv)
+    out = sum(t * u**m * v**n for m, n, t in _coeff_terms(f, complex(point)))
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+def frft_apply(p, f, xi, rule=None):
     """2D fractional Fourier transform at the point xi:
 
-        integral of f(zeta) K^nu_{u,v}(zeta; xi) e^{-nu |zeta|^2} dA(zeta)
+        integral of f(zeta) K^nu_{u,v}(zeta; xi) e^{-nu |zeta|^2} dA(zeta).
 
-    by plane quadrature.  The normalized basis functions are eigenfunctions:
-    psi_{m,n} maps to u^m v^n psi_{m,n}.
+    Two routes, chosen by the type of f:
+    - a `CoeffFunction` is transformed exactly by the eigenrelation, psi_{m,n}
+      maps to u^m v^n psi_{m,n}: the result is sum a_{m,n} u^m v^n
+      psi_{m,n}(xi), from one psi table at xi.  Its nu must equal p.nu.
+      No rule is needed;
+    - any other callable is sampled on the plane quadrature `rule`, which is
+      then required.
+    A rule that is given is validated (kind and nu) on either route.
     """
-    if rule.kind != "plane":
-        raise ValueError("expected a plane quadrature rule, got kind=%r" % rule.kind)
-    if not math.isclose(rule.params.get("nu", -1.0), p.nu, rel_tol=1e-12):
-        raise ValueError(
-            "rule was built for nu=%r but the transform uses nu=%r"
-            % (rule.params.get("nu"), p.nu)
-        )
+    if rule is not None:
+        if rule.kind != "plane":
+            raise ValueError("expected a plane quadrature rule, got kind=%r" % rule.kind)
+        if not math.isclose(rule.params.get("nu", -1.0), p.nu, rel_tol=1e-12):
+            raise ValueError(
+                "rule was built for nu=%r but the transform uses nu=%r"
+                % (rule.params.get("nu"), p.nu)
+            )
+    if isinstance(f, CoeffFunction):
+        return _eigen_sum(p.nu, f, xi, (p.u, p.v))
+    if rule is None:
+        raise ValueError("a callable input needs a plane quadrature rule")
     xi = complex(xi)
     return integrate(rule, lambda z: np.asarray(f(z)) * frft_kernel_raw(p.nu, p.u, p.v, z, xi))
 
@@ -116,17 +147,10 @@ def dual_apply_coeff(nu, w, f, uv):
     sum a_{m,n} psi_{m,n}(w) u^m v^n.
 
     (u, v) entries may be scalars or arrays (broadcast elementwise).  The
-    dual transform at (u, v) is the integral `frft_apply` computes with
-    TransformParams(nu, u, v), read at the target w.
+    dual transform at (u, v) is the 2D transform with TransformParams(nu, u,
+    v), read at the target w; both evaluate the same eigenrelation sum.
     """
-    if nu != f.nu:
-        raise ValueError(
-            "f is expanded in the basis for nu=%r but the transform uses nu=%r"
-            % (f.nu, nu)
-        )
-    u, v = (np.asarray(c, dtype=complex) for c in uv)
-    out = sum(t * u**m * v**n for m, n, t in _coeff_terms(f, complex(w)))
-    return complex(out) if np.ndim(out) == 0 else out
+    return _eigen_sum(nu, f, w, uv)
 
 
 def adjoint_apply(nu, w, alpha, beta, g, z, rule):

@@ -77,7 +77,7 @@ def check_orthonormality(sizes):
     return _result("orthonormality", worst, 1e-10)
 
 
-def check_mehler_consistency(sizes):
+def check_mehler_series_vs_closed(sizes):
     """Bilinear psi-series at trunc=80 against (nu/pi) times the closed Mehler
     function, on a 5x5 (z, w) grid with |z|, |w| <= 1.5."""
     worst = 0.0
@@ -119,7 +119,7 @@ def check_mehler_classical(sizes):
     return _result("mehler_classical", worst, 1e-9)
 
 
-def check_eigenrelation(sizes):
+def check_frft_eigenrelation(sizes):
     """frft_apply(psi_{m,n}) = u^m v^n psi_{m,n} for m, n <= 6 on a 4x4 target
     grid, three parameter points including complex values."""
     nu = 1.0
@@ -345,7 +345,7 @@ def check_compactness_tail(sizes):
     )
 
 
-def check_rodrigues_cross(sizes):
+def check_rodrigues_cross_check(sizes):
     """Recurrence evaluation against the explicit alternating finite sum."""
     nu = 1.3
     zs = [0.4 + 0.9j, -1.2 + 0.3j, 2.0 - 1.0j]
@@ -431,7 +431,8 @@ def check_bessel_monotone(sizes):
 
 def check_dual_coeff_vs_quadrature(sizes):
     """Coefficient-path dual transform against the quadrature path of
-    `frft_apply` on the plane rule."""
+    `frft_apply` on the plane rule.  f is handed to `frft_apply` as a plain
+    callable, so that it integrates instead of taking the same exact route."""
     nu, w = 1.0, 0.6 + 0.4j
     rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
     f = CoeffFunction(
@@ -440,7 +441,7 @@ def check_dual_coeff_vs_quadrature(sizes):
     )
     worst = 0.0
     for uv in ((0.3, 0.2), (0.5j, -0.4), (-0.35, 0.55j)):
-        a = frft_apply(TransformParams(nu, *uv), f, w, rule)
+        a = frft_apply(TransformParams(nu, *uv), lambda z: f(z), w, rule)
         b = dual_apply_coeff(nu, w, f, uv)
         worst = max(worst, abs(a - b))
     return _result("dual_coeff_vs_quadrature", worst, 1e-9)
@@ -502,11 +503,11 @@ def check_parseval_dual_norm(sizes):
     return _result("parseval_dual_norm", abs(quad - norm2), 1e-8)
 
 
-def check_bargmann_laguerre(sizes):
+def check_bargmann_laguerre_basis(sizes):
     """Second Bargmann transform maps the Laguerre product basis to
     [G(a+m+1)/m!][G(b+n+1)/n!] z^m w^n."""
     alpha, beta = 0.5, 1.0
-    rule = quadrant_rule(alpha, beta, 64)
+    rule = quadrant_rule(alpha, beta, sizes["quadrant_n"])
     worst = 0.0
     for m, n in ((0, 0), (1, 0), (2, 3)):
         const = math.exp(
@@ -539,9 +540,9 @@ def check_quadrature_selfconvergence(sizes):
 
 ACCEPTANCE_CHECKS = [
     check_orthonormality,
-    check_mehler_consistency,
+    check_mehler_series_vs_closed,
     check_mehler_classical,
-    check_eigenrelation,
+    check_frft_eigenrelation,
     check_kernel_autocorrelation,
     check_singular_values,
     check_schatten_bound,
@@ -554,7 +555,7 @@ ACCEPTANCE_CHECKS = [
 ]
 
 INVARIANT_CHECKS = [
-    check_rodrigues_cross,
+    check_rodrigues_cross_check,
     check_conjugate_symmetry,
     check_laguerre_factorization,
     check_zero_radii_consistency,
@@ -563,7 +564,7 @@ INVARIANT_CHECKS = [
     check_pointwise_estimate,
     check_adjoint_identity,
     check_parseval_dual_norm,
-    check_bargmann_laguerre,
+    check_bargmann_laguerre_basis,
     check_quadrature_selfconvergence,
 ]
 
@@ -573,7 +574,8 @@ DEFAULT_SIZES = {"n_radial": 64, "n_angular": 64, "quadrant_n": 64}
 def run_checks(checks=None, sizes=None, tolerances=None, names=None):
     """Run the given checks (default: acceptance + invariants) and return the
     list of CheckResult.  `tolerances` maps check name to an override;
-    `names` restricts the run to the listed check names."""
+    `names` restricts the run to the listed check names.  A check's name is
+    the one it reports, which is its function name without `check_`."""
     sizes = dict(DEFAULT_SIZES, **(sizes or {}))
     selected = checks or (ACCEPTANCE_CHECKS + INVARIANT_CHECKS)
     if names is not None:

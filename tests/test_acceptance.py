@@ -37,3 +37,9 @@ def test_acceptance(criterion, results, capsys):
         res.tolerance,
         res.detail or "no detail",
     )
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_reported_name(criterion, results):
+    # run_checks and `verify --config` select a check by the name it reports
+    assert results[criterion].name == criterion

@@ -111,7 +111,6 @@ class TestTransformCommand:
             "transform", "--kind", "frft", "--input", path,
             "--u-re", "0.5", "--v-re", "0.5",
             "--grid-center-re", "0.5", "--grid-half", "0", "--grid-count", "1",
-            "--n-radial", "48", "--n-angular", "32",
         )
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout)
@@ -280,6 +279,17 @@ class TestVerifyCommand:
         jsonschema.validate(report, schemas["report"])
         assert report["passed"] is True
         assert len(report["checks"]) == 2
+
+    def test_select_by_reported_name(self, tmp_path, schemas):
+        cfg = self._config(tmp_path, {
+            "checks": ["frft_eigenrelation"],
+            "out_dir": str(tmp_path),
+        })
+        res = run_cli("verify", "--config", cfg)
+        assert res.returncode == 0, res.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        jsonschema.validate(report, schemas["report"])
+        assert [c["name"] for c in report["checks"]] == ["frft_eigenrelation"]
 
     def test_tightened_tolerance_fails(self, tmp_path, schemas):
         cfg = self._config(tmp_path, {

@@ -83,6 +83,45 @@ class TestFrft:
         with pytest.raises(ValueError):
             frft_apply(p, f, 0.0, bidisk_rule(1.0, 1.0, 8, 8))
 
+    @pytest.mark.parametrize("xi,u", [(5.0, 0.9), (10.0, 0.9), (20.0, 0.5)])
+    def test_far_field_eigenrelation(self, xi, u):
+        # plane quadrature missed these by 2e-4, 0.18 and 1.2e-3 relative
+        f = CoeffFunction(nu=1.0, coeffs={(2, 1): 1.0})
+        want = u**3 * psi(1.0, 2, 1, xi)  # u^2 v with v = u
+        got = frft_apply(TransformParams(1.0, u, u), f, xi)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_rejects_other_nu(self, rule):
+        # the psi of the nu = 1 basis are not eigenfunctions at nu = 2
+        f = CoeffFunction(nu=1.0, coeffs={(1, 0): 1.0})
+        with pytest.raises(ValueError, match="nu"):
+            frft_apply(TransformParams(2.0, 0.3, 0.2), f, 0.5)
+
+    def test_callable_needs_rule(self):
+        with pytest.raises(ValueError, match="rule"):
+            frft_apply(TransformParams(1.0, 0.3, 0.2), lambda z: z, 0.5)
+
+    def test_quadrature_route_matches_exact_route(self, rule):
+        p = TransformParams(1.0, 0.35 + 0.2j, -0.5)
+        f = CoeffFunction(nu=1.0, coeffs={(0, 0): 0.5, (2, 1): 1.0 - 0.5j, (1, 3): 0.25j})
+        for xi in (0.0, 0.6 - 0.4j, -1.1 + 0.3j):
+            quad = frft_apply(p, lambda z: f(z), xi, rule)
+            assert frft_apply(p, f, xi, rule) == pytest.approx(quad, abs=1e-11)
+
+    def test_exact_route_runs_no_quadrature(self, monkeypatch):
+        import itofrft.transforms as transforms
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature called on the exact route")
+
+        monkeypatch.setattr(transforms, "integrate", forbidden)
+        monkeypatch.setattr(transforms, "frft_kernel_raw", forbidden)
+        f = CoeffFunction(nu=1.0, coeffs={(1, 2): 1.0, (0, 0): -0.5})
+        p = TransformParams(1.0, 0.4, 0.3j)
+        xi = 0.7 + 0.1j
+        want = 0.4 * (0.3j) ** 2 * psi(1.0, 1, 2, xi) - 0.5 * psi(1.0, 0, 0, xi)
+        assert frft_apply(p, f, xi) == pytest.approx(want, rel=1e-13)
+
     def test_matrix_matches_kernel(self, rule):
         us = np.array([0.3, 0.5j])
         vs = np.array([0.2, -0.4])
@@ -99,7 +138,8 @@ class TestDual:
     def test_matches_frft(self, rule):
         f = CoeffFunction(nu=1.0, coeffs={(1, 1): 1.0, (0, 2): 0.5})
         w, uv = 0.8 + 0.3j, (0.4, -0.25j)
-        quad = frft_apply(TransformParams(1.0, *uv), f, w, rule)
+        # a plain callable, so that frft_apply integrates on the rule
+        quad = frft_apply(TransformParams(1.0, *uv), lambda z: f(z), w, rule)
         assert dual_apply_coeff(1.0, w, f, uv) == pytest.approx(quad, abs=1e-11)
 
     def test_coeff_route(self):
@@ -128,7 +168,8 @@ class TestDual:
     def test_vanishes_on_zero_circle(self, rule):
         # w = 1 lies on the zero circle of psi_{1,1} at nu = 1
         f = CoeffFunction(nu=1.0, coeffs={(1, 1): 1.0})
-        assert abs(frft_apply(TransformParams(1.0, 0.5, 0.5), f, 1.0, rule)) < 1e-12
+        quad = frft_apply(TransformParams(1.0, 0.5, 0.5), lambda z: f(z), 1.0, rule)
+        assert abs(quad) < 1e-12
 
 
 class TestAdjoint:
@@ -224,7 +265,7 @@ class TestHankel:
         f = CoeffFunction(nu=nu, coeffs={(1, 0): math.sqrt(math.pi / nu)})
         assert f(0.7 + 0.2j) == pytest.approx(0.7 + 0.2j, rel=1e-13)
         xi = 1.3
-        full = frft_apply(TransformParams(nu, u, v), f, xi, rule)
+        full = frft_apply(TransformParams(nu, u, v), lambda z: f(z), xi, rule)
         reduced = rotational_frft(nu, u, v, 1, lambda r: r + 0j, xi)
         assert reduced == pytest.approx(full, rel=1e-9)
         assert reduced == pytest.approx(u * xi, rel=1e-9)
