@@ -165,6 +165,13 @@ def _sub_spectrum(spec, max_m, max_n):
 
 
 def cmd_spectrum(args):
+    # every check and every computation comes before the first file is written
+    if min(args.max_m, args.max_n) < 0 or not (args.nu > 0 and args.schatten > 0):
+        print(
+            "invalid flag value: max-m, max-n must be >= 0, nu and schatten > 0",
+            file=sys.stderr,
+        )
+        return 2
     if args.alpha <= 0 or args.beta <= 0:
         print(
             "spectrum requires the bounded regime alpha > 0 and beta > 0",
@@ -178,15 +185,6 @@ def cmd_spectrum(args):
     box = max(args.max_m, args.max_n, *cuts)
     table = spectral.spectrum(args.nu, args.alpha, args.beta, w, box, box)
     spec = _sub_spectrum(table, args.max_m, args.max_n)
-    out_dir = os.environ.get(OUT_DIR_ENV, args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "spectrum.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "n", "s"])
-        for m in range(args.max_m + 1):
-            for n in range(args.max_n + 1):
-                writer.writerow([m, n, repr(spec[m, n])])
     kw = spectral.kw_constant(args.nu, args.alpha, args.beta, w)
     summary = {
         "params": {
@@ -207,6 +205,15 @@ def cmd_spectrum(args):
         "schatten_p": args.schatten,
         "kw": {"value": kw.value, "lower": kw.lower, "upper": kw.upper},
     }
+    out_dir = os.environ.get(OUT_DIR_ENV, args.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "spectrum.csv")
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["m", "n", "s"])
+        for m in range(args.max_m + 1):
+            for n in range(args.max_n + 1):
+                writer.writerow([m, n, repr(spec[m, n])])
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

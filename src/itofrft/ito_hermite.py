@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
-from .specfun import DEGREE_CAP
+from .specfun import DEGREE_CAP, scipy_special
 
 __all__ = [
     "ZeroSet",
@@ -133,7 +132,7 @@ def zero_radii(nu, m, n):
     if q == 0:
         radii = ()
     else:
-        roots, _ = roots_genlaguerre(q, abs(m - n))
+        roots, _ = scipy_special().roots_genlaguerre(q, abs(m - n))
         radii = tuple(sorted(math.sqrt(x / nu) for x in roots))
     return ZeroSet(index=(m, n), radii=radii, includes_origin=(m != n))
 

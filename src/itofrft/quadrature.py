@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_jacobi
+
+from .specfun import scipy_special
 
 __all__ = ["QuadratureRule", "plane_rule", "bidisk_rule", "quadrant_rule", "integrate"]
 
@@ -48,7 +49,7 @@ class QuadratureRule:
 
 def _disk_polar(alpha, n_radial, n_angular):
     # 1D rule for int_0^1 g(s) (1-s)^alpha ds via Jacobi nodes mapped to [0,1]
-    x, wj = roots_jacobi(n_radial, alpha, 0.0)
+    x, wj = scipy_special().roots_jacobi(n_radial, alpha, 0.0)
     s = 0.5 * (x + 1.0)
     ws = wj * 2.0 ** (-alpha - 1.0)
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
@@ -79,7 +80,7 @@ def plane_rule(nu, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
         raise ValueError("nu must be positive, got %r" % (nu,))
     if n_radial < 1 or n_angular < 1:
         raise ValueError("rule sizes must be >= 1")
-    t, wt = roots_genlaguerre(n_radial, 0.0)
+    t, wt = scipy_special().roots_genlaguerre(n_radial, 0.0)
     r = np.sqrt(t / nu)
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
     nodes = r[:, None] * np.exp(1j * theta)[None, :]
@@ -120,6 +121,7 @@ def quadrant_rule(alpha, beta, n=DEFAULT_N_RADIAL):
         raise ValueError("quadrant weights require alpha, beta > -1")
     if n < 1:
         raise ValueError("rule size must be >= 1")
+    roots_genlaguerre = scipy_special().roots_genlaguerre
     return _tensor(
         "quadrant",
         *roots_genlaguerre(n, alpha),

@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from .ito_hermite import psi_table
+from .specfun import scipy_special
 
 __all__ = [
     "BergmanParams",
@@ -57,6 +57,12 @@ class BergmanParams:
             )
 
 
+def _log_ratio(gammaln, a, k):
+    # log of Gamma(a+1) k! / Gamma(a+k+2), one axis of gamma_norm
+    k = np.asarray(k, dtype=float)
+    return gammaln(a + 1.0) + gammaln(k + 1.0) - gammaln(a + k + 2.0)
+
+
 def gamma_norm(alpha, beta, m, n):
     """Squared Bergman norm of the monomial z^m w^n:
     pi^2 Gamma(alpha+1) Gamma(beta+1) m! n! / (Gamma(alpha+m+2) Gamma(beta+n+2)).
@@ -65,12 +71,10 @@ def gamma_norm(alpha, beta, m, n):
     """
     if alpha <= -1 or beta <= -1:
         raise ValueError("gamma_norm requires alpha, beta > -1")
-
-    def log_ratio(a, k):
-        k = np.asarray(k, dtype=float)
-        return gammaln(a + 1.0) + gammaln(k + 1.0) - gammaln(a + k + 2.0)
-
-    return np.exp(2.0 * math.log(math.pi) + log_ratio(alpha, m) + log_ratio(beta, n))
+    gammaln = scipy_special().gammaln
+    return np.exp(
+        2.0 * math.log(math.pi) + _log_ratio(gammaln, alpha, m) + _log_ratio(gammaln, beta, n)
+    )
 
 
 def singular_value(nu, alpha, beta, m, n, w):
@@ -139,6 +143,7 @@ def kw_constant(nu, alpha, beta, w, n_nodes=KW_DEFAULT_NODES):
     """
     BergmanParams(alpha, beta).require_bounded()
     w2 = abs(complex(w)) ** 2
+    roots_jacobi = scipy_special().roots_jacobi
     xs, wxs = roots_jacobi(n_nodes, alpha, 0.0)
     xt, wxt = roots_jacobi(n_nodes, beta, 0.0)
     s = 0.5 * (xs + 1.0)

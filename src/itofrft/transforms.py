@@ -15,9 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from scipy.special import ive, roots_genlaguerre
-
-from .specfun import DEGREE_CAP
+from .specfun import DEGREE_CAP, scipy_special
 from .ito_hermite import psi_table
 from .kernels import BLOCK_ENTRIES, frft_kernel_raw
 from .quadrature import _samples, integrate
@@ -212,8 +210,9 @@ def hankel_apply(nu, order, u, v, psi_profile, y, n_radial=64):
         raise ValueError("hankel_apply requires real u, v in (0, 1)")
     if y < 0:
         raise ValueError("y must be >= 0")
+    sp = scipy_special()
     ell = nu / (1.0 - u * v)
-    t, wt = roots_genlaguerre(n_radial, 0.0)
+    t, wt = sp.roots_genlaguerre(n_radial, 0.0)
     x = np.sqrt(t / ell)
     b = 2.0 * ell * math.sqrt(u * v) * y
     samples = np.asarray(psi_profile(x), dtype=complex)
@@ -223,7 +222,7 @@ def hankel_apply(nu, order, u, v, psi_profile, y, n_radial=64):
         raise ValueError("non-finite radial sample at x=%g" % x[i])
     # I_order(bx) e^{-ell uv y^2} = ive(order, bx) e^{bx - ell uv y^2}
     bx = b * x
-    factor = ive(order, bx) * np.exp(bx - ell * u * v * y * y)
+    factor = sp.ive(order, bx) * np.exp(bx - ell * u * v * y * y)
     return (u / v) ** (order / 2.0) * complex(np.dot(wt, samples * factor))
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import sys
 import jsonschema
 import pytest
 
+from itofrft import cli
 from itofrft.cli import load_coeff_file, save_coeff_file
 from itofrft.ito_hermite import psi
 from itofrft.spectral import schatten_partial, singular_value, spectrum
@@ -16,7 +19,21 @@ from itofrft.transforms import CoeffFunction
 CLI = [sys.executable, "-m", "itofrft.cli"]
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
+    """`cli.main(args)` in this process, with its stdout and stderr captured
+    and a SystemExit (from argparse) read as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*args, env=None):
+    """The entry point `python -m itofrft.cli` in a child process: for the
+    smoke tests of the module entry, its exit codes and ITOFRFT_OUT_DIR."""
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, env=env, timeout=180
     )
@@ -29,7 +46,9 @@ def write_coeffs(path, nu, coeffs):
 
 class TestHermiteCommand:
     def test_eval(self, schemas):
-        res = run_cli("hermite", "eval", "--m", "0", "--n", "0", "--z-re", "2", "--z-im", "3")
+        res = run_cli_process(
+            "hermite", "eval", "--m", "0", "--n", "0", "--z-re", "2", "--z-im", "3"
+        )
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         jsonschema.validate(doc, schemas["value_output"])
@@ -52,13 +71,13 @@ class TestHermiteCommand:
         assert [1, 1] not in doc["indices"]
 
     def test_usage_error(self):
-        res = run_cli("hermite", "eval", "--m", "-1")
+        res = run_cli_process("hermite", "eval", "--m", "-1")
         assert res.returncode == 2
         assert res.stderr.strip()
 
     def test_overflow(self):
         # H_{200,200}(0.5) is near 1e374: a one-line error, never NaN output
-        res = run_cli("hermite", "eval", "--m", "200", "--n", "200", "--z-re", "0.5")
+        res = run_cli_process("hermite", "eval", "--m", "200", "--n", "200", "--z-re", "0.5")
         assert res.returncode == 1
         assert res.stdout == ""
         assert len(res.stderr.strip().splitlines()) == 1
@@ -242,11 +261,9 @@ class TestSpectrumCommand:
             want = schatten_partial(spectrum(1.0, 1.0, 1.0, 0.0, cut, cut), 2.0)
             assert parts[str(cut)] == pytest.approx(want, rel=1e-14)
 
-    def test_out_dir_env_override(self, tmp_path, monkeypatch):
-        import os
-
+    def test_out_dir_env_override(self, tmp_path):
         env = dict(os.environ, ITOFRFT_OUT_DIR=str(tmp_path / "envdir"))
-        res = run_cli(
+        res = run_cli_process(
             "spectrum", "--alpha", "1", "--beta", "1",
             "--max-m", "2", "--max-n", "2", "--out-dir", str(tmp_path / "flagdir"),
             env=env,
@@ -259,6 +276,36 @@ class TestSpectrumCommand:
         res = run_cli("spectrum", "--alpha", "0", "--beta", "1")
         assert res.returncode == 1
         assert "alpha" in res.stderr
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--max-m=-1", "--max-n=-1", "--nu=0", "--nu=-1", "--schatten=-1", "--schatten=0"],
+    )
+    def test_invalid_flag(self, tmp_path, flag):
+        # a usage error before any computation: exit 2, one line, no file
+        out = tmp_path / "out"
+        res = run_cli("spectrum", "--alpha", "1", "--beta", "1", flag, "--out-dir", str(out))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_failure_leaves_earlier_files(self, tmp_path, monkeypatch):
+        # a run that fails after the table is computed writes neither file,
+        # so an earlier run's csv and summary stay a matching pair
+        def spectrum(box):
+            return run_cli("spectrum", "--alpha", "1", "--beta", "1", "--max-m", box,
+                           "--max-n", box, "--out-dir", str(tmp_path))
+
+        assert spectrum("2").returncode == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fail(*args, **kwargs):
+            raise OverflowError("k_w overflows")
+
+        monkeypatch.setattr(cli.spectral, "kw_constant", fail)
+        assert spectrum("3").returncode == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestVerifyCommand:
@@ -297,7 +344,7 @@ class TestVerifyCommand:
             "tolerances": {"hankel_fixed_point": 1e-30},
             "out_dir": str(tmp_path),
         })
-        res = run_cli("verify", "--config", cfg)
+        res = run_cli_process("verify", "--config", cfg)
         assert res.returncode == 3
         report = json.loads((tmp_path / "report.json").read_text())
         jsonschema.validate(report, schemas["report"])
@@ -337,10 +384,10 @@ class TestVerifyCommand:
             "out_dir_not_string",
         ],
     )
-    def test_malformed_config(self, tmp_path, doc):
+    def test_malformed_config(self, tmp_path, doc, monkeypatch):
         # one line on stderr and exit 2, never a traceback or a default run
-        env = dict(os.environ, ITOFRFT_OUT_DIR=str(tmp_path))
-        res = run_cli("verify", "--config", self._config(tmp_path, doc), env=env)
+        monkeypatch.setenv("ITOFRFT_OUT_DIR", str(tmp_path))
+        res = run_cli("verify", "--config", self._config(tmp_path, doc))
         assert res.returncode == 2, res.stderr
         assert len(res.stderr.strip().splitlines()) == 1, res.stderr
         assert "Traceback" not in res.stderr
