@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import ito_hermite, spectral, verify as verify_mod
+from . import ito_hermite, spectral
 from .kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed
 from .transforms import (
     CoeffFunction,
@@ -120,6 +120,9 @@ def _axis(center, half, count):
 
 
 def cmd_transform(args):
+    if args.grid_count < 1 or args.order < 0:
+        print("invalid flag value: grid-count must be >= 1, order >= 0", file=sys.stderr)
+        return 2
     f = load_coeff_file(args.input)
     records = []
     if args.kind in ("frft", "dual"):
@@ -225,37 +228,22 @@ _CONFIG_KEYS = ("sizes", "tolerances", "checks", "out_dir")
 
 
 def _config_problem(config):
-    """Why a parsed verify config is malformed, or None when it is valid."""
+    """Why the shape of a parsed verify config is wrong, or None.  The
+    sizes, tolerances and check names are `run_checks`'s to validate."""
     if not isinstance(config, dict):
         return "expected a JSON object, got %s" % type(config).__name__
     unknown = sorted(set(config) - set(_CONFIG_KEYS))
     if unknown:
         return "unknown keys %s (allowed: %s)" % (unknown, ", ".join(_CONFIG_KEYS))
-    sizes = config.get("sizes", {})
-    if not isinstance(sizes, dict):
-        return "'sizes' must be an object"
-    for key, val in sizes.items():
-        if key not in verify_mod.DEFAULT_SIZES:
-            return "unknown size %r (allowed: %s)" % (key, ", ".join(verify_mod.DEFAULT_SIZES))
-        if isinstance(val, bool) or not isinstance(val, int) or val < 8:
-            return "size %r must be an integer >= 8, got %r" % (key, val)
-    tolerances = config.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        return "'tolerances' must be an object"
-    for key, val in tolerances.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
-            return "tolerance %r must be a number > 0, got %r" % (key, val)
-    names = config.get("checks")
-    if names is not None and (
-        not isinstance(names, list) or not all(isinstance(n, str) for n in names)
-    ):
-        return "'checks' must be a list of check names"
     if not isinstance(config.get("out_dir", "."), str):
         return "'out_dir' must be a string"
     return None
 
 
 def cmd_verify(args):
+    from . import verify  # loaded by this subcommand only
+
+    config = {}
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -266,22 +254,20 @@ def cmd_verify(args):
         except json.JSONDecodeError as exc:
             print("config is not valid JSON: %s" % exc, file=sys.stderr)
             return 2
-    else:
-        config = {}
     problem = _config_problem(config)
+    if problem is None:
+        run = [config.get("sizes", {}), config.get("tolerances", {}), config.get("checks")]
+        try:
+            verify._plan(*run)
+        except ValueError as exc:
+            problem = str(exc)
     if problem:
         print("invalid config: %s" % problem, file=sys.stderr)
         return 2
-    sizes = config.get("sizes", {})
-    tolerances = config.get("tolerances", {})
-    names = config.get("checks")
     out_dir = os.environ.get(OUT_DIR_ENV, config.get("out_dir", "."))
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        results = verify_mod.run_checks(sizes=sizes, tolerances=tolerances, names=names)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    # the config is valid: a ValueError from a check is a program fault (exit 1)
+    results = verify.run_checks(*run)
     report = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "checks": [r.to_dict() for r in results],

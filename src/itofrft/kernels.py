@@ -8,8 +8,8 @@ grows like 1/(1 - uv), so it is the guard, not a parameter range, that bounds
 the inputs: the bi-disk rules of `verify` reach |u|, |v| = 0.977-0.999.
 
 Kernel matrices are built `BLOCK_ENTRIES` entries at a time by the callers
-that contract them (`transforms.adjoint_apply` and the `singular_values`
-check), so their memory stays bounded whatever the number of nodes.
+that contract them (`transforms.adjoint_apply` and `verify._psi_images`), so
+their memory stays bounded whatever the number of nodes.
 """
 
 import math

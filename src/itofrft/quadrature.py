@@ -41,17 +41,22 @@ class QuadratureRule:
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
             raise ValueError("nodes and weights must have equal length")
+        if self.nodes.ndim == 2 and self.axes is None:
+            raise ValueError("a rule with two node columns is a tensor rule and needs its axes")
         if np.any(self.weights <= 0):
             raise ValueError("all quadrature weights must be strictly positive")
         for arr in (self.nodes, self.weights, *(self.axes or ())):
             arr.setflags(write=False)
 
 
+def _unit_jacobi(alpha, n):
+    # n-node rule for int_0^1 g(s) (1-s)^alpha ds: Gauss-Jacobi mapped to [0, 1]
+    x, wj = scipy_special().roots_jacobi(n, alpha, 0.0)
+    return 0.5 * (x + 1.0), wj * 2.0 ** (-alpha - 1.0)
+
+
 def _disk_polar(alpha, n_radial, n_angular):
-    # 1D rule for int_0^1 g(s) (1-s)^alpha ds via Jacobi nodes mapped to [0,1]
-    x, wj = scipy_special().roots_jacobi(n_radial, alpha, 0.0)
-    s = 0.5 * (x + 1.0)
-    ws = wj * 2.0 ** (-alpha - 1.0)
+    s, ws = _unit_jacobi(alpha, n_radial)
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
     # dA = (ds/2) dtheta with s = r^2
     nodes = np.sqrt(s)[:, None] * np.exp(1j * theta)[None, :]
@@ -135,8 +140,6 @@ def _samples(rule, f):
     if rule.axes is not None:
         x, y = rule.axes
         vals, shape = f(x[:, None], y[None, :]), (len(x), len(y))
-    elif rule.nodes.ndim == 2:
-        vals, shape = f(rule.nodes[:, 0], rule.nodes[:, 1]), rule.weights.shape
     else:
         vals, shape = f(rule.nodes), rule.weights.shape
     vals = np.broadcast_to(np.asarray(vals, dtype=complex), shape).ravel()
@@ -152,13 +155,13 @@ def _samples(rule, f):
 def integrate(rule, f):
     """Sum of weights times f at the nodes.
 
-    For plane rules f is called as f(z) on the complex node array.  For
-    bidisk and quadrant rules f is called once as f(x[:, None], y[None, :])
-    on the rule's two axes; any result that broadcasts to (len(x), len(y))
-    is accepted (a function of one variable, a constant, the full grid) and
-    read row-major, the order of `rule.nodes`.  A hand-built rule with two
-    node columns and no axes calls f(x, y) on the columns.  f may evaluate
-    the nodes concurrently provided it is itself safe for concurrent calls.
-    Raises ValueError on any non-finite sample, naming the offending node.
+    For plane rules f is called as f(z) on the complex node array.  Bidisk
+    and quadrant rules always carry their two axes, and f is called once as
+    f(x[:, None], y[None, :]) on them; any result that broadcasts to
+    (len(x), len(y)) is accepted (a function of one variable, a constant,
+    the full grid) and read row-major, the order of `rule.nodes`.  f may
+    evaluate the nodes concurrently provided it is itself safe for
+    concurrent calls.  Raises ValueError on any non-finite sample, naming
+    the offending node.
     """
     return complex(np.dot(rule.weights, _samples(rule, f)))

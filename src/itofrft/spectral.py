@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ito_hermite import psi_table
+from .quadrature import _unit_jacobi
 from .specfun import scipy_special
 
 __all__ = [
@@ -132,24 +133,20 @@ class KwBracket:
     upper: float
 
 
-def kw_constant(nu, alpha, beta, w, n_nodes=KW_DEFAULT_NODES):
+def kw_constant(nu, alpha, beta, w):
     """Boundedness constant
 
         k_w = nu pi int_0^1 int_0^1 exp(nu (s+t-2st)|w|^2 / (1-st))
                               (1-s)^alpha (1-t)^beta / (1-st) ds dt
 
-    by 2D Gauss-Jacobi quadrature, together with the analytic bracket
+    by 2D Gauss-Jacobi quadrature with `KW_DEFAULT_NODES` nodes per axis,
+    together with the analytic bracket
     [nu pi / ((alpha+1)(beta+1)),  nu pi e^{nu |w|^2} / (alpha beta)].
     """
     BergmanParams(alpha, beta).require_bounded()
     w2 = abs(complex(w)) ** 2
-    roots_jacobi = scipy_special().roots_jacobi
-    xs, wxs = roots_jacobi(n_nodes, alpha, 0.0)
-    xt, wxt = roots_jacobi(n_nodes, beta, 0.0)
-    s = 0.5 * (xs + 1.0)
-    t = 0.5 * (xt + 1.0)
-    ws = wxs * 2.0 ** (-alpha - 1.0)
-    wt = wxt * 2.0 ** (-beta - 1.0)
+    s, ws = _unit_jacobi(alpha, KW_DEFAULT_NODES)
+    t, wt = _unit_jacobi(beta, KW_DEFAULT_NODES)
     st = np.outer(s, t)
     integrand = np.exp(nu * (s[:, None] + t[None, :] - 2.0 * st) * w2 / (1.0 - st))
     integrand /= 1.0 - st
@@ -159,10 +156,10 @@ def kw_constant(nu, alpha, beta, w, n_nodes=KW_DEFAULT_NODES):
     return KwBracket(value=value, lower=lower, upper=upper)
 
 
-def operator_norm_bound(nu, alpha, beta, w, n_nodes=KW_DEFAULT_NODES):
+def operator_norm_bound(nu, alpha, beta, w):
     """Upper bound k_w^{1/2} on the operator norm; no empirical Rayleigh
     quotient on unit-norm inputs may exceed it."""
-    return math.sqrt(kw_constant(nu, alpha, beta, w, n_nodes=n_nodes).value)
+    return math.sqrt(kw_constant(nu, alpha, beta, w).value)
 
 
 def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):

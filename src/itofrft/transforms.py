@@ -34,6 +34,8 @@ __all__ = [
     "bargmann2_apply",
 ]
 
+HANKEL_NODES = 64  # Gauss-Laguerre nodes of `hankel_apply`
+
 
 @dataclass(frozen=True)
 class CoeffFunction:
@@ -81,7 +83,6 @@ class RadialFunction:
     """Radial profile r -> complex for rotationally symmetric inputs."""
 
     profile: object  # callable on arrays of r >= 0
-    kind: str = "callable"
 
     def __call__(self, r):
         return self.profile(r)
@@ -90,7 +91,7 @@ class RadialFunction:
     def from_coeff(cls, f):
         """Profile of a coefficient function carrying a single angular mode:
         for f(r e^{i theta}) = Psi(r) e^{ik theta}, Psi(r) = f(r)."""
-        return cls(profile=lambda r: f(np.asarray(r, dtype=complex)), kind="coeff_profile")
+        return cls(profile=lambda r: f(np.asarray(r, dtype=complex)))
 
 
 def _eigen_sum(nu, f, point, uv):
@@ -193,16 +194,17 @@ def bergman_norm(coeffs, alpha, beta):
     return math.sqrt(total)
 
 
-def hankel_apply(nu, order, u, v, psi_profile, y, n_radial=64):
+def hankel_apply(nu, order, u, v, psi_profile, y):
     """Fractional Hankel transform of the radial profile Psi at y >= 0:
 
         (2 nu / (1-uv)) (u/v)^{order/2}
           * integral_0^inf x Psi(x) I_order(2 nu sqrt(uv) x y / (1-uv))
                            e^{-nu (x^2 + uv y^2) / (1-uv)} dx
 
-    via a Gauss-Laguerre rule in t = nu x^2 / (1-uv).  Parameters are
-    restricted to real u, v in (0, 1) so that every fractional power is
-    principal and positive.
+    via a `HANKEL_NODES`-node Gauss-Laguerre rule in t = nu x^2 / (1-uv),
+    which is accurate when the integrand is smooth in t, as at integer order.
+    Parameters are restricted to real u, v in (0, 1) so that every
+    fractional power is principal and positive.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -212,7 +214,7 @@ def hankel_apply(nu, order, u, v, psi_profile, y, n_radial=64):
         raise ValueError("y must be >= 0")
     sp = scipy_special()
     ell = nu / (1.0 - u * v)
-    t, wt = sp.roots_genlaguerre(n_radial, 0.0)
+    t, wt = sp.roots_genlaguerre(HANKEL_NODES, 0.0)
     x = np.sqrt(t / ell)
     b = 2.0 * ell * math.sqrt(u * v) * y
     samples = np.asarray(psi_profile(x), dtype=complex)
@@ -226,7 +228,7 @@ def hankel_apply(nu, order, u, v, psi_profile, y, n_radial=64):
     return (u / v) ** (order / 2.0) * complex(np.dot(wt, samples * factor))
 
 
-def rotational_frft(nu, u, v, k, psi_profile, xi, n_radial=64):
+def rotational_frft(nu, u, v, k, psi_profile, xi):
     """Fractional Fourier transform of the single-mode rotational function
     Psi(|zeta|) e^{ik theta}, reduced to the order-k Hankel transform:
 
@@ -237,7 +239,7 @@ def rotational_frft(nu, u, v, k, psi_profile, xi, n_radial=64):
     xi = complex(xi)
     if xi == 0 and k > 0:
         return 0j
-    radial = hankel_apply(nu, k, u, v, psi_profile, abs(xi), n_radial=n_radial)
+    radial = hankel_apply(nu, k, u, v, psi_profile, abs(xi))
     phase = (xi / abs(xi)) ** k if k > 0 else 1.0
     return phase * radial
 

@@ -3,6 +3,7 @@ invariants, as named checks producing {name, status, observed, tolerance}
 records.  Shared by the CLI `verify` subcommand and the acceptance tests.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -10,13 +11,7 @@ import numpy as np
 
 from .specfun import hermite_real, scipy_special
 from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
-from .kernels import (
-    BLOCK_ENTRIES,
-    TransformParams,
-    bergman_kernel,
-    frft_kernel_raw,
-    mehler_closed,
-)
+from .kernels import BLOCK_ENTRIES, TransformParams, bergman_kernel, frft_kernel_raw, mehler_closed
 from .quadrature import bidisk_rule, integrate, plane_rule, quadrant_rule
 from .spectral import finite_rank_tail, gamma_norm, kw_constant, spectrum
 from .transforms import (
@@ -57,18 +52,61 @@ class CheckResult:
         }
 
 
-def _result(name, observed, tolerance, detail="", side_conditions=True):
-    return CheckResult(name, float(observed), float(tolerance), detail, bool(side_conditions))
+ACCEPTANCE_CHECKS = []  # the paper's claims, in declaration order
+INVARIANT_CHECKS = []  # module-level invariants, in declaration order
+
+DEFAULT_SIZES = {"n_radial": 64, "n_angular": 64, "quadrant_n": 64}
 
 
-def _rel(a, b):
-    return np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
+def _name(check):
+    return check.__name__.removeprefix("check_")
+
+
+def _check(group, default):
+    """Declare the check defined below: it reports under its function name
+    without `check_`, is judged at tolerance `default` unless called with
+    another, and joins `group`.  Its body takes the sizes and returns the
+    observed value, or (observed, detail, side conditions)."""
+
+    def declare(body):
+        name = _name(body)
+
+        @functools.wraps(body)
+        def check(sizes, tolerance=None):
+            out = body(sizes)
+            observed, detail, side_conditions = out if isinstance(out, tuple) else (out, "", True)
+            tol = default if tolerance is None else tolerance
+            return CheckResult(name, float(observed), float(tol), detail, bool(side_conditions))
+
+        group.append(check)
+        return check
+
+    return declare
+
+
+def _rel(a, b, floor=1e-300):
+    # |a - b| relative to |b|, or to `floor` where |b| is smaller
+    return np.abs(a - b) / np.maximum(np.abs(b), floor)
+
+
+def _psi_images(nu, rule, max_m, max_n, u, v, xi):
+    """Plane-quadrature transforms of the basis: entry [m, n, j] is the sum
+    over the nodes z of w(z) psi_{m,n}(z) K_{u_j, v_j}(z; xi_j), with u, v
+    and xi broadcast together and flattened to the index j.  The kernel
+    matrix is formed `BLOCK_ENTRIES` entries at a time."""
+    u, v, xi = (a.ravel() for a in np.broadcast_arrays(u, v, xi))
+    PW = psi_table(nu, rule.nodes, max_m, max_n).reshape(-1, len(rule.nodes)) * rule.weights
+    step = max(1, BLOCK_ENTRIES // len(rule.nodes))
+    cols = [slice(i, i + step) for i in range(0, len(xi), step)]
+    images = [PW @ frft_kernel_raw(nu, u[j], v[j], rule.nodes[:, None], xi[j]) for j in cols]
+    return np.concatenate(images, axis=1).reshape(max_m + 1, max_n + 1, -1)
 
 
 _Z_POINTS = np.array([0.3 + 0.2j, -1.0 + 1.1j, 1.5, -0.7 - 1.2j, 0.9j])
 _UV_PAIRS = [(0.5, 0.5), (0.4j, 0.3), (-0.25, 0.5)]
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-10)
 def check_orthonormality(sizes):
     """Gram matrix of the normalized basis under plane quadrature is the
     identity for all indices <= 8 and nu in {0.5, 1, 2}."""
@@ -78,9 +116,10 @@ def check_orthonormality(sizes):
         P = psi_table(nu, rule.nodes, 8, 8).reshape(81, -1)
         G = (P * rule.weights) @ P.conj().T
         worst = max(worst, float(np.max(np.abs(G - np.eye(81)))))
-    return _result("orthonormality", worst, 1e-10)
+    return worst
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-9)
 def check_mehler_series_vs_closed(sizes):
     """Bilinear psi-series at trunc=80 against (nu/pi) times the closed Mehler
     function, on a 5x5 (z, w) grid with |z|, |w| <= 1.5."""
@@ -94,9 +133,10 @@ def check_mehler_series_vs_closed(sizes):
             series = np.einsum("m,n,mni,mnj->ij", U, V, pz, pz)
             closed = mehler_closed(p, _Z_POINTS[:, None], _Z_POINTS[None, :])
             worst = max(worst, float(np.max(_rel(series, nu / math.pi * closed))))
-    return _result("mehler_series_vs_closed", worst, 1e-9)
+    return worst
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-9)
 def check_mehler_classical(sizes):
     """Classical one-variable Mehler identity, series truncated at N=100.
 
@@ -120,30 +160,26 @@ def check_mehler_classical(sizes):
         closed = np.exp((-t * t * x2 + 2.0 * t * np.outer(xs, xs)) / (1.0 - t * t))
         closed /= np.sqrt(1.0 - t * t)
         worst = max(worst, float(np.max(np.abs(series - closed) / np.abs(closed))))
-    return _result("mehler_classical", worst, 1e-9)
+    return worst
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-8)
 def check_frft_eigenrelation(sizes):
     """frft_apply(psi_{m,n}) = u^m v^n psi_{m,n} for m, n <= 6 on a 4x4 target
     grid, three parameter points including complex values."""
     nu = 1.0
     rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
-    P = psi_table(nu, rule.nodes, 6, 6).reshape(49, -1) * rule.weights
     axis = np.linspace(-1.2, 1.2, 4)
     xis = (axis[:, None] + 1j * axis[None, :]).ravel()
-    worst = 0.0
-    for u, v in ((0.3, 0.5), (0.5j, 0.2), (-0.4, 0.4)):
-        eig = np.outer(
-            np.asarray(u, complex) ** np.arange(7), np.asarray(v, complex) ** np.arange(7)
-        ).ravel()
-        for xi in xis:
-            kvec = frft_kernel_raw(nu, u, v, rule.nodes, xi)
-            got = P @ kvec
-            want = eig * psi_table(nu, xi, 6, 6).ravel()
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    return _result("frft_eigenrelation", worst, 1e-8)
+    uv = np.array([(0.3, 0.5), (0.5j, 0.2), (-0.4, 0.4)])
+    # one column per (parameter point, target): a (3, 1) grid against 16 targets
+    got = _psi_images(nu, rule, 6, 6, uv[:, :1], uv[:, 1:], xis).reshape(7, 7, 3, -1)
+    k = np.arange(7)[:, None]
+    eig = (uv[:, 0] ** k)[:, None] * (uv[:, 1] ** k)[None, :]  # u^m v^n, (7, 7, 3)
+    return np.max(np.abs(got - eig[..., None] * psi_table(nu, xis, 6, 6)[:, :, None]))
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-9)
 def check_kernel_autocorrelation(sizes):
     """Plane quadrature of |K_{u,v}(z; w)|^2 equals K_{|u|^2,|v|^2}(w; w)."""
     nu = 1.0
@@ -156,45 +192,35 @@ def check_kernel_autocorrelation(sizes):
             )
             rhs = frft_kernel_raw(nu, abs(u) ** 2, abs(v) ** 2, w, w)
             worst = max(worst, float(_rel(lhs, rhs)))
-    return _result("kernel_autocorrelation", worst, 1e-9)
+    return worst
 
 
 def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, sizes):
+    # the norm of each basis image over the bi-disk
     rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
     brule = bidisk_rule(alpha, beta, 8, 10)
-    PW = psi_table(nu, rule.nodes, max_m, max_n).reshape((max_m + 1) * (max_n + 1), -1)
-    PW *= rule.weights
-    # the plane x bidisk kernel matrix, a block of bidisk nodes at a time
-    s2 = np.zeros(len(PW))
-    step = max(1, BLOCK_ENTRIES // len(rule.nodes))
-    for i in range(0, len(brule.weights), step):
-        u, v = brule.nodes[i : i + step].T
-        images = PW @ frft_kernel_raw(nu, u, v, rule.nodes[:, None], w)
-        s2 += (images.real**2 + images.imag**2) @ brule.weights[i : i + step]
-    return np.sqrt(s2).reshape(max_m + 1, max_n + 1)
+    u, v = brule.nodes.T
+    images = _psi_images(nu, rule, max_m, max_n, u, v, w)
+    return np.sqrt((images.real**2 + images.imag**2) @ brule.weights)
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-7)
 def check_singular_values(sizes):
     """Closed singular-value formula against the double-quadrature norm of the
-    dual image, at a generic point and on the (1,1) zero circle."""
+    dual image, at two points of the (1,1) zero circle |w| = 1, where s_(1,1)
+    must vanish."""
     nu, alpha, beta = 1.0, 1.0, 1.0
-    worst = 0.0
-    s11_circle = math.inf
+    worst, s11_circle = 0.0, math.inf
     for w in (1.0 + 0.0j, np.exp(0.7j)):
         closed = spectrum(nu, alpha, beta, w, 4, 4).values
         quad = _singular_values_quadrature(nu, alpha, beta, complex(w), 4, 4, sizes)
         worst = max(worst, float(np.max(np.abs(closed - quad))))
-        if abs(abs(w) - 1.0) < 1e-12:
-            s11_circle = min(s11_circle, float(closed[1, 1]))
-    return _result(
-        "singular_values",
-        worst,
-        1e-7,
-        detail="s_(1,1) on zero circle = %.3e (must be < 1e-12)" % s11_circle,
-        side_conditions=s11_circle < 1e-12,
-    )
+        s11_circle = min(s11_circle, float(closed[1, 1]))
+    detail = "s_(1,1) on zero circle = %.3e (must be < 1e-12)" % s11_circle
+    return worst, detail, s11_circle < 1e-12
 
 
+@_check(ACCEPTANCE_CHECKS, 0.0)
 def check_schatten_bound(sizes):
     """Every tabulated singular value obeys the Gamma-ratio envelope
     pi e^{nu|w|^2/2} (m! n! G(a+1) G(b+1) / (G(m+a+2) G(n+b+2)))^{1/2}."""
@@ -203,9 +229,10 @@ def check_schatten_bound(sizes):
     spec = spectrum(nu, alpha, beta, w, 40, 40)
     ms = np.arange(41)
     bound = math.exp(nu * abs(w) ** 2 / 2.0) * np.sqrt(gamma_norm(alpha, beta, ms[:, None], ms))
-    return _result("schatten_bound", float(np.max(spec.values - bound)), 0.0)
+    return float(np.max(spec.values - bound))
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-10)
 def check_boundedness_bracket(sizes):
     """k_w bracket containment plus empirical Rayleigh quotients below
     k_w^{1/2}, over the full parameter battery."""
@@ -231,24 +258,21 @@ def check_boundedness_bracket(sizes):
                     )
                     quotient = math.sqrt(img2.real) / f.norm
                     worst = max(worst, quotient - math.sqrt(kw.value))
-    return _result("boundedness_bracket", worst, 1e-10)
+    return worst
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-7)
 def check_hankel_reduction(sizes):
     """Angular Fourier coefficients of the 2D transform equal the order-k
     Hankel transforms of the input's radial profiles, k in {0, 1, 2}."""
     nu, u, v = 1.0, 0.4, 0.3
     rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
     profiles = {0: lambda r: 1.0 - r**2, 1: lambda r: r, 2: lambda r: r**2}
-
-    def f(z):
-        r = np.abs(z)
-        # angular modes k = 0, 1, 2 with the profiles above
-        return (1.0 - r**2) + z + z**2
-
+    # f = sum_k profile_k(r) e^{ik theta} = (1 - r^2) + z + z^2, weighted
+    z = rule.nodes
+    fvals = ((1.0 - np.abs(z) ** 2) + z + z**2) * rule.weights
     n_ang = 32
     theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
-    fvals = f(rule.nodes) * rule.weights
     worst = 0.0
     for rho in (0.5, 1.0, 2.0):
         xis = rho * np.exp(1j * theta)
@@ -258,9 +282,10 @@ def check_hankel_reduction(sizes):
             gk = complex(np.mean(F * np.exp(-1j * k * theta)))
             hk = hankel_apply(nu, k, u, v, prof, rho)
             worst = max(worst, abs(gk - hk))
-    return _result("hankel_reduction", worst, 1e-7)
+    return worst
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-10)
 def check_hankel_fixed_point(sizes):
     """Order-0 Hankel transform of the constant profile is identically 1."""
     worst = 0.0
@@ -268,9 +293,10 @@ def check_hankel_fixed_point(sizes):
         for y in (0.0, 0.5, 1.0, 2.0, 3.0):
             got = hankel_apply(1.0, 0.0, u, v, lambda r: np.ones_like(r), y)
             worst = max(worst, abs(got - 1.0))
-    return _result("hankel_fixed_point", worst, 1e-10)
+    return worst
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-8)
 def check_bergman_reproducing(sizes):
     """Kernel quadrature reproduces the monomial z^2 w^3 at interior points;
     the closed kernel matches its 40x40 basis partial sum at |coords| <= 0.5."""
@@ -289,65 +315,48 @@ def check_bergman_reproducing(sizes):
         # partial-sum cross-check of the closed kernel
         ms = np.arange(41)
         inv_gamma = 1.0 / gamma_norm(alpha, beta, ms[:, None], ms)
-        for a, b in [((0.3 + 0.3j, -0.5), (0.5j, 0.2 - 0.4j))]:
-            powers_u = (a[0] * np.conj(b[0])) ** ms
-            powers_v = (a[1] * np.conj(b[1])) ** ms
-            partial = np.einsum("m,n,mn->", powers_u, powers_v, inv_gamma)
-            closed = bergman_kernel(alpha, beta, a, b)
-            worst = max(worst, float(_rel(partial, closed)))
-    return _result("bergman_reproducing", worst, 1e-8)
+        a, b = (0.3 + 0.3j, -0.5), (0.5j, 0.2 - 0.4j)
+        powers_u = (a[0] * np.conj(b[0])) ** ms
+        powers_v = (a[1] * np.conj(b[1])) ** ms
+        partial = np.einsum("m,n,mn->", powers_u, powers_v, inv_gamma)
+        worst = max(worst, float(_rel(partial, bergman_kernel(alpha, beta, a, b))))
+    return worst
 
 
+@_check(ACCEPTANCE_CHECKS, 0.0)
 def check_null_space(sizes):
     """At w = 1, nu = 1 the numerically detected null indices over a 6x6 box
     match the zero-circle prediction, and the dual transform annihilates
     exactly those modes."""
     nu, w = 1.0, 1.0
-    predicted = set()
-    for m in range(6):
-        for n in range(6):
-            zs = zero_radii(nu, m, n)
-            if any(abs(r - 1.0) < 1e-8 for r in zs.radii):
-                predicted.add((m, n))
+    predicted = {
+        (m, n)
+        for m in range(6)
+        for n in range(6)
+        if any(abs(r - 1.0) < 1e-8 for r in zero_radii(nu, m, n).radii)
+    }
     detected = null_index_set(nu, w, 5, 5, 1e-10)
-    mismatches = len(predicted ^ detected)
-
+    # the modes whose images vanish on a 3x3 (u, v) grid
     rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
     grid = np.array([0.2, 0.45, 0.7])
-    us = np.repeat(grid, 3)
-    vs = np.tile(grid, 3)
-    K = frft_kernel_raw(nu, us, vs, rule.nodes[:, None], w)
-    P = psi_table(nu, rule.nodes, 5, 5).reshape(36, -1)
-    images = np.max(np.abs((P * rule.weights) @ K), axis=1).reshape(6, 6)
-    for m in range(6):
-        for n in range(6):
-            is_null = images[m, n] < 1e-10
-            if is_null != ((m, n) in predicted):
-                mismatches += 1
-    return _result(
-        "null_space",
-        float(mismatches),
-        0.0,
-        detail="predicted null indices: %s" % sorted(predicted),
-    )
+    images = _psi_images(nu, rule, 5, 5, grid[:, None], grid, w)
+    vanish = np.max(np.abs(images), axis=-1) < 1e-10
+    annihilated = {(int(m), int(n)) for m, n in np.argwhere(vanish)}
+    mismatches = len(predicted ^ detected) + len(predicted ^ annihilated)
+    return mismatches, "predicted null indices: %s" % sorted(predicted), True
 
 
+@_check(ACCEPTANCE_CHECKS, 1e-3)
 def check_compactness_tail(sizes):
     """Finite-rank tail decreases monotonically and falls below 1e-3 of its
     (2, 2) value by cutoff (20, 20), for alpha = beta = 1."""
     nu, alpha, beta, w = 1.0, 1.0, 1.0, 1.0
     tails = [finite_rank_tail(nu, alpha, beta, w, p, p) for p in range(2, 21)]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
-    ratio = tails[-1] / tails[0]
-    return _result(
-        "compactness_tail",
-        ratio,
-        1e-3,
-        detail="monotone decrease: %s" % monotone,
-        side_conditions=monotone,
-    )
+    return tails[-1] / tails[0], "monotone decrease: %s" % monotone, monotone
 
 
+@_check(INVARIANT_CHECKS, 1e-12)
 def check_rodrigues_cross_check(sizes):
     """Recurrence evaluation against the explicit alternating finite sum."""
     nu = 1.3
@@ -369,9 +378,10 @@ def check_rodrigues_cross_check(sizes):
                     )
                 got = hermite_ito(nu, m, n, z)
                 worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
-    return _result("rodrigues_cross_check", worst, 1e-12)
+    return worst
 
 
+@_check(INVARIANT_CHECKS, 1e-12)
 def check_conjugate_symmetry(sizes):
     """hermite_ito(m, n, z) is the conjugate of hermite_ito(n, m, z)."""
     nu = 0.8
@@ -380,9 +390,10 @@ def check_conjugate_symmetry(sizes):
     H = np.array([[hermite_ito(nu, m, n, zs) for n in range(11)] for m in range(11)])
     diff = np.abs(H - np.conj(np.transpose(H, (1, 0, 2))))
     scale = np.maximum(np.abs(H), 1.0)
-    return _result("conjugate_symmetry", float(np.max(diff / scale)), 1e-12)
+    return float(np.max(diff / scale))
 
 
+@_check(INVARIANT_CHECKS, 1e-11)
 def check_laguerre_factorization(sizes):
     """For m >= n, H_{m,n} = (-1)^n n! nu^m z^{m-n} L_n^{(m-n)}(nu |z|^2)."""
     nu = 1.0
@@ -399,13 +410,11 @@ def check_laguerre_factorization(sizes):
                 * zs ** (m - n)
                 * eval_genlaguerre(n, m - n, nu * np.abs(zs) ** 2)
             )
-            worst = max(
-                worst,
-                float(np.max(np.abs(got - fact) / np.maximum(np.abs(fact), 1.0))),
-            )
-    return _result("laguerre_factorization", worst, 1e-11)
+            worst = max(worst, float(np.max(_rel(got, fact, 1.0))))
+    return worst
 
 
+@_check(INVARIANT_CHECKS, 1e-9)
 def check_zero_radii_consistency(sizes):
     """The polynomial vanishes on every reported zero circle."""
     worst = 0.0
@@ -419,9 +428,10 @@ def check_zero_radii_consistency(sizes):
             for r in zs.radii:
                 vals = hermite_ito(nu, m, n, r * np.exp(1j * theta))
                 worst = max(worst, float(np.max(np.abs(vals))) / scale)
-    return _result("zero_radii_consistency", worst, 1e-9)
+    return worst
 
 
+@_check(INVARIANT_CHECKS, 0.0)
 def check_bessel_monotone(sizes):
     """I_a(x) > 0 and increasing in x for each fixed order a >= 0, with I_a
     assembled as ive(a, x) e^x the way `hankel_apply` uses it."""
@@ -431,9 +441,10 @@ def check_bessel_monotone(sizes):
     for a in (0.0, 0.5, 1.0, 3.0):
         vals = ive(a, xs) * np.exp(xs)
         ok = ok and bool(np.all(vals > 0) and np.all(np.diff(vals) > 0))
-    return _result("bessel_monotone", 0.0 if ok else 1.0, 0.0)
+    return 0.0 if ok else 1.0
 
 
+@_check(INVARIANT_CHECKS, 1e-9)
 def check_dual_coeff_vs_quadrature(sizes):
     """Coefficient-path dual transform against the quadrature path of
     `frft_apply` on the plane rule.  f is handed to `frft_apply` as a plain
@@ -449,9 +460,10 @@ def check_dual_coeff_vs_quadrature(sizes):
         a = frft_apply(TransformParams(nu, *uv), lambda z: f(z), w, rule)
         b = dual_apply_coeff(nu, w, f, uv)
         worst = max(worst, abs(a - b))
-    return _result("dual_coeff_vs_quadrature", worst, 1e-9)
+    return worst
 
 
+@_check(INVARIANT_CHECKS, 0.0)
 def check_pointwise_estimate(sizes):
     """|R_w f(u,v)| <= K_{|u|^2,|v|^2}(w; w)^{1/2} ||f|| for unit-norm f."""
     rng = np.random.default_rng(7)
@@ -464,13 +476,12 @@ def check_pointwise_estimate(sizes):
     for u in (0.2, 0.5, 0.7):
         for v in (0.1, 0.45, 0.65):
             val = abs(dual_apply_coeff(nu, w, f, (u, v)))
-            bound = math.sqrt(
-                frft_kernel_raw(nu, u * u, v * v, w, w).real
-            ) * norm
+            bound = math.sqrt(frft_kernel_raw(nu, u * u, v * v, w, w).real) * norm
             worst = max(worst, val - bound)
-    return _result("pointwise_estimate", worst, 0.0)
+    return worst
 
 
+@_check(INVARIANT_CHECKS, 1e-8)
 def check_adjoint_identity(sizes):
     """<R f, g>_{alpha,beta} = <f, R* g>_{L2} on low-degree pairs."""
     nu, w, alpha, beta = 1.0, 0.8, 1.0, 1.0
@@ -487,9 +498,10 @@ def check_adjoint_identity(sizes):
     )
     rstar = adjoint_apply(nu, w, alpha, beta, g, prule.nodes, brule)
     rhs = complex(np.dot(prule.weights, f(prule.nodes) * np.conj(rstar)))
-    return _result("adjoint_identity", abs(lhs - rhs), 1e-8)
+    return abs(lhs - rhs)
 
 
+@_check(INVARIANT_CHECKS, 1e-8)
 def check_parseval_dual_norm(sizes):
     """Bi-disk quadrature norm of the dual image equals the weighted
     coefficient sum sum |a|^2 |psi(w)|^2 gamma, which is `bergman_norm` of
@@ -505,9 +517,10 @@ def check_parseval_dual_norm(sizes):
     P = psi_table(nu, complex(w), 3, 3)
     img = {(m, n): a * P[m, n] for (m, n), a in f.coeffs.items()}
     norm2 = bergman_norm(img, alpha, beta) ** 2
-    return _result("parseval_dual_norm", abs(quad - norm2), 1e-8)
+    return abs(quad - norm2)
 
 
+@_check(INVARIANT_CHECKS, 1e-8)
 def check_bargmann_laguerre_basis(sizes):
     """Second Bargmann transform maps the Laguerre product basis to
     [G(a+m+1)/m!][G(b+n+1)/n!] z^m w^n."""
@@ -533,69 +546,63 @@ def check_bargmann_laguerre_basis(sizes):
             )
             want = const * zw[0] ** m * zw[1] ** n
             worst = max(worst, abs(got - want) / max(abs(want), 1.0))
-    return _result("bargmann_laguerre_basis", worst, 1e-8)
+    return worst
 
 
+@_check(INVARIANT_CHECKS, 1e-10)
 def check_quadrature_selfconvergence(sizes):
     """Doubling the radial size changes a smooth integrand by < 1e-10."""
     nu = 1.0
     f = lambda z: np.exp(-0.3 * np.abs(z) ** 2 + 0.2 * z)
     a = integrate(plane_rule(nu, sizes["n_radial"], sizes["n_angular"]), f)
     b = integrate(plane_rule(nu, 2 * sizes["n_radial"], sizes["n_angular"]), f)
-    return _result("quadrature_selfconvergence", float(_rel(a, b)), 1e-10)
+    return float(_rel(a, b))
 
 
-ACCEPTANCE_CHECKS = [
-    check_orthonormality,
-    check_mehler_series_vs_closed,
-    check_mehler_classical,
-    check_frft_eigenrelation,
-    check_kernel_autocorrelation,
-    check_singular_values,
-    check_schatten_bound,
-    check_boundedness_bracket,
-    check_hankel_reduction,
-    check_hankel_fixed_point,
-    check_bergman_reproducing,
-    check_null_space,
-    check_compactness_tail,
-]
+def _plan(sizes, tolerances, names):
+    """The checks a run selects, in list order, each with the tolerance it is
+    judged at (None for its default), and the sizes they read.
 
-INVARIANT_CHECKS = [
-    check_rodrigues_cross_check,
-    check_conjugate_symmetry,
-    check_laguerre_factorization,
-    check_zero_radii_consistency,
-    check_bessel_monotone,
-    check_dual_coeff_vs_quadrature,
-    check_pointwise_estimate,
-    check_adjoint_identity,
-    check_parseval_dual_norm,
-    check_bargmann_laguerre_basis,
-    check_quadrature_selfconvergence,
-]
-
-DEFAULT_SIZES = {"n_radial": 64, "n_angular": 64, "quadrant_n": 64}
-
-
-def run_checks(checks=None, sizes=None, tolerances=None, names=None):
-    """Run the given checks (default: acceptance + invariants) and return the
-    list of CheckResult.  `tolerances` maps check name to an override of its
-    tolerance, which leaves the check's other conditions in force;
-    `names` restricts the run to the listed check names.  A check's name is
-    the one it reports, which is its function name without `check_`."""
-    sizes = dict(DEFAULT_SIZES, **(sizes or {}))
-    selected = checks or (ACCEPTANCE_CHECKS + INVARIANT_CHECKS)
+    Raises ValueError, before any check runs, on a size that is not a key of
+    `DEFAULT_SIZES` or not an integer >= 8, a tolerance whose key names no
+    check or whose value is not a number > 0, and a name that names no check.
+    """
+    every = ACCEPTANCE_CHECKS + INVARIANT_CHECKS
+    known = {_name(fn) for fn in every}
+    if not isinstance(sizes, dict):
+        raise ValueError("'sizes' must be an object")
+    for key, val in sizes.items():
+        if key not in DEFAULT_SIZES:
+            raise ValueError("unknown size %r (allowed: %s)" % (key, ", ".join(DEFAULT_SIZES)))
+        if isinstance(val, bool) or not isinstance(val, int) or val < 8:
+            raise ValueError("size %r must be an integer >= 8, got %r" % (key, val))
+    if not isinstance(tolerances, dict):
+        raise ValueError("'tolerances' must be an object")
+    for key, val in tolerances.items():
+        if key not in known:
+            raise ValueError("tolerance %r names no check" % (key,))
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
+            raise ValueError("tolerance %r must be a number > 0, got %r" % (key, val))
     if names is not None:
-        wanted = set(names)
-        selected = [fn for fn in selected if fn.__name__.removeprefix("check_") in wanted]
-        missing = wanted - {fn.__name__.removeprefix("check_") for fn in selected}
-        if missing:
-            raise ValueError("unknown check names: %s" % sorted(missing))
-    results = []
-    for fn in selected:
-        res = fn(sizes)
-        if tolerances and res.name in tolerances:
-            res.tolerance = float(tolerances[res.name])
-        results.append(res)
-    return results
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise ValueError("'checks' must be a list of check names")
+        if set(names) - known:
+            raise ValueError("unknown check names: %s" % sorted(set(names) - known))
+        every = [fn for fn in every if _name(fn) in names]
+    return [(fn, tolerances.get(_name(fn))) for fn in every], dict(DEFAULT_SIZES, **sizes)
+
+
+def run_checks(sizes=None, tolerances=None, names=None):
+    """Run the acceptance and invariant checks and return their CheckResults.
+
+    `sizes` overrides entries of `DEFAULT_SIZES`; `tolerances` maps a check
+    name to the tolerance it is judged at, which leaves the check's other
+    conditions in force; `names` restricts the run to the listed checks.  A
+    check's name is the one it reports, its function name without `check_`.
+    The whole config is validated first: see `_plan` for what raises
+    ValueError.  A ValueError from a running check propagates as it is.
+    """
+    selected, sizes = _plan(
+        {} if sizes is None else sizes, {} if tolerances is None else tolerances, names
+    )
+    return [fn(sizes, tolerance) for fn, tolerance in selected]

@@ -200,6 +200,22 @@ class TestTransformCommand:
         res = run_cli("transform", "--kind", "frft", "--input", path, "--u-re", "1.5")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--kind", "frft", "--grid-count", "0"),
+            ("--kind", "dual", "--grid-count=-1"),
+            ("--kind", "hankel", "--u-re", "0.3", "--v-re", "0.3", "--order=-1"),
+        ],
+        ids=["grid_count_0", "grid_count_negative", "order_negative"],
+    )
+    def test_invalid_flag(self, tmp_path, flags):
+        # rejected before the input is read: the file does not exist
+        res = run_cli("transform", "--input", str(tmp_path / "absent.json"), *flags)
+        assert res.returncode == 2
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert res.stdout == ""
+
 
 class TestCoeffFileRoundTrip:
     def test_bit_for_bit(self, tmp_path):
@@ -373,6 +389,7 @@ class TestVerifyCommand:
             {"sizes": {"n_radial": True}},
             {"size": {"n_radial": 64}},
             {"out_dir": 3},
+            {"checks": ["hankel_fixed_point"], "tolerances": {"hankel_fixed_pont": 1e-30}},
         ],
         ids=[
             "size_as_string",
@@ -382,6 +399,7 @@ class TestVerifyCommand:
             "size_as_bool",
             "unknown_top_level_key",
             "out_dir_not_string",
+            "misspelled_tolerance",
         ],
     )
     def test_malformed_config(self, tmp_path, doc, monkeypatch):
@@ -398,3 +416,16 @@ class TestVerifyCommand:
         res = run_cli("verify", "--config", cfg)
         assert res.returncode == 2
         assert "no_such_check" in res.stderr
+
+    def test_fault_in_a_check_exits_1(self, tmp_path, monkeypatch):
+        # a ValueError while a check runs is a program fault, not a config problem
+        from itofrft import verify
+
+        def broken(*args):
+            raise ValueError("hankel_apply failed")
+
+        monkeypatch.setattr(verify, "hankel_apply", broken)
+        cfg = self._config(tmp_path, {"checks": ["hankel_fixed_point"], "out_dir": str(tmp_path)})
+        res = run_cli("verify", "--config", cfg)
+        assert res.returncode == 1
+        assert res.stderr.strip() == "hankel_apply failed"

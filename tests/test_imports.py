@@ -1,6 +1,6 @@
-"""scipy is loaded on first use only: importing the package and the CLI
-subcommands that need only numpy never load it.  Each case runs in a fresh
-interpreter, since this test process has scipy loaded already."""
+"""scipy and the verify suite are loaded on first use only: importing the
+package and the CLI subcommands that need only numpy load neither.  Each case
+runs in a fresh interpreter, since this test process has both loaded already."""
 
 import json
 import subprocess
@@ -9,7 +9,7 @@ import sys
 import pytest
 
 # runs the CLI commands given as JSON argument lists in one interpreter,
-# then prints which scipy modules that interpreter has loaded
+# then prints which scipy modules, and whether itofrft.verify, it has loaded
 PROGRAM = """
 import contextlib, io, json, sys
 import itofrft
@@ -19,11 +19,11 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     if code != 0:
         sys.exit("%s exited %d" % (" ".join(argv), code))
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "itofrft.verify")))
 """
 
 
-def loaded_scipy_modules(commands):
+def loaded_modules(commands):
     res = subprocess.run(
         [sys.executable, "-c", PROGRAM, json.dumps(commands)],
         capture_output=True, text=True, timeout=120,
@@ -52,7 +52,7 @@ def test_numpy_only_commands_never_load_scipy(coeff_file):
         ["transform", "--kind", "frft", "--input", coeff_file, "--u-re", "0.5"],
         ["transform", "--kind", "dual", "--input", coeff_file, "--w-re", "1"],
     ]
-    assert loaded_scipy_modules(commands) == []
+    assert loaded_modules(commands) == []
 
 
 @pytest.mark.parametrize(
@@ -66,4 +66,4 @@ def test_numpy_only_commands_never_load_scipy(coeff_file):
 def test_scipy_commands_load_it_on_first_use(argv, coeff_file):
     if argv[0] == "transform":
         argv = argv + ["--input", coeff_file]
-    assert "scipy.special" in loaded_scipy_modules([argv])
+    assert "scipy.special" in loaded_modules([argv])

@@ -100,6 +100,10 @@ class TestRuleObjects:
         with pytest.raises(ValueError):
             QuadratureRule("plane", np.zeros(3, complex), np.ones(2))
 
+    def test_two_columns_without_axes_rejected(self):
+        with pytest.raises(ValueError, match="axes"):
+            QuadratureRule("bidisk", np.zeros((4, 2), complex), np.ones(4))
+
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
             QuadratureRule("plane", np.zeros(2, complex), np.array([1.0, 0.0]))

@@ -1,8 +1,13 @@
-"""The invariant checks of itofrft.verify, and how checks are selected and
-sized.  The acceptance checks are run by test_acceptance.py."""
+"""The invariant checks of itofrft.verify, and how checks are selected,
+sized and traced.  The acceptance checks are run by test_acceptance.py."""
+
+import functools
+import importlib.util
+from pathlib import Path
 
 import pytest
 
+import itofrft
 import itofrft.verify as verify
 from itofrft.verify import DEFAULT_SIZES, INVARIANT_CHECKS, run_checks
 
@@ -68,3 +73,42 @@ def test_override_keeps_zero_circle_condition(monkeypatch):
     (res,) = run_checks(names=["singular_values"], sizes=small, tolerances=loose)
     assert res.observed <= res.tolerance
     assert not res.passed
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"sizes": {"n_radail": 8, "n_angular": 8}},
+        {"sizes": {"n_radial": 8, "n_angular": 3}},
+        {"names": ["hankel_fixed_point"], "tolerances": {"hankel_fixed_pont": 1e-30}},
+    ],
+    ids=["unknown_size", "size_below_8", "unknown_tolerance"],
+)
+def test_malformed_config_rejected_before_any_check(config, monkeypatch):
+    ran = []
+    for group in ("ACCEPTANCE_CHECKS", "INVARIANT_CHECKS"):
+        spies = [
+            functools.wraps(fn)(lambda *args, fn=fn: ran.append(fn) or fn(*args))
+            for fn in getattr(verify, group)
+        ]
+        monkeypatch.setattr(verify, group, spies)
+    with pytest.raises(ValueError):
+        run_checks(**config)
+    assert ran == []
+
+
+def test_tracer_sees_each_check():
+    # perfbench/tracer.py patches the check lists in place, so run_checks
+    # must call the checks through those lists for their spans to exist
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    undo = tracer.install(itofrft)
+    try:
+        run_checks(names=["hankel_fixed_point", "bessel_monotone"])
+    finally:
+        tracer.uninstall(undo)
+    spans = {span[0] for span in tracer.spans}
+    assert {"verify.hankel_fixed_point", "verify.bessel_monotone"} <= spans
