@@ -158,15 +158,6 @@ def cmd_transform(args):
     return 0
 
 
-def _sub_spectrum(spec, max_m, max_n):
-    """The [0, max_m] x [0, max_n] corner of a tabulated spectrum."""
-    return spectral.Spectrum(
-        params=spec.params,
-        values=spec.values[: max_m + 1, : max_n + 1],
-        cutoff=(max_m, max_n),
-    )
-
-
 def cmd_spectrum(args):
     # every check and every computation comes before the first file is written
     if min(args.max_m, args.max_n) < 0 or not (args.nu > 0 and args.schatten > 0):
@@ -182,13 +173,9 @@ def cmd_spectrum(args):
         )
         return 1
     w = complex(args.w_re, args.w_im)
-    # one table serves the requested box and every Schatten cut: an entry of
-    # the recurrence does not depend on the size of the box around it
-    cuts = (10, 20, 40)
-    box = max(args.max_m, args.max_n, *cuts)
-    table = spectral.spectrum(args.nu, args.alpha, args.beta, w, box, box)
-    spec = _sub_spectrum(table, args.max_m, args.max_n)
-    kw = spectral.kw_constant(args.nu, args.alpha, args.beta, w)
+    point = (args.nu, args.alpha, args.beta, w)
+    spec = spectral.spectrum(*point, args.max_m, args.max_n)
+    kw = spectral.kw_constant(*point)
     summary = {
         "params": {
             "nu": args.nu,
@@ -202,8 +189,8 @@ def cmd_spectrum(args):
             {"m": m, "n": n, "s": s} for (m, n), s in spec.sorted_values()[:10]
         ],
         "schatten_partial": {
-            str(cut): spectral.schatten_partial(_sub_spectrum(table, cut, cut), args.schatten)
-            for cut in cuts
+            str(cut): spectral.schatten_partial(spectral.spectrum(*point, cut, cut), args.schatten)
+            for cut in (10, 20, 40)
         },
         "schatten_p": args.schatten,
         "kw": {"value": kw.value, "lower": kw.lower, "upper": kw.upper},

@@ -2,9 +2,9 @@
 and their zero structure.
 
 Evaluation is by the normalized two-term recurrence in (m, n) of `psi_table`,
-which every other evaluation reads from; the explicit alternating finite sum
-is kept in the test suite as an oracle only, since it cancels
-catastrophically for large |z|.
+stepped a row at a time, which every other evaluation reads from; the
+explicit alternating finite sum is kept in the test suite as an oracle only,
+since it cancels catastrophically for large |z|.
 """
 
 import math
@@ -63,23 +63,29 @@ def psi_table(nu, z, max_m, max_n):
     Uses the normalized recurrence
         psi_{m+1,n} = sqrt(nu/(m+1)) z psi_{m,n} - sqrt(n/(m+1)) psi_{m,n-1}
     so that no intermediate overflows where the entries themselves fit in
-    double precision.  Far from the origin at high degree they do not, and
-    the table raises OverflowError rather than return inf or NaN entries.
+    double precision.  Row m+1 is stepped from row m in place, a row at a
+    time, so an entry does not depend on the size of the box around it.  Far
+    from the origin at high degree the entries do not fit, and the table
+    raises OverflowError rather than return inf or NaN entries.
     """
     _check_nu(nu)
     _check_index(max_m, max_n)
     z = np.asarray(z, dtype=complex)
     zc = np.conj(z)
-    P = np.zeros((max_m + 1, max_n + 1) + z.shape, dtype=complex)
+    P = np.empty((max_m + 1, max_n + 1) + z.shape, dtype=complex)
     P[0, 0] = math.sqrt(nu / math.pi)
+    # the real factor sqrt(n/(m+1)) scales (re, im) pairs: the values of the
+    # complex product at half the work
+    pairs = P[..., None].view(float)
+    n = np.arange(1, max_n + 1).reshape((-1,) + (1,) * (z.ndim + 1))
+    term = np.empty_like(pairs[0, 1:])  # sqrt(n/(m+1)) psi_{m,n-1}, one row
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, max_n + 1):
-            P[0, n] = math.sqrt(nu / n) * zc * P[0, n - 1]
+        for k in range(1, max_n + 1):
+            P[0, k] = math.sqrt(nu / k) * zc * P[0, k - 1]
         for m in range(max_m):
-            c = math.sqrt(nu / (m + 1))
-            P[m + 1, 0] = c * z * P[m, 0]
-            for n in range(1, max_n + 1):
-                P[m + 1, n] = c * z * P[m, n] - math.sqrt(n / (m + 1)) * P[m, n - 1]
+            np.multiply(math.sqrt(nu / (m + 1)) * z, P[m], out=P[m + 1])
+            np.multiply(np.sqrt(n / (m + 1)), pairs[m, :-1], out=term)
+            np.subtract(pairs[m + 1, 1:], term, out=pairs[m + 1, 1:])
     # a non-finite entry makes the z psi_{m,n} term of every entry below it
     # non-finite too, so the last row shows any overflow in the table
     _require_finite(P[max_m], "psi table up to index (%d, %d) at nu=%g" % (max_m, max_n, nu))

@@ -90,7 +90,6 @@ class Spectrum:
 
     params: dict
     values: np.ndarray  # shape (max_m+1, max_n+1), all >= 0
-    cutoff: tuple
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -115,7 +114,6 @@ def spectrum(nu, alpha, beta, w, max_m, max_n):
     return Spectrum(
         params={"nu": nu, "alpha": alpha, "beta": beta, "w": complex(w)},
         values=vals,
-        cutoff=(max_m, max_n),
     )
 
 

@@ -127,6 +127,17 @@ class TestPsi:
         P = psi_table(1.0, np.zeros((2, 5), dtype=complex), 3, 4)
         assert P.shape == (4, 5, 2, 5)
 
+    @pytest.mark.parametrize(
+        "z",
+        [0.6 + 0.5j, np.array([[0.3 - 0.2j, -1.1j, 1.4], [-0.5 + 0.9j, 0.0, 0.8 + 0.8j]])],
+        ids=["point", "array"],
+    )
+    def test_box_independence(self, z):
+        # an entry does not depend on the box around it, to the last bit
+        big = psi_table(1.3, z, 200, 200)
+        for c in (10, 20, 40, 57):
+            np.testing.assert_array_equal(big[: c + 1, : c + 1], psi_table(1.3, z, c, c))
+
 
 class TestZeroRadii:
     def test_simple_cases(self):

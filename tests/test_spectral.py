@@ -82,6 +82,13 @@ class TestSpectrum:
                     singular_value(1.0, 1.0, 0.5, m, n, 0.7 + 0.2j), rel=1e-12
                 )
 
+    def test_box_independence(self):
+        # the CLI's Schatten cuts are spectra of their own boxes
+        big = spectrum(1.3, 1.0, 0.5, 0.6 + 0.5j, 200, 200).values
+        for c in (10, 20, 40, 57):
+            small = spectrum(1.3, 1.0, 0.5, 0.6 + 0.5j, c, c).values
+            np.testing.assert_array_equal(big[: c + 1, : c + 1], small)
+
     def test_sorted_values_decreasing(self):
         spec = spectrum(1.0, 1.0, 1.0, 0.5, 6, 6)
         vals = [s for _, s in spec.sorted_values()]

@@ -38,6 +38,20 @@ def test_quadrant_size_reaches_the_rule(monkeypatch):
     assert res.passed
 
 
+def test_mehler_check_sums_through_mehler_series(monkeypatch):
+    # the check has no bilinear psi sum of its own
+    series, truncs = verify.mehler_series, []
+
+    def spy(p, z, w, trunc):
+        truncs.append(trunc)
+        return series(p, z, w, trunc)
+
+    monkeypatch.setattr(verify, "mehler_series", spy)
+    (res,) = run_checks(names=["mehler_series_vs_closed"])
+    assert truncs == [80] * 9  # three nu times three (u, v) pairs
+    assert res.passed
+
+
 # A tolerance override replaces only the tolerance: a compound check still
 # fails when its other condition does, however loose the override.
 
@@ -67,7 +81,7 @@ def test_override_keeps_zero_circle_condition(monkeypatch):
         spec = spectrum(*args)
         values = spec.values.copy()
         values[1, 1] += 1e-9
-        return type(spec)(params=spec.params, values=values, cutoff=spec.cutoff)
+        return type(spec)(params=spec.params, values=values)
 
     monkeypatch.setattr(verify, "spectrum", lifted)
     (res,) = run_checks(names=["singular_values"], sizes=small, tolerances=loose)
