@@ -7,12 +7,17 @@ overflow guard rejects exponents whose real part exceeds 700.  The exponent
 grows like 1/(1 - uv), so it is the guard, not a parameter range, that bounds
 the inputs: the bi-disk rules of `verify` reach |u|, |v| = 0.977-0.999.
 
-Kernel matrices are built `BLOCK_ENTRIES` entries at a time by the callers
-that contract them (`transforms.adjoint_apply` and `verify._psi_images`), so
-their memory stays bounded whatever the number of nodes.
+The callers that contract a kernel matrix (`transforms.adjoint_apply` and
+`verify._psi_images`) build it block by block through one runner,
+`_blockwise`.  Blocks are contracted on up to two worker threads, so that one
+block's exponential overlaps the other's exponent assembly and matrix
+product; a core taken by a thread of the BLAS is not given a worker.  At most
+`BLOCK_ENTRIES` kernel entries are in flight across the workers, so memory
+stays bounded whatever the number of nodes.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +36,9 @@ __all__ = [
 
 _EXP_GUARD = 700.0
 
-# entries of one kernel block: 16 MB of complex128
-BLOCK_ENTRIES = 1 << 20
+# kernel entries in flight across all workers of `_blockwise`: 4 MB of complex128
+BLOCK_ENTRIES = 1 << 18
+_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,58 @@ class TransformParams:
                 "fractional parameters must lie in the open unit disk, got u=%r v=%r"
                 % (self.u, self.v)
             )
+
+
+def _blas_threads(cores):
+    # threads of the BLAS behind numpy, as its standard variables set them;
+    # unset, OpenBLAS and MKL start one per core
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cores
+
+
+def _workers():
+    """Worker threads of `_blockwise`: one per group of usable cores as large
+    as the BLAS's thread count, since each worker's matrix products may use
+    that many threads; at least one and at most `_MAX_WORKERS`.
+
+    A multi-threaded BLAS keeps its threads spinning for a while after each
+    matrix product, so a worker without cores of its own slows every block
+    instead of overlapping it."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cores = os.cpu_count() or 1
+    return max(1, min(_MAX_WORKERS, cores // _blas_threads(cores)))
+
+
+def _block_rows(width):
+    """Indices in one block of `_blockwise` when each index contributes
+    `width` kernel entries: `_MAX_WORKERS` blocks hold `BLOCK_ENTRIES`."""
+    return max(1, BLOCK_ENTRIES // (_MAX_WORKERS * width))
+
+
+def _blockwise(fn, count, width):
+    """[fn(s) for s in the consecutive slices of range(count)], each
+    `_block_rows(width)` long but the last.
+
+    The blocks do not depend on the worker count, so neither do the results.
+    With one block or one worker the blocks run inline; otherwise they run
+    on a pool of `_workers()` threads made for this call, so `fn` must be
+    safe for concurrent calls.  An
+    exception from a block propagates, and no thread outlives the call.
+    """
+    step = _block_rows(width)
+    blocks = [slice(i, min(i + step, count)) for i in range(0, count, step)]
+    workers = _workers()
+    if len(blocks) <= 1 or workers <= 1:
+        return [fn(s) for s in blocks]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, blocks))
 
 
 def mehler_closed(p, z, w):

@@ -66,10 +66,13 @@ def _disk_polar(alpha, n_radial, n_angular):
 
 def _tensor(kind, x, wx, y, wy, params):
     # product rule: node pairs (x_i, y_j) in row-major order, weights wx_i wy_j
+    nodes = np.empty((len(x), len(y), 2), dtype=np.result_type(x, y))
+    nodes[:, :, 0] = x[:, None]
+    nodes[:, :, 1] = y
     return QuadratureRule(
         kind=kind,
-        nodes=np.stack([np.repeat(x, len(y)), np.tile(y, len(x))], axis=1),
-        weights=np.repeat(wx, len(y)) * np.tile(wy, len(x)),
+        nodes=nodes.reshape(-1, 2),
+        weights=np.outer(wx, wy).ravel(),
         params=params,
         axes=(x, y),
     )

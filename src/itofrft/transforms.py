@@ -17,7 +17,7 @@ import numpy as np
 
 from .specfun import DEGREE_CAP, scipy_special
 from .ito_hermite import psi_table
-from .kernels import BLOCK_ENTRIES, frft_kernel_raw
+from .kernels import _blockwise, frft_kernel_raw
 from .quadrature import _samples, integrate
 from .spectral import gamma_norm
 
@@ -159,10 +159,12 @@ def adjoint_apply(nu, w, alpha, beta, g, z, rule):
 
     z may be an array: the result has its shape, and a scalar z gives a
     complex number.  g is sampled once on the rule's grid, as `integrate`
-    calls it, and the weighted samples are contracted against conj(K) for
-    `BLOCK_ENTRIES // len(rule.nodes)` points of z at a time, so memory stays
-    bounded for any number of points.  A non-finite sample of g raises
-    ValueError naming the node.
+    calls it, and the weighted samples are contracted against conj(K) a
+    block of points of z at a time by `kernels._blockwise`, on up to two
+    threads with at most `BLOCK_ENTRIES` kernel entries in flight, so memory
+    stays bounded for any number of points.  A non-finite sample of g raises
+    ValueError naming the node; an exponent the kernel's overflow guard
+    rejects raises OverflowError.
     """
     if rule.kind != "bidisk":
         raise ValueError("expected a bidisk quadrature rule, got kind=%r" % rule.kind)
@@ -176,11 +178,12 @@ def adjoint_apply(nu, w, alpha, beta, g, z, rule):
     u, v = rule.nodes[:, 0], rule.nodes[:, 1]
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=complex)
-    step = max(1, BLOCK_ENTRIES // len(weighted))
-    for i in range(0, len(flat), step):
-        # one expression, so that each kernel block is freed before the next
-        block = flat[i : i + step, None]
-        out[i : i + step] = np.conj(frft_kernel_raw(nu, u, v, block, w) @ weighted)
+
+    def contract(s):
+        # one expression, so that each kernel block is freed on return
+        out[s] = np.conj(frft_kernel_raw(nu, u, v, flat[s, None], w) @ weighted)
+
+    _blockwise(contract, len(flat), len(weighted))
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 

@@ -5,6 +5,7 @@ records.  Shared by the CLI `verify` subcommand and the acceptance tests.
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from .specfun import hermite_real, scipy_special
 from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
 from .kernels import (
-    BLOCK_ENTRIES, TransformParams, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
+    TransformParams, _blockwise, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
 )
 from .quadrature import bidisk_rule, integrate, plane_rule, quadrant_rule
 from .spectral import finite_rank_tail, gamma_norm, kw_constant, spectrum
@@ -39,6 +40,7 @@ class CheckResult:
     tolerance: float
     detail: str = ""
     side_conditions: bool = True  # the check's conditions besides the tolerance
+    wall_s: float = 0.0  # wall time of the check, set by `run_checks`
 
     @property
     def passed(self):
@@ -51,6 +53,7 @@ class CheckResult:
             "observed": self.observed,
             "tolerance": self.tolerance,
             "detail": self.detail,
+            "wall_s": self.wall_s,
         }
 
 
@@ -95,12 +98,16 @@ def _psi_images(nu, rule, max_m, max_n, u, v, xi):
     """Plane-quadrature transforms of the basis: entry [m, n, j] is the sum
     over the nodes z of w(z) psi_{m,n}(z) K_{u_j, v_j}(z; xi_j), with u, v
     and xi broadcast together and flattened to the index j.  The kernel
-    matrix is formed `BLOCK_ENTRIES` entries at a time."""
+    matrix is formed and contracted a block of columns at a time by
+    `kernels._blockwise`, on up to two threads, with at most `BLOCK_ENTRIES`
+    entries in flight."""
     u, v, xi = (a.ravel() for a in np.broadcast_arrays(u, v, xi))
     PW = psi_table(nu, rule.nodes, max_m, max_n).reshape(-1, len(rule.nodes)) * rule.weights
-    step = max(1, BLOCK_ENTRIES // len(rule.nodes))
-    cols = [slice(i, i + step) for i in range(0, len(xi), step)]
-    images = [PW @ frft_kernel_raw(nu, u[j], v[j], rule.nodes[:, None], xi[j]) for j in cols]
+    images = _blockwise(
+        lambda j: PW @ frft_kernel_raw(nu, u[j], v[j], rule.nodes[:, None], xi[j]),
+        len(xi),
+        len(rule.nodes),
+    )
     return np.concatenate(images, axis=1).reshape(max_m + 1, max_n + 1, -1)
 
 
@@ -599,10 +606,17 @@ def run_checks(sizes=None, tolerances=None, names=None):
     name to the tolerance it is judged at, which leaves the check's other
     conditions in force; `names` restricts the run to the listed checks.  A
     check's name is the one it reports, its function name without `check_`.
-    The whole config is validated first: see `_plan` for what raises
-    ValueError.  A ValueError from a running check propagates as it is.
+    Each result records the check's wall time in `wall_s`.  The whole config
+    is validated first: see `_plan` for what raises ValueError.  A
+    ValueError from a running check propagates as it is.
     """
     selected, sizes = _plan(
         {} if sizes is None else sizes, {} if tolerances is None else tolerances, names
     )
-    return [fn(sizes, tolerance) for fn, tolerance in selected]
+    results = []
+    for fn, tolerance in selected:
+        start = time.perf_counter()
+        result = fn(sizes, tolerance)
+        result.wall_s = time.perf_counter() - start
+        results.append(result)
+    return results

@@ -1,17 +1,24 @@
-"""scipy and the verify suite are loaded on first use only: importing the
-package and the CLI subcommands that need only numpy load neither.  Each case
-runs in a fresh interpreter, since this test process has both loaded already."""
+"""scipy, the verify suite and the kernel block runner's thread pool are
+loaded on first use only: importing the package and the CLI subcommands that
+need only numpy load none of them and start no thread.  Each case runs in a
+fresh interpreter, since this test process has them loaded already."""
 
 import json
 import subprocess
 import sys
+import threading
 
+import numpy as np
 import pytest
 
-# runs the CLI commands given as JSON argument lists in one interpreter,
-# then prints which scipy modules, and whether itofrft.verify, it has loaded
+from itofrft import kernels, transforms
+from itofrft.quadrature import bidisk_rule
+
+# runs the CLI commands given as JSON argument lists in one interpreter, then
+# prints which scipy modules, and whether itofrft.verify and
+# concurrent.futures, it has loaded, and how many threads are running
 PROGRAM = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
 import itofrft
 from itofrft import cli
 for argv in json.loads(sys.argv[1]):
@@ -19,17 +26,20 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     if code != 0:
         sys.exit("%s exited %d" % (" ".join(argv), code))
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "itofrft.verify")))
+watched = ("itofrft.verify", "concurrent.futures")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in watched)))
+print(threading.active_count())
 """
 
 
-def loaded_modules(commands):
+def run_program(commands):
     res = subprocess.run(
         [sys.executable, "-c", PROGRAM, json.dumps(commands)],
         capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    return json.loads(res.stdout)
+    modules, threads = res.stdout.splitlines()
+    return json.loads(modules), int(threads)
 
 
 @pytest.fixture
@@ -52,7 +62,8 @@ def test_numpy_only_commands_never_load_scipy(coeff_file):
         ["transform", "--kind", "frft", "--input", coeff_file, "--u-re", "0.5"],
         ["transform", "--kind", "dual", "--input", coeff_file, "--w-re", "1"],
     ]
-    assert loaded_modules(commands) == []
+    assert run_program(commands) == ([], 1)
+    assert run_program([]) == ([], 1)  # `import itofrft` alone
 
 
 @pytest.mark.parametrize(
@@ -66,4 +77,23 @@ def test_numpy_only_commands_never_load_scipy(coeff_file):
 def test_scipy_commands_load_it_on_first_use(argv, coeff_file):
     if argv[0] == "transform":
         argv = argv + ["--input", coeff_file]
-    assert "scipy.special" in loaded_modules([argv])
+    assert "scipy.special" in run_program([argv])[0]
+
+
+def test_no_worker_thread_outlives_adjoint_apply(monkeypatch):
+    monkeypatch.setattr(kernels, "_workers", lambda: 2)
+    ran_on = set()
+
+    def spy(*args):
+        ran_on.add(threading.current_thread().name)
+        return kernels.frft_kernel_raw(*args)
+
+    monkeypatch.setattr(transforms, "frft_kernel_raw", spy)
+    brule = bidisk_rule(1.0, 1.0, 8, 8)
+    zs = np.linspace(-1.0, 1.0, 100) + 0.2j
+    assert zs.size > kernels._block_rows(len(brule.weights))
+    before = threading.active_count()
+    out = transforms.adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: u, zs, brule)
+    assert np.all(np.isfinite(out))
+    assert ran_on and threading.main_thread().name not in ran_on  # the blocks ran on workers
+    assert threading.active_count() == before

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from itofrft import kernels
 from itofrft.kernels import (
     TransformParams,
+    _block_rows,
+    _blockwise,
     bergman_kernel,
     frft_kernel,
     frft_kernel_raw,
@@ -12,7 +15,10 @@ from itofrft.kernels import (
     mehler_closed,
     mehler_series,
 )
+from itofrft.quadrature import bidisk_rule, plane_rule
 from itofrft.spectral import gamma_norm
+from itofrft.transforms import adjoint_apply
+from itofrft.verify import _psi_images
 
 
 class TestTransformParams:
@@ -187,3 +193,72 @@ class TestGramKernel:
     def test_rejects_negative_trunc(self):
         with pytest.raises(ValueError):
             gram_kernel(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, trunc=-2)
+
+
+class TestBlockwise:
+    """The one block runner behind `adjoint_apply` and `_psi_images`: its
+    blocks do not depend on the worker count, so neither do the results."""
+
+    def test_slices_in_order(self):
+        width = kernels.BLOCK_ENTRIES // 6  # three indices per block
+        assert _block_rows(width) == 3
+        assert _blockwise(lambda s: (s.start, s.stop), 8, width) == [(0, 3), (3, 6), (6, 8)]
+        assert _blockwise(lambda s: s, 0, width) == []
+
+    @pytest.mark.parametrize(
+        "cores,env,workers",
+        [
+            (2, {}, 1),  # an unpinned BLAS starts a thread per core
+            (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+            (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            (8, {"OMP_NUM_THREADS": "4"}, 2),
+            (4, {"MKL_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+            (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
+        ],
+    )
+    def test_workers_leave_the_blas_threads_their_cores(self, cores, env, workers, monkeypatch):
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert kernels._workers() == workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_adjoint_apply_bit_identical(self, workers, monkeypatch):
+        nu, w, alpha, beta = 1.0, 0.7 - 0.2j, 1.0, 0.5
+        brule = bidisk_rule(alpha, beta, 8, 8)
+        g = lambda u, v: 1.0 + u * np.conj(v) - 0.5j * v**2
+        zs = np.linspace(-1.5, 1.5, 300) + 0.4j
+        # several blocks of points, the last one partial
+        per_block = _block_rows(len(brule.weights))
+        assert zs.size > 2 * per_block and zs.size % per_block
+        monkeypatch.setattr(kernels, "_workers", lambda: 1)
+        serial = adjoint_apply(nu, w, alpha, beta, g, zs, brule)
+        monkeypatch.setattr(kernels, "_workers", lambda: workers)
+        np.testing.assert_array_equal(adjoint_apply(nu, w, alpha, beta, g, zs, brule), serial)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_psi_images_bit_identical(self, workers, monkeypatch):
+        nu = 1.0
+        rule = plane_rule(nu, 16, 16)
+        rng = np.random.default_rng(5)
+        u, v = 0.4 * rng.standard_normal((2, 1100)) + 0.3j * rng.standard_normal((2, 1100))
+        xi = rng.standard_normal(1100) + 1j * rng.standard_normal(1100)
+        # several blocks of columns, the last one partial
+        per_block = _block_rows(len(rule.nodes))
+        assert xi.size > 2 * per_block and xi.size % per_block
+        monkeypatch.setattr(kernels, "_workers", lambda: 1)
+        serial = _psi_images(nu, rule, 3, 2, u, v, xi)
+        assert serial.shape == (4, 3, 1100)
+        monkeypatch.setattr(kernels, "_workers", lambda: workers)
+        np.testing.assert_array_equal(_psi_images(nu, rule, 3, 2, u, v, xi), serial)
+
+    def test_overflow_in_worker_block_propagates(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_workers", lambda: 2)
+        brule = bidisk_rule(1.0, 1.0, 8, 8)
+        zs = np.full(100, 0.3 + 0.1j)
+        zs[-1] = 200.0  # exponent ~ 0.4 |z|^2 in the last, partial, block
+        assert zs.size % _block_rows(len(brule.weights))
+        with pytest.raises(OverflowError):
+            adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: u, zs, brule)

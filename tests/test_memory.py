@@ -1,20 +1,30 @@
 """Traced peak memory of the blocked kernel paths.
 
 Each path contracts a kernel matrix that, built whole, would need well over
-130 MB; built `BLOCK_ENTRIES` entries at a time it stays far below 64 MB.
-numpy's array buffers are allocated through the traced allocator, so
-tracemalloc sees them.
+130 MB.  `kernels._blockwise` builds it a block at a time on up to two worker
+threads, with at most `BLOCK_ENTRIES` entries in flight across them, so the
+peak stays far below 64 MB.  The tests run the blocks on two workers, the
+most in flight.  numpy's array buffers are allocated through the traced
+allocator, and tracemalloc traces every thread, so the workers' blocks are
+counted.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from itofrft import kernels
 from itofrft.quadrature import bidisk_rule
 from itofrft.transforms import adjoint_apply
 from itofrft.verify import _singular_values_quadrature
 
 LIMIT = 64 * 2**20
+
+
+@pytest.fixture(autouse=True)
+def two_workers(monkeypatch):
+    monkeypatch.setattr(kernels, "_workers", lambda: 2)
 
 
 def traced_peak(fn):

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import eval_genlaguerre, gamma as gamma_fn
 
 from itofrft.ito_hermite import psi
-from itofrft.kernels import BLOCK_ENTRIES, TransformParams, frft_kernel, frft_kernel_raw
+from itofrft.kernels import TransformParams, _block_rows, frft_kernel, frft_kernel_raw
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
 from itofrft.spectral import gamma_norm
 from itofrft.transforms import (
@@ -191,7 +191,7 @@ class TestAdjoint:
         rng = np.random.default_rng(3)
         zs = (rng.standard_normal(300) + 1j * rng.standard_normal(300)).reshape(20, 15)
         # more than one kernel block of points, the last one partial
-        per_block = BLOCK_ENTRIES // len(brule.weights)
+        per_block = _block_rows(len(brule.weights))
         assert zs.size > per_block and zs.size % per_block
         got = adjoint_apply(nu, w, alpha, beta, g, zs, brule)
         assert got.shape == zs.shape
