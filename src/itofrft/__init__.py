@@ -27,7 +27,6 @@ from .transforms import (
     rotational_frft,
 )
 from .spectral import (
-    BergmanParams,
     KwBracket,
     Spectrum,
     finite_rank_tail,

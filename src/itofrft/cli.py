@@ -9,6 +9,7 @@ spectra additionally go to CSV.  Exit codes: 0 success, 1 domain error,
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from . import ito_hermite, spectral
-from .kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed
+from .kernels import TransformParams, _check_disk, bergman_kernel, frft_kernel, mehler_closed
 from .transforms import (
     CoeffFunction,
     RadialFunction,
@@ -37,6 +38,19 @@ def _cnum(z):
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
+def _add_complex(parser, *names):
+    """Declare the float flags --NAME-re and --NAME-im, default 0, of each
+    complex value NAME."""
+    for name in names:
+        for part in ("re", "im"):
+            parser.add_argument("--%s-%s" % (name, part), type=float, default=0.0)
+
+
+def _complex(args, name):
+    """The complex value NAME of the flags that `_add_complex` declared."""
+    return complex(getattr(args, name + "_re"), getattr(args, name + "_im"))
+
+
 def load_coeff_file(path):
     """Read and validate a CoeffFile JSON document."""
     try:
@@ -49,8 +63,8 @@ def load_coeff_file(path):
     if not isinstance(doc, dict) or "nu" not in doc or "coeffs" not in doc:
         raise DomainError("coefficient file must be an object with 'nu' and 'coeffs'")
     nu = doc["nu"]
-    if not isinstance(nu, (int, float)) or not nu > 0:
-        raise DomainError("'nu' must be a positive number")
+    if not isinstance(nu, (int, float)):
+        raise DomainError("'nu' must be a number")
     coeffs = {}
     for rec in doc["coeffs"]:
         try:
@@ -81,32 +95,32 @@ def save_coeff_file(path, f):
 
 
 def cmd_hermite(args):
-    if min(args.m, args.n, args.max_m, args.max_n) < 0 or args.nu <= 0 or args.tol <= 0:
-        print("invalid flag value: indices must be >= 0, nu and tol > 0", file=sys.stderr)
+    if min(args.m, args.n, args.max_m, args.max_n) < 0 or not (
+        0 < args.nu < math.inf and args.tol > 0
+    ):
+        print("invalid flag value: indices must be >= 0, nu finite and > 0, tol > 0",
+              file=sys.stderr)
         return 2
-    z = complex(args.z_re, args.z_im)
     if args.action == "eval":
-        val = ito_hermite.hermite_ito(args.nu, args.m, args.n, z)
+        val = ito_hermite.hermite_ito(args.nu, args.m, args.n, _complex(args, "z"))
         print(json.dumps({"value": _cnum(val)}))
     elif args.action == "zeros":
         zs = ito_hermite.zero_radii(args.nu, args.m, args.n)
         print(json.dumps({"radii": list(zs.radii), "origin": zs.includes_origin}))
     else:  # nullset
-        w = complex(args.w_re, args.w_im)
+        w = _complex(args, "w")
         idx = ito_hermite.null_index_set(args.nu, w, args.max_m, args.max_n, args.tol)
         print(json.dumps({"indices": sorted([list(i) for i in idx])}))
     return 0
 
 
 def cmd_kernel(args):
-    z = complex(args.z_re, args.z_im)
-    w = complex(args.w_re, args.w_im)
+    z, w = _complex(args, "z"), _complex(args, "w")
     if args.kind == "bergman":
-        z2 = complex(args.z2_re, args.z2_im)
-        w2 = complex(args.w2_re, args.w2_im)
-        val = bergman_kernel(args.alpha, args.beta, (z, w), (z2, w2))
+        b = (_complex(args, "z2"), _complex(args, "w2"))
+        val = bergman_kernel(args.alpha, args.beta, (z, w), b)
     else:
-        p = TransformParams(args.nu, complex(args.u_re, args.u_im), complex(args.v_re, args.v_im))
+        p = TransformParams(args.nu, _complex(args, "u"), _complex(args, "v"))
         fn = mehler_closed if args.kind == "mehler" else frft_kernel
         val = fn(p, z, w)
     print(json.dumps({"value": _cnum(val)}))
@@ -124,35 +138,30 @@ def cmd_transform(args):
         print("invalid flag value: grid-count must be >= 1, order >= 0", file=sys.stderr)
         return 2
     f = load_coeff_file(args.input)
+    u, v = _complex(args, "u"), _complex(args, "v")
+    xs = _axis(args.grid_center_re, args.grid_half, args.grid_count)
+    ys = _axis(args.grid_center_im, args.grid_half, args.grid_count)
     records = []
-    if args.kind in ("frft", "dual"):
-        u = complex(args.u_re, args.u_im)
-        v = complex(args.v_re, args.v_im)
-        if abs(u) >= 1 or abs(v) >= 1:
-            raise DomainError("fractional parameters must lie in the open unit disk")
-        if args.kind == "frft":
-            p = TransformParams(f.nu, u, v)
-            for xr in _axis(args.grid_center_re, args.grid_half, args.grid_count):
-                for xi_im in _axis(args.grid_center_im, args.grid_half, args.grid_count):
-                    xi = complex(xr, xi_im)
-                    val = frft_apply(p, f, xi)
-                    records.append({"point": _cnum(xi), "value": _cnum(val)})
-        else:
-            w = complex(args.w_re, args.w_im)
-            for uu in _axis(args.grid_center_re, args.grid_half, args.grid_count):
-                for vv in _axis(args.grid_center_im, args.grid_half, args.grid_count):
-                    if abs(uu) >= 1 or abs(vv) >= 1:
-                        continue
-                    val = dual_apply_coeff(f.nu, w, f, (uu, vv))
-                    records.append({"point": {"u": uu, "v": vv}, "value": _cnum(val)})
+    if args.kind == "frft":
+        p = TransformParams(f.nu, u, v)
+        for xr in xs:
+            for xi_im in ys:
+                xi = complex(xr, xi_im)
+                val = frft_apply(p, f, xi)
+                records.append({"point": _cnum(xi), "value": _cnum(val)})
+    elif args.kind == "dual":
+        _check_disk("dual grid points (u, v)", xs, ys)
+        w = _complex(args, "w")
+        for uu in xs:
+            for vv in ys:
+                val = dual_apply_coeff(f.nu, w, f, (uu, vv))
+                records.append({"point": {"u": uu, "v": vv}, "value": _cnum(val)})
     else:  # hankel
-        if not (0.0 < args.u_re < 1.0 and 0.0 < args.v_re < 1.0):
-            raise DomainError("hankel transforms require real u, v in (0, 1)")
         prof = RadialFunction.from_coeff(f)
-        for y in _axis(args.grid_center_re, args.grid_half, args.grid_count):
+        for y in xs:
             if y < 0:
                 continue
-            val = hankel_apply(f.nu, args.order, args.u_re, args.v_re, prof, y)
+            val = hankel_apply(f.nu, args.order, u, v, prof, y)
             records.append({"point": {"y": y}, "value": _cnum(val)})
     print(json.dumps(records))
     return 0
@@ -160,19 +169,13 @@ def cmd_transform(args):
 
 def cmd_spectrum(args):
     # every check and every computation comes before the first file is written
-    if min(args.max_m, args.max_n) < 0 or not (args.nu > 0 and args.schatten > 0):
+    if min(args.max_m, args.max_n) < 0 or not (0 < args.nu < math.inf and args.schatten > 0):
         print(
-            "invalid flag value: max-m, max-n must be >= 0, nu and schatten > 0",
+            "invalid flag value: max-m, max-n must be >= 0, nu finite and > 0, schatten > 0",
             file=sys.stderr,
         )
         return 2
-    if args.alpha <= 0 or args.beta <= 0:
-        print(
-            "spectrum requires the bounded regime alpha > 0 and beta > 0",
-            file=sys.stderr,
-        )
-        return 1
-    w = complex(args.w_re, args.w_im)
+    w = _complex(args, "w")
     point = (args.nu, args.alpha, args.beta, w)
     spec = spectral.spectrum(*point, args.max_m, args.max_n)
     kw = spectral.kw_constant(*point)
@@ -295,10 +298,7 @@ def build_parser():
     ph.add_argument("--nu", type=float, default=1.0)
     ph.add_argument("--m", type=int, default=0)
     ph.add_argument("--n", type=int, default=0)
-    ph.add_argument("--z-re", type=float, default=0.0)
-    ph.add_argument("--z-im", type=float, default=0.0)
-    ph.add_argument("--w-re", type=float, default=0.0)
-    ph.add_argument("--w-im", type=float, default=0.0)
+    _add_complex(ph, "z", "w")
     ph.add_argument("--max-m", type=int, default=5)
     ph.add_argument("--max-n", type=int, default=5)
     ph.add_argument("--tol", type=float, default=1e-10)
@@ -309,32 +309,14 @@ def build_parser():
     pk.add_argument("--nu", type=float, default=1.0)
     pk.add_argument("--alpha", type=float, default=1.0)
     pk.add_argument("--beta", type=float, default=1.0)
-    pk.add_argument("--u-re", type=float, default=0.0)
-    pk.add_argument("--u-im", type=float, default=0.0)
-    pk.add_argument("--v-re", type=float, default=0.0)
-    pk.add_argument("--v-im", type=float, default=0.0)
-    pk.add_argument("--z-re", type=float, default=0.0)
-    pk.add_argument("--z-im", type=float, default=0.0)
-    pk.add_argument("--w-re", type=float, default=0.0)
-    pk.add_argument("--w-im", type=float, default=0.0)
-    pk.add_argument("--z2-re", type=float, default=0.0)
-    pk.add_argument("--z2-im", type=float, default=0.0)
-    pk.add_argument("--w2-re", type=float, default=0.0)
-    pk.add_argument("--w2-im", type=float, default=0.0)
+    _add_complex(pk, "u", "v", "z", "w", "z2", "w2")
     pk.set_defaults(fn=cmd_kernel)
 
     pt = sub.add_parser("transform", help="apply a transform over a grid")
     pt.add_argument("--kind", choices=["frft", "dual", "hankel"], required=True)
     pt.add_argument("--input", required=True, help="CoeffFile JSON path")
-    pt.add_argument("--u-re", type=float, default=0.0)
-    pt.add_argument("--u-im", type=float, default=0.0)
-    pt.add_argument("--v-re", type=float, default=0.0)
-    pt.add_argument("--v-im", type=float, default=0.0)
-    pt.add_argument("--w-re", type=float, default=0.0)
-    pt.add_argument("--w-im", type=float, default=0.0)
+    _add_complex(pt, "u", "v", "w", "grid-center")
     pt.add_argument("--order", type=int, default=0)
-    pt.add_argument("--grid-center-re", type=float, default=0.0)
-    pt.add_argument("--grid-center-im", type=float, default=0.0)
     pt.add_argument("--grid-half", type=float, default=0.5)
     pt.add_argument("--grid-count", type=int, default=3)
     pt.set_defaults(fn=cmd_transform)
@@ -343,8 +325,7 @@ def build_parser():
     ps.add_argument("--nu", type=float, default=1.0)
     ps.add_argument("--alpha", type=float, required=True)
     ps.add_argument("--beta", type=float, required=True)
-    ps.add_argument("--w-re", type=float, default=0.0)
-    ps.add_argument("--w-im", type=float, default=0.0)
+    _add_complex(ps, "w")
     ps.add_argument("--max-m", type=int, default=20)
     ps.add_argument("--max-n", type=int, default=20)
     ps.add_argument("--schatten", type=float, default=2.0)

@@ -5,6 +5,11 @@ Evaluation is by the normalized two-term recurrence in (m, n) of `psi_table`,
 stepped a row at a time, which every other evaluation reads from; the
 explicit alternating finite sum is kept in the test suite as an oracle only,
 since it cancels catastrophically for large |z|.
+
+Domain: the scaling nu > 0 is finite, and each index lies in
+[0, DEGREE_CAP].  `_check_nu` and `_check_index` are the one home of these
+rules for the whole package; a value outside, NaN and inf included, raises
+ValueError.
 """
 
 import math
@@ -25,12 +30,8 @@ __all__ = [
 
 
 def _check_index(m, n):
-    if m < 0 or n < 0:
-        raise ValueError("polynomial index must be non-negative, got (%r, %r)" % (m, n))
-    if m > DEGREE_CAP or n > DEGREE_CAP:
-        raise ValueError(
-            "index (%d, %d) exceeds degree cap %d" % (m, n, DEGREE_CAP)
-        )
+    if not (0 <= m <= DEGREE_CAP and 0 <= n <= DEGREE_CAP):
+        raise ValueError("index (%r, %r) must lie in [0, %d]" % (m, n, DEGREE_CAP))
 
 
 def _check_nu(nu):
@@ -149,7 +150,7 @@ def null_index_set(nu, w, max_m, max_n, tol):
     The test is applied to the normalized psi rather than the raw polynomial
     so that `tol` is scale-free across the index box.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive, got %r" % (tol,))
     P = psi_table(nu, complex(w), max_m, max_n)
     mm, nn = np.nonzero(np.abs(P) < tol)

@@ -7,6 +7,11 @@ overflow guard rejects exponents whose real part exceeds 700.  The exponent
 grows like 1/(1 - uv), so it is the guard, not a parameter range, that bounds
 the inputs: the bi-disk rules of `verify` reach |u|, |v| = 0.977-0.999.
 
+Domain: the fractional parameters u, v and the points of the Bergman kernel
+have modulus below 1; `_check_disk` is the one home of that rule for the
+package, and NaN fails it.  nu and the Bergman weights are checked by
+`ito_hermite._check_nu` and `quadrature._check_weights`.
+
 The callers that contract a kernel matrix (`transforms.adjoint_apply` and
 `verify._psi_images`) build it block by block through one runner,
 `_blockwise`.  Blocks are contracted on up to two worker threads, so that one
@@ -22,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ito_hermite import psi_table
+from .ito_hermite import _check_nu, psi_table
+from .quadrature import _check_weights
 from .spectral import gamma_norm
 
 __all__ = [
@@ -41,22 +47,27 @@ BLOCK_ENTRIES = 1 << 18
 _MAX_WORKERS = 2
 
 
+def _check_disk(what, *points):
+    """Raise ValueError unless every entry of the scalar or array points
+    has modulus below 1; a NaN entry does not."""
+    for p in points:
+        inside = np.abs(p) < 1
+        if not np.all(inside):
+            bad = np.ravel(p)[np.argmin(np.ravel(inside))]
+            raise ValueError("%s must lie in the open unit disk, got %s" % (what, bad))
+
+
 @dataclass(frozen=True)
 class TransformParams:
-    """Scaling nu > 0 plus fractional parameters u, v in the open unit disk."""
+    """Scaling nu > 0 plus fractional parameters u, v with |u|, |v| < 1."""
 
     nu: float
     u: complex
     v: complex
 
     def __post_init__(self):
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValueError("nu must be finite and positive, got %r" % (self.nu,))
-        if abs(self.u) >= 1 or abs(self.v) >= 1:
-            raise ValueError(
-                "fractional parameters must lie in the open unit disk, got u=%r v=%r"
-                % (self.u, self.v)
-            )
+        _check_nu(self.nu)
+        _check_disk("fractional parameters u, v", self.u, self.v)
 
 
 def _blas_threads(cores):
@@ -130,10 +141,8 @@ def mehler_series(p, z, w, trunc):
     sum_{m,n=0}^{trunc} u^m v^n psi_{m,n}(z) psi_{m,n}(w).
 
     Converges to (nu/pi) * mehler_closed as trunc grows; the truncation order
-    is an explicit caller choice, never adaptive.
+    is an explicit caller choice, never adaptive; it lies in [0, DEGREE_CAP].
     """
-    if trunc < 0:
-        raise ValueError("trunc must be >= 0")
     pz = psi_table(p.nu, z, trunc, trunc)
     pw = psi_table(p.nu, w, trunc, trunc)
     U = p.u ** np.arange(trunc + 1)
@@ -197,15 +206,10 @@ def bergman_kernel(alpha, beta, a, b):
     for a = (u, v), b = (z, w).  Principal-branch powers; the bases have
     positive real part on D x D so no branch cut can be crossed.
     """
+    _check_weights(alpha, beta)
     u, v = (np.asarray(c, dtype=complex) for c in a)
     z, w = (np.asarray(c, dtype=complex) for c in b)
-    if (
-        np.any(np.abs(u) >= 1)
-        or np.any(np.abs(v) >= 1)
-        or np.any(np.abs(z) >= 1)
-        or np.any(np.abs(w) >= 1)
-    ):
-        raise ValueError("bergman_kernel arguments must lie in the open unit disk")
+    _check_disk("bergman_kernel arguments", u, v, z, w)
     out = (alpha + 1.0) * (beta + 1.0) / (
         math.pi**2
         * (1.0 - u * np.conj(z)) ** (alpha + 2.0)
@@ -220,10 +224,9 @@ def gram_kernel(nu, alpha, beta, w, zeta, z, trunc):
 
         sum_{m,n<=trunc} |c_{m,n}(w)|^2 psi_{m,n}(z) conj(psi_{m,n}(zeta))
 
-    with c_{m,n}(w) = psi_{m,n}(w) gamma_{m,n}^{1/2}.
+    with c_{m,n}(w) = psi_{m,n}(w) gamma_{m,n}^{1/2}; trunc lies in
+    [0, DEGREE_CAP].
     """
-    if trunc < 0:
-        raise ValueError("trunc must be >= 0")
     pw = np.abs(psi_table(nu, complex(w), trunc, trunc)) ** 2
     ks = np.arange(trunc + 1)
     g = gamma_norm(alpha, beta, ks[:, None], ks)

@@ -14,6 +14,13 @@ its complex node array.  The bidisk and quadrant rules are tensor products and
 keep their two per-axis node arrays in `axes`; `integrate` passes them as an
 (nx, 1) column and a (1, ny) row, so f sees the whole grid by broadcasting and
 computes a factor of one variable (u^m, v^n, a kernel power) once per axis.
+
+Domain: the bi-disk and quadrant measures are finite exactly when alpha,
+beta > -1, and the plane measure needs a finite nu > 0.
+`_check_weights` is the one home of the alpha, beta rule for the package
+(the Bergman norms and kernels share it), and `_check_rule` the one test
+that a rule was built for the kind and parameters a transform uses.  NaN
+and inf fail both.
 """
 
 import math
@@ -21,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ito_hermite import _check_nu
 from .specfun import scipy_special
 
 __all__ = ["QuadratureRule", "plane_rule", "bidisk_rule", "quadrant_rule", "integrate"]
@@ -43,10 +51,30 @@ class QuadratureRule:
             raise ValueError("nodes and weights must have equal length")
         if self.nodes.ndim == 2 and self.axes is None:
             raise ValueError("a rule with two node columns is a tensor rule and needs its axes")
-        if np.any(self.weights <= 0):
+        if not np.all(self.weights > 0):
             raise ValueError("all quadrature weights must be strictly positive")
         for arr in (self.nodes, self.weights, *(self.axes or ())):
             arr.setflags(write=False)
+
+
+def _check_weights(alpha, beta):
+    if not (-1 < alpha < math.inf and -1 < beta < math.inf):
+        raise ValueError(
+            "Bergman weights require finite alpha, beta > -1, got alpha=%r beta=%r" % (alpha, beta)
+        )
+
+
+def _check_rule(rule, kind, **params):
+    """Raise ValueError unless `rule` is a `kind` rule built for the given
+    parameter values (to a relative 1e-12)."""
+    if rule.kind != kind:
+        raise ValueError("expected a %s quadrature rule, got kind=%r" % (kind, rule.kind))
+    for name, val in params.items():
+        built = rule.params.get(name, math.nan)
+        if not math.isclose(built, val, rel_tol=1e-12):
+            raise ValueError(
+                "rule was built for %s=%r but the transform uses %s=%r" % (name, built, name, val)
+            )
 
 
 def _unit_jacobi(alpha, n):
@@ -84,8 +112,7 @@ def plane_rule(nu, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
     Gauss-Laguerre in t = nu r^2 times the uniform angular rule; integrates
     z^a conj(z)^b exactly whenever a + b <= 2 n_radial - 1 and |a-b| < n_angular.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive, got %r" % (nu,))
+    _check_nu(nu)
     if n_radial < 1 or n_angular < 1:
         raise ValueError("rule sizes must be >= 1")
     t, wt = scipy_special().roots_genlaguerre(n_radial, 0.0)
@@ -107,8 +134,7 @@ def bidisk_rule(alpha, beta, n_radial, n_angular):
     Per disk, |u|^2 follows a Gauss-Jacobi rule on [0, 1] with weight
     (1-s)^alpha (resp. (1-t)^beta), tensored with uniform angular nodes.
     """
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("bidisk weights require alpha, beta > -1")
+    _check_weights(alpha, beta)
     return _tensor(
         "bidisk",
         *_disk_polar(alpha, n_radial, n_angular),
@@ -125,8 +151,7 @@ def bidisk_rule(alpha, beta, n_radial, n_angular):
 def quadrant_rule(alpha, beta, n=DEFAULT_N_RADIAL):
     """Tensor of generalized Gauss-Laguerre rules with weights s^alpha e^{-s}
     and t^beta e^{-t}; exact for per-variable degree <= 2n - 1."""
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("quadrant weights require alpha, beta > -1")
+    _check_weights(alpha, beta)
     if n < 1:
         raise ValueError("rule size must be >= 1")
     roots_genlaguerre = scipy_special().roots_genlaguerre

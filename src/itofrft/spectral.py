@@ -4,6 +4,13 @@ diagnostics for the Bergman-space dual transform.
 All Gamma-ratio arithmetic is done in log space: the singular value is
 assembled as |psi(w)| * gamma^{1/2}, never through nu^{m+n} m! n! directly,
 which overflows early.
+
+Domain: the weighted Bergman spaces exist for alpha and beta above -1
+(checked by `quadrature._check_weights`, as in `gamma_norm`); the dual
+transform is bounded, and its singular values, `k_w` constant and tail
+bounds are defined, only for alpha, beta > 0, which `_check_bounded` is
+the one home of.  nu > 0 is finite (`ito_hermite._check_nu`).  A value
+outside, NaN and inf included, raises ValueError.
 """
 
 import math
@@ -11,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ito_hermite import psi_table
-from .quadrature import _unit_jacobi
+from .ito_hermite import _check_nu, psi_table
+from .quadrature import _check_weights, _unit_jacobi
 from .specfun import scipy_special
 
 __all__ = [
-    "BergmanParams",
     "Spectrum",
     "KwBracket",
     "gamma_norm",
@@ -31,31 +37,12 @@ __all__ = [
 KW_DEFAULT_NODES = 128  # near-corner (1,1) behavior of the k_w integrand needs extra nodes
 
 
-@dataclass(frozen=True)
-class BergmanParams:
-    """Weight exponents of the bi-disk measure.
-
-    The spaces exist for alpha, beta > -1; boundedness, compactness, and
-    singular-value operations additionally require alpha > 0 and beta > 0.
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("Bergman weights require alpha, beta > -1")
-
-    @property
-    def bounded_regime(self):
-        return self.alpha > 0 and self.beta > 0
-
-    def require_bounded(self):
-        if not self.bounded_regime:
-            raise ValueError(
-                "operation requires alpha > 0 and beta > 0, got alpha=%g beta=%g"
-                % (self.alpha, self.beta)
-            )
+def _check_bounded(alpha, beta):
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError(
+            "operation requires the bounded regime, finite alpha > 0 and beta > 0,"
+            " got alpha=%r beta=%r" % (alpha, beta)
+        )
 
 
 def _log_ratio(gammaln, a, k):
@@ -70,8 +57,7 @@ def gamma_norm(alpha, beta, m, n):
 
     `m` and `n` may be integer arrays; the result broadcasts over them.
     """
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("gamma_norm requires alpha, beta > -1")
+    _check_weights(alpha, beta)
     gammaln = scipy_special().gammaln
     return np.exp(
         2.0 * math.log(math.pi) + _log_ratio(gammaln, alpha, m) + _log_ratio(gammaln, beta, n)
@@ -107,7 +93,7 @@ class Spectrum:
 def spectrum(nu, alpha, beta, w, max_m, max_n):
     """Singular values s_{m,n}(w) = |psi^nu_{m,n}(w)| gamma_{m,n}^{1/2} over
     the index box [0, max_m] x [0, max_n]."""
-    BergmanParams(alpha, beta).require_bounded()
+    _check_bounded(alpha, beta)
     P = np.abs(psi_table(nu, complex(w), max_m, max_n))
     g = gamma_norm(alpha, beta, np.arange(max_m + 1)[:, None], np.arange(max_n + 1))
     vals = P * np.sqrt(g)
@@ -119,8 +105,8 @@ def spectrum(nu, alpha, beta, w, max_m, max_n):
 
 def schatten_partial(spec, p):
     """Partial Schatten sum: sum of s_{m,n}^p over the tabulated box."""
-    if p <= 0:
-        raise ValueError("Schatten exponent p must be positive")
+    if not p > 0:
+        raise ValueError("Schatten exponent p must be positive, got %r" % (p,))
     return float(np.sum(spec.values**p))
 
 
@@ -141,7 +127,8 @@ def kw_constant(nu, alpha, beta, w):
     together with the analytic bracket
     [nu pi / ((alpha+1)(beta+1)),  nu pi e^{nu |w|^2} / (alpha beta)].
     """
-    BergmanParams(alpha, beta).require_bounded()
+    _check_nu(nu)
+    _check_bounded(alpha, beta)
     w2 = abs(complex(w)) ** 2
     s, ws = _unit_jacobi(alpha, KW_DEFAULT_NODES)
     t, wt = _unit_jacobi(beta, KW_DEFAULT_NODES)
@@ -169,8 +156,9 @@ def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
     its first term.  Decreasing in both cuts; its decay to zero is the
     compactness diagnostic.
     """
-    BergmanParams(alpha, beta).require_bounded()
-    if p_cut < 0 or q_cut < 0:
+    _check_nu(nu)
+    _check_bounded(alpha, beta)
+    if not (p_cut >= 0 and q_cut >= 0):
         raise ValueError("cuts must be non-negative")
     first = gamma_norm(alpha, beta, p_cut + 1, q_cut + 1)
     axes = (p_cut + alpha + 2.0) * (q_cut + beta + 2.0) / (alpha * beta)

@@ -15,10 +15,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .specfun import DEGREE_CAP, scipy_special
-from .ito_hermite import psi_table
-from .kernels import _blockwise, frft_kernel_raw
-from .quadrature import _samples, integrate
+from .specfun import scipy_special
+from .ito_hermite import _check_index, _check_nu, psi_table
+from .kernels import _blockwise, _check_disk, frft_kernel_raw
+from .quadrature import _check_rule, _samples, integrate
 from .spectral import gamma_norm
 
 __all__ = [
@@ -46,12 +46,10 @@ class CoeffFunction:
     coeffs: dict  # (m, n) -> complex
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        _check_nu(self.nu)
         clean = {}
         for (m, n), a in self.coeffs.items():
-            if m < 0 or n < 0 or m > DEGREE_CAP or n > DEGREE_CAP:
-                raise ValueError("coefficient index (%r, %r) out of range" % (m, n))
+            _check_index(m, n)
             if a != 0:
                 clean[(int(m), int(n))] = complex(a)
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
@@ -126,13 +124,7 @@ def frft_apply(p, f, xi, rule=None):
     A rule that is given is validated (kind and nu) on either route.
     """
     if rule is not None:
-        if rule.kind != "plane":
-            raise ValueError("expected a plane quadrature rule, got kind=%r" % rule.kind)
-        if not math.isclose(rule.params.get("nu", -1.0), p.nu, rel_tol=1e-12):
-            raise ValueError(
-                "rule was built for nu=%r but the transform uses nu=%r"
-                % (rule.params.get("nu"), p.nu)
-            )
+        _check_rule(rule, "plane", nu=p.nu)
     if isinstance(f, CoeffFunction):
         return _eigen_sum(p.nu, f, xi, (p.u, p.v))
     if rule is None:
@@ -166,11 +158,8 @@ def adjoint_apply(nu, w, alpha, beta, g, z, rule):
     ValueError naming the node; an exponent the kernel's overflow guard
     rejects raises OverflowError.
     """
-    if rule.kind != "bidisk":
-        raise ValueError("expected a bidisk quadrature rule, got kind=%r" % rule.kind)
-    for name, val in (("alpha", alpha), ("beta", beta)):
-        if not math.isclose(rule.params.get(name, math.nan), val, rel_tol=1e-12):
-            raise ValueError("rule %s does not match the transform %s" % (name, name))
+    _check_nu(nu)
+    _check_rule(rule, "bidisk", alpha=alpha, beta=beta)
     z = np.asarray(z, dtype=complex)
     w = complex(w)
     # conj(K) . (weights g) = conj(K . conj(weights g)), one conjugation per point
@@ -207,14 +196,18 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     via a `HANKEL_NODES`-node Gauss-Laguerre rule in t = nu x^2 / (1-uv),
     which is accurate when the integrand is smooth in t, as at integer order.
     Parameters are restricted to real u, v in (0, 1) so that every
-    fractional power is principal and positive.
+    fractional power is principal and positive; a complex u or v with a
+    nonzero imaginary part raises ValueError.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not (0.0 < u < 1.0 and 0.0 < v < 1.0):
-        raise ValueError("hankel_apply requires real u, v in (0, 1)")
-    if y < 0:
-        raise ValueError("y must be >= 0")
+    _check_nu(nu)
+    if not order >= 0:
+        raise ValueError("order must be >= 0, got %r" % (order,))
+    u, v = complex(u), complex(v)
+    if not (u.imag == v.imag == 0 and 0.0 < u.real < 1.0 and 0.0 < v.real < 1.0):
+        raise ValueError("hankel_apply requires real u, v in (0, 1), got u=%r v=%r" % (u, v))
+    u, v = u.real, v.real
+    if not y >= 0:
+        raise ValueError("y must be >= 0, got %r" % (y,))
     sp = scipy_special()
     ell = nu / (1.0 - u * v)
     t, wt = sp.roots_genlaguerre(HANKEL_NODES, 0.0)
@@ -279,10 +272,8 @@ def bargmann2_apply(alpha, beta, phi, zw, rule):
     unitary here).
     """
     z, w = complex(zw[0]), complex(zw[1])
-    if abs(z) >= 1 or abs(w) >= 1:
-        raise ValueError("bargmann2_apply requires |z| < 1 and |w| < 1")
-    if rule.kind != "quadrant":
-        raise ValueError("expected a quadrant quadrature rule, got kind=%r" % rule.kind)
+    _check_disk("bargmann2_apply point (z, w)", z, w)
+    _check_rule(rule, "quadrant", alpha=alpha, beta=beta)
     denom = (1.0 - z) * (1.0 - w)
 
     def integrand(s, t):

@@ -95,6 +95,17 @@ class TestHermiteCommand:
         res = run_cli("hermite", "eval", "--nu", "0")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("eval", "--nu=nan"), ("eval", "--nu=inf"), ("nullset", "--tol=nan")],
+        ids=["eval_nu_nan", "eval_nu_inf", "nullset_tol_nan"],
+    )
+    def test_invalid_flag(self, flags):
+        res = run_cli("hermite", *flags)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
+
 
 class TestKernelCommand:
     def test_mehler_identity_point(self, schemas):
@@ -121,6 +132,25 @@ class TestKernelCommand:
     def test_invalid_parameters(self):
         res = run_cli("kernel", "--kind", "frft", "--u-re", "1.0")
         assert res.returncode == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--kind", "bergman", "--alpha", "nan"),
+            ("--kind", "bergman", "--beta=-2"),
+            ("--kind", "bergman", "--z2-re", "nan"),
+            ("--kind", "frft", "--nu", "inf"),
+            ("--kind", "mehler", "--v-im", "nan"),
+        ],
+        ids=["bergman_alpha_nan", "bergman_beta_-2", "bergman_point_nan", "frft_nu_inf",
+             "mehler_v_nan"],
+    )
+    def test_domain_error(self, flags):
+        # one line, never NaN (not JSON) on stdout
+        res = run_cli("kernel", *flags)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
 
 
 class TestTransformCommand:
@@ -203,6 +233,28 @@ class TestTransformCommand:
     @pytest.mark.parametrize(
         "flags",
         [
+            ("--kind", "hankel", "--u-re", "0.3", "--u-im", "0.5", "--v-re", "0.3"),
+            ("--kind", "hankel", "--u-re", "0.3", "--v-re", "0.3", "--v-im=-0.1"),
+            ("--kind", "hankel", "--u-re", "1.5", "--v-re", "0.3"),
+            ("--kind", "dual", "--grid-half", "1.5"),
+            ("--kind", "dual", "--grid-center-re", "nan"),
+            ("--kind", "frft", "--u-re", "0.3", "--v-im", "nan"),
+        ],
+        ids=["hankel_u_im", "hankel_v_im", "hankel_u_outside", "dual_grid_outside",
+             "dual_grid_nan", "frft_v_nan"],
+    )
+    def test_domain_error(self, tmp_path, flags):
+        # a real parameter is never read off a complex flag pair, and no
+        # grid point is dropped or evaluated outside the disk
+        path = write_coeffs(tmp_path / "f.json", 1.0, {(0, 0): 1.0})
+        res = run_cli("transform", "--input", path, *flags)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
             ("--kind", "frft", "--grid-count", "0"),
             ("--kind", "dual", "--grid-count=-1"),
             ("--kind", "hankel", "--u-re", "0.3", "--v-re", "0.3", "--order=-1"),
@@ -244,6 +296,15 @@ class TestCoeffFileRoundTrip:
         res = run_cli("transform", "--kind", "frft", "--input", str(p))
         assert res.returncode == 1
         assert "duplicate" in res.stderr
+
+    @pytest.mark.parametrize("nu", ["NaN", "Infinity", "0", "-1", '"1"'])
+    def test_bad_nu_rejected(self, tmp_path, nu):
+        p = tmp_path / "f.json"
+        p.write_text('{"nu": %s, "coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]}' % nu)
+        res = run_cli("transform", "--kind", "frft", "--input", str(p))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "nu" in res.stderr and len(res.stderr.strip().splitlines()) == 1
 
 
 class TestSpectrumCommand:
@@ -295,7 +356,8 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize(
         "flag",
-        ["--max-m=-1", "--max-n=-1", "--nu=0", "--nu=-1", "--schatten=-1", "--schatten=0"],
+        ["--max-m=-1", "--max-n=-1", "--nu=0", "--nu=-1", "--schatten=-1", "--schatten=0",
+         "--nu=inf", "--nu=nan", "--schatten=nan"],
     )
     def test_invalid_flag(self, tmp_path, flag):
         # a usage error before any computation: exit 2, one line, no file

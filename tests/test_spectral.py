@@ -7,7 +7,6 @@ from scipy.integrate import dblquad
 
 from itofrft.quadrature import bidisk_rule, integrate
 from itofrft.spectral import (
-    BergmanParams,
     KwBracket,
     finite_rank_tail,
     gamma_norm,
@@ -17,16 +16,6 @@ from itofrft.spectral import (
     singular_value,
     spectrum,
 )
-
-
-class TestBergmanParams:
-    def test_regimes(self):
-        assert BergmanParams(1.0, 0.5).bounded_regime
-        assert not BergmanParams(0.0, 1.0).bounded_regime
-        with pytest.raises(ValueError):
-            BergmanParams(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            BergmanParams(0.0, 1.0).require_bounded()
 
 
 class TestGammaNorm:
@@ -48,6 +37,8 @@ class TestGammaNorm:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             gamma_norm(-1.0, 0.0, 0, 0)
+        with pytest.raises(ValueError, match="alpha"):
+            gamma_norm(0.0, -1.0, 0, 0)
 
     def test_broadcasts_over_indices(self):
         ms, ns = np.arange(5)[:, None], np.arange(3)
@@ -98,6 +89,10 @@ class TestSpectrum:
         spec = spectrum(1.0, 1.0, 1.0, 0.5, 2, 2)
         with pytest.raises(ValueError):
             spec.values[0, 0] = 1.0
+
+    def test_requires_bounded_regime(self):
+        with pytest.raises(ValueError, match="alpha"):
+            spectrum(1.0, 0.0, 1.0, 0.0, 2, 2)
 
     def test_decay_along_diagonal(self):
         spec = spectrum(1.0, 1.0, 1.0, 0.8, 40, 40)
