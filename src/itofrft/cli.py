@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import ito_hermite, spectral
-from .kernels import TransformParams, _check_disk, bergman_kernel, frft_kernel, mehler_closed
+from .kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed
 from .transforms import (
     CoeffFunction,
     RadialFunction,
@@ -150,7 +150,6 @@ def cmd_transform(args):
                 val = frft_apply(p, f, xi)
                 records.append({"point": _cnum(xi), "value": _cnum(val)})
     elif args.kind == "dual":
-        _check_disk("dual grid points (u, v)", xs, ys)
         w = _complex(args, "w")
         for uu in xs:
             for vv in ys:

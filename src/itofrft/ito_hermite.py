@@ -6,10 +6,10 @@ stepped a row at a time, which every other evaluation reads from; the
 explicit alternating finite sum is kept in the test suite as an oracle only,
 since it cancels catastrophically for large |z|.
 
-Domain: the scaling nu > 0 is finite, and each index lies in
-[0, DEGREE_CAP].  `_check_nu` and `_check_index` are the one home of these
-rules for the whole package; a value outside, NaN and inf included, raises
-ValueError.
+Domain: the scaling nu > 0 is finite, each index lies in [0, DEGREE_CAP],
+and an evaluation point is finite.  `_check_nu`, `_check_index` and
+`_check_point` are the one home of these rules for the whole package; a
+value outside, NaN and inf included, raises ValueError.
 """
 
 import math
@@ -37,6 +37,16 @@ def _check_index(m, n):
 def _check_nu(nu):
     if not (nu > 0 and math.isfinite(nu)):
         raise ValueError("scaling nu must be finite and positive, got %r" % (nu,))
+
+
+def _check_point(what, *points):
+    """Raise ValueError naming the first non-finite entry of the scalar or
+    array points."""
+    for p in points:
+        finite = np.isfinite(p)
+        if not finite.all():  # not np.all, which costs twice as much at a scalar
+            bad = np.ravel(p)[np.argmin(np.ravel(finite))]
+            raise ValueError("%s must be finite, got %s" % (what, bad))
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,7 @@ def psi_table(nu, z, max_m, max_n):
     _check_nu(nu)
     _check_index(max_m, max_n)
     z = np.asarray(z, dtype=complex)
+    _check_point("psi table point z", z)
     zc = np.conj(z)
     P = np.empty((max_m + 1, max_n + 1) + z.shape, dtype=complex)
     P[0, 0] = math.sqrt(nu / math.pi)

@@ -1,6 +1,6 @@
 """Closed-form and series evaluation of the kernel functions: the complex
-Mehler function, the fractional Fourier kernel, the bi-disk Bergman
-reproducing kernel, and the Gram kernel of the dual transform.
+Mehler function, the fractional Fourier kernel, and the bi-disk Bergman
+reproducing kernel.
 
 All exponentials are computed after assembling the full complex exponent; an
 overflow guard rejects exponents whose real part exceeds 700.  The exponent
@@ -9,8 +9,9 @@ the inputs: the bi-disk rules of `verify` reach |u|, |v| = 0.977-0.999.
 
 Domain: the fractional parameters u, v and the points of the Bergman kernel
 have modulus below 1; `_check_disk` is the one home of that rule for the
-package, and NaN fails it.  nu and the Bergman weights are checked by
-`ito_hermite._check_nu` and `quadrature._check_weights`.
+package, and NaN fails it.  nu and the points of the Mehler function and
+the fractional Fourier kernel are checked by `ito_hermite._check_nu` and
+`_check_point`, the Bergman weights by `quadrature._check_weights`.
 
 The callers that contract a kernel matrix (`transforms.adjoint_apply` and
 `verify._psi_images`) build it block by block through one runner,
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ito_hermite import _check_nu, psi_table
+from .ito_hermite import _check_nu, _check_point, psi_table
 from .quadrature import _check_weights
-from .spectral import gamma_norm
 
 __all__ = [
     "TransformParams",
@@ -37,7 +37,6 @@ __all__ = [
     "mehler_series",
     "frft_kernel",
     "bergman_kernel",
-    "gram_kernel",
 ]
 
 _EXP_GUARD = 700.0
@@ -132,6 +131,7 @@ def mehler_closed(p, z, w):
     (pi/nu) times the fractional Fourier kernel at (conj(z), w), which is how
     it is evaluated; vectorized over ndarray z, w.
     """
+    _check_point("mehler_closed points (z, w)", z, w)
     out = math.pi / p.nu * frft_kernel_raw(p.nu, p.u, p.v, np.conj(z), w)
     return complex(out) if out.ndim == 0 else out
 
@@ -194,6 +194,7 @@ def frft_kernel(p, zeta, xi):
 
     Equals (nu/pi) * mehler_closed(p, conj(zeta), xi).
     """
+    _check_point("frft_kernel points (zeta, xi)", zeta, xi)
     out = frft_kernel_raw(p.nu, p.u, p.v, zeta, xi)
     return complex(out) if np.ndim(out) == 0 else out
 
@@ -215,22 +216,4 @@ def bergman_kernel(alpha, beta, a, b):
         * (1.0 - u * np.conj(z)) ** (alpha + 2.0)
         * (1.0 - v * np.conj(w)) ** (beta + 2.0)
     )
-    return complex(out) if np.ndim(out) == 0 else out
-
-
-def gram_kernel(nu, alpha, beta, w, zeta, z, trunc):
-    """Truncated kernel of the Gram operator (adjoint composed with the dual
-    transform):
-
-        sum_{m,n<=trunc} |c_{m,n}(w)|^2 psi_{m,n}(z) conj(psi_{m,n}(zeta))
-
-    with c_{m,n}(w) = psi_{m,n}(w) gamma_{m,n}^{1/2}; trunc lies in
-    [0, DEGREE_CAP].
-    """
-    pw = np.abs(psi_table(nu, complex(w), trunc, trunc)) ** 2
-    ks = np.arange(trunc + 1)
-    g = gamma_norm(alpha, beta, ks[:, None], ks)
-    pz = psi_table(nu, z, trunc, trunc)
-    pzeta = np.conj(psi_table(nu, zeta, trunc, trunc))
-    out = np.einsum("mn,mn...->...", pw * g, pz * pzeta)
     return complex(out) if np.ndim(out) == 0 else out

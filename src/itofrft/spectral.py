@@ -9,8 +9,9 @@ Domain: the weighted Bergman spaces exist for alpha and beta above -1
 (checked by `quadrature._check_weights`, as in `gamma_norm`); the dual
 transform is bounded, and its singular values, `k_w` constant and tail
 bounds are defined, only for alpha, beta > 0, which `_check_bounded` is
-the one home of.  nu > 0 is finite (`ito_hermite._check_nu`).  A value
-outside, NaN and inf included, raises ValueError.
+the one home of.  nu > 0 is finite (`ito_hermite._check_nu`), and so is the
+point w (`ito_hermite._check_point`).  A value outside, NaN and inf
+included, raises ValueError.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ito_hermite import _check_nu, psi_table
+from .ito_hermite import _check_nu, _check_point, psi_table
 from .quadrature import _check_weights, _unit_jacobi
 from .specfun import scipy_special
 
@@ -26,11 +27,9 @@ __all__ = [
     "Spectrum",
     "KwBracket",
     "gamma_norm",
-    "singular_value",
     "spectrum",
     "schatten_partial",
     "kw_constant",
-    "operator_norm_bound",
     "finite_rank_tail",
 ]
 
@@ -62,12 +61,6 @@ def gamma_norm(alpha, beta, m, n):
     return np.exp(
         2.0 * math.log(math.pi) + _log_ratio(gammaln, alpha, m) + _log_ratio(gammaln, beta, n)
     )
-
-
-def singular_value(nu, alpha, beta, m, n, w):
-    """Singular value s_{m,n}(w) = |psi^nu_{m,n}(w)| gamma_{m,n}^{1/2}; the
-    corner entry of the spectrum over [0, m] x [0, n]."""
-    return spectrum(nu, alpha, beta, w, m, n)[m, n]
 
 
 @dataclass(frozen=True)
@@ -126,9 +119,12 @@ def kw_constant(nu, alpha, beta, w):
     by 2D Gauss-Jacobi quadrature with `KW_DEFAULT_NODES` nodes per axis,
     together with the analytic bracket
     [nu pi / ((alpha+1)(beta+1)),  nu pi e^{nu |w|^2} / (alpha beta)].
+    k_w^{1/2} bounds the operator norm of the dual transform, so it
+    dominates every singular value.
     """
     _check_nu(nu)
     _check_bounded(alpha, beta)
+    _check_point("kw_constant point w", w)
     w2 = abs(complex(w)) ** 2
     s, ws = _unit_jacobi(alpha, KW_DEFAULT_NODES)
     t, wt = _unit_jacobi(beta, KW_DEFAULT_NODES)
@@ -139,12 +135,6 @@ def kw_constant(nu, alpha, beta, w):
     lower = nu * math.pi / ((alpha + 1.0) * (beta + 1.0))
     upper = nu * math.pi * math.exp(nu * w2) / (alpha * beta)
     return KwBracket(value=value, lower=lower, upper=upper)
-
-
-def operator_norm_bound(nu, alpha, beta, w):
-    """Upper bound k_w^{1/2} on the operator norm; no empirical Rayleigh
-    quotient on unit-norm inputs may exceed it."""
-    return math.sqrt(kw_constant(nu, alpha, beta, w).value)
 
 
 def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
@@ -158,6 +148,7 @@ def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
     """
     _check_nu(nu)
     _check_bounded(alpha, beta)
+    _check_point("finite_rank_tail point w", w)
     if not (p_cut >= 0 and q_cut >= 0):
         raise ValueError("cuts must be non-negative")
     first = gamma_norm(alpha, beta, p_cut + 1, q_cut + 1)

@@ -16,7 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .specfun import scipy_special
-from .ito_hermite import _check_index, _check_nu, psi_table
+from .ito_hermite import _check_index, _check_nu, _check_point, psi_table
 from .kernels import _blockwise, _check_disk, frft_kernel_raw
 from .quadrature import _check_rule, _samples, integrate
 from .spectral import gamma_norm
@@ -30,7 +30,6 @@ __all__ = [
     "bergman_norm",
     "hankel_apply",
     "rotational_frft",
-    "angular_coefficients",
     "bargmann2_apply",
 ]
 
@@ -137,10 +136,12 @@ def dual_apply_coeff(nu, w, f, uv):
     """Quadrature-free dual transform of a finite expansion:
     sum a_{m,n} psi_{m,n}(w) u^m v^n.
 
-    (u, v) entries may be scalars or arrays (broadcast elementwise).  The
-    dual transform at (u, v) is the 2D transform with TransformParams(nu, u,
-    v), read at the target w; both evaluate the same eigenrelation sum.
+    (u, v) entries may be scalars or arrays (broadcast elementwise), each in
+    the open unit disk.  The dual transform at (u, v) is the 2D transform
+    with TransformParams(nu, u, v), read at the target w; both evaluate the
+    same eigenrelation sum.
     """
+    _check_disk("dual transform points (u, v)", *uv)
     return _eigen_sum(nu, f, w, uv)
 
 
@@ -162,6 +163,7 @@ def adjoint_apply(nu, w, alpha, beta, g, z, rule):
     _check_rule(rule, "bidisk", alpha=alpha, beta=beta)
     z = np.asarray(z, dtype=complex)
     w = complex(w)
+    _check_point("adjoint_apply points (w, z)", w, z)
     # conj(K) . (weights g) = conj(K . conj(weights g)), one conjugation per point
     weighted = np.conj(rule.weights * _samples(rule, g))
     u, v = rule.nodes[:, 0], rule.nodes[:, 1]
@@ -193,23 +195,30 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
           * integral_0^inf x Psi(x) I_order(2 nu sqrt(uv) x y / (1-uv))
                            e^{-nu (x^2 + uv y^2) / (1-uv)} dx
 
-    via a `HANKEL_NODES`-node Gauss-Laguerre rule in t = nu x^2 / (1-uv),
-    which is accurate when the integrand is smooth in t, as at integer order.
-    Parameters are restricted to real u, v in (0, 1) so that every
-    fractional power is principal and positive; a complex u or v with a
-    nonzero imaginary part raises ValueError.
+    via a `HANKEL_NODES`-node Gauss-Laguerre rule in t = nu x^2 / (1-uv).
+    The rule is accurate when the integrand is smooth in t, as for the
+    profile of an angular mode k at order k, so `order` is one of the
+    paper's modes: a non-negative integer (an integral float such as 2.0 is
+    accepted).  Parameters are restricted to real u, v in (0, 1) so that
+    every fractional power is principal and positive; a complex u or v with
+    a nonzero imaginary part raises ValueError.  y is finite; where y^2
+    overflows double precision the call raises OverflowError.
     """
     _check_nu(nu)
-    if not order >= 0:
-        raise ValueError("order must be >= 0, got %r" % (order,))
+    if not (order >= 0 and math.isfinite(order) and float(order).is_integer()):
+        raise ValueError("order must be a non-negative integer, got %r" % (order,))
     u, v = complex(u), complex(v)
     if not (u.imag == v.imag == 0 and 0.0 < u.real < 1.0 and 0.0 < v.real < 1.0):
         raise ValueError("hankel_apply requires real u, v in (0, 1), got u=%r v=%r" % (u, v))
     u, v = u.real, v.real
+    _check_point("hankel_apply radius y", y)
     if not y >= 0:
         raise ValueError("y must be >= 0, got %r" % (y,))
-    sp = scipy_special()
     ell = nu / (1.0 - u * v)
+    shift = ell * u * v * y * y
+    if not math.isfinite(shift):
+        raise OverflowError("hankel_apply at y=%g overflows double precision" % y)
+    sp = scipy_special()
     t, wt = sp.roots_genlaguerre(HANKEL_NODES, 0.0)
     x = np.sqrt(t / ell)
     b = 2.0 * ell * math.sqrt(u * v) * y
@@ -220,7 +229,7 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
         raise ValueError("non-finite radial sample at x=%g" % x[i])
     # I_order(bx) e^{-ell uv y^2} = ive(order, bx) e^{bx - ell uv y^2}
     bx = b * x
-    factor = sp.ive(order, bx) * np.exp(bx - ell * u * v * y * y)
+    factor = sp.ive(order, bx) * np.exp(bx - shift)
     return (u / v) ** (order / 2.0) * complex(np.dot(wt, samples * factor))
 
 
@@ -229,30 +238,14 @@ def rotational_frft(nu, u, v, k, psi_profile, xi):
     Psi(|zeta|) e^{ik theta}, reduced to the order-k Hankel transform:
 
         (xi/|xi|)^k * H^{nu,k}_{u,v}(Psi)(|xi|).
+
+    k is a non-negative integer, as the order of `hankel_apply`; negative
+    modes follow by conjugation.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0; negative modes follow by conjugation")
     xi = complex(xi)
-    if xi == 0 and k > 0:
-        return 0j
-    radial = hankel_apply(nu, k, u, v, psi_profile, abs(xi))
-    phase = (xi / abs(xi)) ** k if k > 0 else 1.0
-    return phase * radial
-
-
-def angular_coefficients(f, ks, r, n_angular):
-    """Angular Fourier coefficients g_k(r) of a planar function on the circle
-    of radius r, by the uniform angular rule.
-
-    Requires n_angular > 2 max|k| to avoid aliasing.
-    """
-    ks = list(ks)
-    if ks and n_angular <= 2 * max(abs(k) for k in ks):
-        raise ValueError("n_angular must exceed twice the largest |k| requested")
-    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    samples = np.asarray(f(r * np.exp(1j * theta)), dtype=complex)
-    samples = np.broadcast_to(samples, theta.shape)
-    return {k: complex(np.mean(samples * np.exp(-1j * k * theta))) for k in ks}
+    # at xi = 0 the radial part of a mode k > 0 is 0, as I_k(0) = 0
+    phase = (xi / abs(xi)) ** k if k > 0 and xi != 0 else 1.0
+    return phase * hankel_apply(nu, k, u, v, psi_profile, abs(xi))
 
 
 def bargmann2_apply(alpha, beta, phi, zw, rule):

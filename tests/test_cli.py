@@ -13,7 +13,7 @@ import pytest
 from itofrft import cli
 from itofrft.cli import load_coeff_file, save_coeff_file
 from itofrft.ito_hermite import psi
-from itofrft.spectral import schatten_partial, singular_value, spectrum
+from itofrft.spectral import schatten_partial, spectrum
 from itofrft.transforms import CoeffFunction
 
 CLI = [sys.executable, "-m", "itofrft.cli"]
@@ -141,9 +141,11 @@ class TestKernelCommand:
             ("--kind", "bergman", "--z2-re", "nan"),
             ("--kind", "frft", "--nu", "inf"),
             ("--kind", "mehler", "--v-im", "nan"),
+            ("--kind", "frft", "--z-re", "nan"),
+            ("--kind", "mehler", "--w-im", "inf"),
         ],
         ids=["bergman_alpha_nan", "bergman_beta_-2", "bergman_point_nan", "frft_nu_inf",
-             "mehler_v_nan"],
+             "mehler_v_nan", "frft_point_nan", "mehler_point_inf"],
     )
     def test_domain_error(self, flags):
         # one line, never NaN (not JSON) on stdout
@@ -326,9 +328,7 @@ class TestSpectrumCommand:
         summary = json.loads(open(paths["summary"]).read())
         jsonschema.validate(summary, schemas["spectrum_summary"])
         top = summary["top"][0]
-        assert top["s"] == pytest.approx(
-            singular_value(1.0, 1.0, 1.0, top["m"], top["n"], 0.0)
-        )
+        assert top["s"] == pytest.approx(spectrum(1.0, 1.0, 1.0, 0.0, 5, 4)[top["m"], top["n"]])
         assert summary["kw"]["lower"] <= summary["kw"]["value"] <= summary["kw"]["upper"]
         # Hilbert-Schmidt partial sums grow with the cutoff
         parts = summary["schatten_partial"]

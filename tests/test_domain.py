@@ -1,6 +1,7 @@
 """Domain rules: each has one home, every public entry point calls it, and
-NaN, inf and boundary values raise ValueError instead of coming back as NaN
-or as a value for other parameters."""
+NaN, inf and boundary values, of parameters and of evaluation points, raise
+ValueError instead of coming back as NaN or as a value for other
+parameters."""
 
 import math
 import sys
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 
 from itofrft import cli, ito_hermite, kernels, quadrature, spectral
-from itofrft.ito_hermite import null_index_set, psi_table, zero_radii
-from itofrft.kernels import TransformParams, bergman_kernel
+from itofrft.ito_hermite import hermite_ito, null_index_set, psi, psi_table, zero_radii
+from itofrft.kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
 from itofrft.spectral import finite_rank_tail, gamma_norm, kw_constant, schatten_partial, spectrum
 from itofrft.transforms import (
     CoeffFunction,
     adjoint_apply,
     bargmann2_apply,
+    dual_apply_coeff,
     frft_apply,
     hankel_apply,
 )
@@ -27,6 +29,7 @@ PLANE = plane_rule(1.0, 8, 8)
 BIDISK = bidisk_rule(1.0, 1.0, 4, 4)
 QUADRANT = quadrant_rule(1.0, 1.0, 8)
 F = CoeffFunction(1.0, {(1, 0): 1.0})
+P = TransformParams(1.0, 0.2, 0.3)
 
 
 def one(*args):
@@ -90,6 +93,28 @@ BAD_CALLS = [
     case("hankel_apply-u-complex", lambda: hankel_apply(1.0, 0, 0.3 + 0.5j, 0.3, one, 0.5)),
     case("hankel_apply-v-nan", lambda: hankel_apply(1.0, 0, 0.3, NAN, one, 0.5)),
     case("hankel_apply-y-nan", lambda: hankel_apply(1.0, 0, 0.3, 0.3, one, NAN)),
+    case("hankel_apply-y-inf", lambda: hankel_apply(1.0, 0, 0.3, 0.3, one, INF)),
+    # evaluation points: finite
+    case("psi_table-z-nan", lambda: psi_table(1.0, NAN, 2, 2)),
+    case("psi_table-z-inf", lambda: psi_table(1.0, np.array([0.5, complex(0.1, INF)]), 2, 2)),
+    case("psi-z-nan", lambda: psi(1.0, 1, 1, NAN)),
+    case("hermite_ito-z-inf", lambda: hermite_ito(1.0, 1, 0, INF)),
+    case("null_index_set-w-nan", lambda: null_index_set(1.0, NAN, 2, 2, 1e-10)),
+    case("spectrum-w-nan", lambda: spectrum(1.0, 1.0, 1.0, NAN, 2, 2)),
+    case("CoeffFunction-call-nan", lambda: F(NAN)),
+    case("frft_apply-xi-nan", lambda: frft_apply(P, F, NAN)),
+    case("dual_apply_coeff-w-nan", lambda: dual_apply_coeff(1.0, NAN, F, (0.1, 0.2))),
+    case("kw_constant-w-nan", lambda: kw_constant(1.0, 1.0, 1.0, NAN)),
+    case("finite_rank_tail-w-nan", lambda: finite_rank_tail(1.0, 1.0, 1.0, NAN, 2, 2)),
+    case("finite_rank_tail-w-inf", lambda: finite_rank_tail(1.0, 1.0, 1.0, INF, 2, 2)),
+    case("adjoint_apply-w-nan", lambda: adjoint_apply(1.0, NAN, 1.0, 1.0, one, 0.1, BIDISK)),
+    case("adjoint_apply-z-nan",
+         lambda: adjoint_apply(1.0, 0.5, 1.0, 1.0, one, np.array([0.1, NAN]), BIDISK)),
+    case("frft_kernel-xi-nan", lambda: frft_kernel(P, 0.5, NAN)),
+    case("mehler_closed-z-inf", lambda: mehler_closed(P, INF, 0.5)),
+    # the dual transform's points (u, v): open unit disk
+    case("dual_apply_coeff-u-1.5", lambda: dual_apply_coeff(1.0, 0.5, F, (1.5, 0.2))),
+    case("dual_apply_coeff-v-nan", lambda: dual_apply_coeff(1.0, 0.5, F, (0.1, NAN))),
 ]
 
 
@@ -104,6 +129,11 @@ def test_hankel_accepts_real_complex():
     prof = lambda r: np.exp(-r * r)  # noqa: E731
     want = hankel_apply(1.0, 1, 0.3, 0.4, prof, 0.7)
     assert hankel_apply(1.0, 1, 0.3 + 0j, complex(0.4), prof, 0.7) == want
+
+
+def test_point_rule_names_the_first_non_finite_entry():
+    with pytest.raises(ValueError, match=r"psi table point z must be finite, got \(nan\+0j\)"):
+        psi_table(1.0, np.array([0.5, NAN, INF]), 2, 2)
 
 
 # Each rule has one home.  With the home made to raise a sentinel, every
@@ -157,7 +187,17 @@ HOMES = {
         lambda _: TransformParams(1.0, 0.2, 0.3),
         lambda _: bergman_kernel(1.0, 1.0, (0.1, 0.2), (0.3, 0.1)),
         lambda _: bargmann2_apply(1.0, 1.0, one, (0.1, 0.2), QUADRANT),
+        lambda _: dual_apply_coeff(1.0, 0.5, F, (0.1, 0.2)),
         _transform_dual,
+    ],
+    (ito_hermite, "_check_point"): [
+        lambda _: psi_table(1.0, 0.5, 2, 2),
+        lambda _: kw_constant(1.0, 1.0, 1.0, 0.5),
+        lambda _: finite_rank_tail(1.0, 1.0, 1.0, 0.5, 2, 2),
+        lambda _: adjoint_apply(1.0, 0.5, 1.0, 1.0, one, 0.1, BIDISK),
+        lambda _: frft_kernel(P, 0.5, 0.1),
+        lambda _: mehler_closed(P, 0.5, 0.1),
+        lambda _: hankel_apply(1.0, 0, 0.3, 0.3, one, 0.5),
     ],
     (quadrature, "_check_rule"): [
         lambda _: frft_apply(TransformParams(1.0, 0.2, 0.3), F, 0.5, PLANE),

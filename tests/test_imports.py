@@ -1,8 +1,10 @@
-"""scipy, the verify suite and the kernel block runner's thread pool are
+"""The package's public surface is the union of its modules' `__all__`.
+scipy, the verify suite and the kernel block runner's thread pool are
 loaded on first use only: importing the package and the CLI subcommands that
-need only numpy load none of them and start no thread.  Each case runs in a
-fresh interpreter, since this test process has them loaded already."""
+need only numpy load none of them and start no thread.  Each such case runs
+in a fresh interpreter, since this test process has them loaded already."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -11,8 +13,27 @@ import threading
 import numpy as np
 import pytest
 
-from itofrft import kernels, transforms
+import itofrft
+from itofrft import ito_hermite, kernels, quadrature, spectral, transforms
 from itofrft.quadrature import bidisk_rule
+
+MODULES = (ito_hermite, quadrature, kernels, transforms, spectral)
+
+
+def exported():
+    return {name for name, obj in vars(itofrft).items()
+            if not name.startswith("_") and not inspect.ismodule(obj)}
+
+
+def test_exports_are_the_modules_all():
+    assert exported() == {name for mod in MODULES for name in mod.__all__}
+
+
+def test_removed_names_stay_removed():
+    # aliases of another function, or names with no caller but their tests
+    removed = {"singular_value", "operator_norm_bound", "gram_kernel", "angular_coefficients",
+               "hermite_real"}
+    assert not removed & exported()
 
 # runs the CLI commands given as JSON argument lists in one interpreter, then
 # prints which scipy modules, and whether itofrft.verify and

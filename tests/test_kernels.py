@@ -11,7 +11,6 @@ from itofrft.kernels import (
     bergman_kernel,
     frft_kernel,
     frft_kernel_raw,
-    gram_kernel,
     mehler_closed,
     mehler_series,
 )
@@ -174,25 +173,6 @@ class TestBergmanKernel:
     def test_rejects_boundary_points(self):
         with pytest.raises(ValueError):
             bergman_kernel(0.0, 0.0, (1.0, 0.0), (0.0, 0.0))
-
-
-class TestGramKernel:
-    def test_rank_one_truncation(self):
-        # |psi00(w)|^2 = psi00(z) conj(psi00(zeta)) = nu/pi, so the trunc=0
-        # kernel is (nu/pi)^2 gamma_00 everywhere
-        nu, alpha, beta = 1.0, 1.0, 1.0
-        want = (nu / math.pi) ** 2 * gamma_norm(alpha, beta, 0, 0)
-        got = gram_kernel(nu, alpha, beta, 0.4 + 0.2j, -0.6j, 0.9, trunc=0)
-        assert got == pytest.approx(want, rel=1e-14)
-
-    def test_hermitian(self):
-        k1 = gram_kernel(1.0, 1.0, 0.5, 1.0, 0.3 + 0.2j, -0.7j, trunc=8)
-        k2 = gram_kernel(1.0, 1.0, 0.5, 1.0, -0.7j, 0.3 + 0.2j, trunc=8)
-        assert k1 == pytest.approx(np.conj(k2), rel=1e-13)
-
-    def test_rejects_negative_trunc(self):
-        with pytest.raises(ValueError):
-            gram_kernel(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, trunc=-2)
 
 
 class TestBlockwise:

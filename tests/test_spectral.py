@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from itofrft.ito_hermite import psi
 from itofrft.quadrature import bidisk_rule, integrate
 from itofrft.spectral import (
     KwBracket,
     finite_rank_tail,
     gamma_norm,
     kw_constant,
-    operator_norm_bound,
     schatten_partial,
-    singular_value,
     spectrum,
 )
 
@@ -50,17 +49,17 @@ class TestGammaNorm:
 
 
 class TestSingularValue:
+    """Single entries s_{m,n}(w) of `spectrum`."""
+
     def test_base_value(self):
-        assert singular_value(1.0, 1.0, 1.0, 0, 0, 0.0) == pytest.approx(
-            math.sqrt(math.pi) / 2.0
-        )
+        assert spectrum(1.0, 1.0, 1.0, 0.0, 0, 0)[0, 0] == pytest.approx(math.sqrt(math.pi) / 2.0)
 
     def test_vanishes_on_zero_circle(self):
-        assert singular_value(1.0, 1.0, 1.0, 1, 1, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert spectrum(1.0, 1.0, 1.0, 1.0, 1, 1)[1, 1] == pytest.approx(0.0, abs=1e-14)
 
     def test_requires_bounded_regime(self):
         with pytest.raises(ValueError):
-            singular_value(1.0, 0.0, 1.0, 0, 0, 0.0)
+            spectrum(1.0, 0.0, 1.0, 0.0, 0, 0)
 
 
 class TestSpectrum:
@@ -69,9 +68,8 @@ class TestSpectrum:
         assert spec.values.shape == (5, 4)
         for m in range(5):
             for n in range(4):
-                assert spec[m, n] == pytest.approx(
-                    singular_value(1.0, 1.0, 0.5, m, n, 0.7 + 0.2j), rel=1e-12
-                )
+                want = abs(psi(1.0, m, n, 0.7 + 0.2j)) * math.sqrt(gamma_norm(1.0, 0.5, m, n))
+                assert spec[m, n] == pytest.approx(want, rel=1e-12)
 
     def test_box_independence(self):
         # the CLI's Schatten cuts are spectra of their own boxes
@@ -154,8 +152,9 @@ class TestKwConstant:
 
 class TestOperatorNormBound:
     def test_dominates_singular_values(self):
+        # k_w^{1/2} bounds the operator norm of the dual transform
         nu, alpha, beta, w = 1.0, 1.0, 1.0, 0.9 + 0.4j
-        bound = operator_norm_bound(nu, alpha, beta, w)
+        bound = math.sqrt(kw_constant(nu, alpha, beta, w).value)
         spec = spectrum(nu, alpha, beta, w, 12, 12)
         assert float(np.max(spec.values)) <= bound
 

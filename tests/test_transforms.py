@@ -13,7 +13,6 @@ from itofrft.transforms import (
     CoeffFunction,
     RadialFunction,
     adjoint_apply,
-    angular_coefficients,
     bargmann2_apply,
     bergman_norm,
     dual_apply_coeff,
@@ -299,6 +298,19 @@ class TestHankel:
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="non-finite"):
             hankel_apply(1.0, 0.0, 0.3, 0.3, lambda x: 1.0 / (x - x[0]), 1.0)
 
+    @pytest.mark.parametrize("order", [0.5, math.nan, math.inf], ids=["half", "nan", "inf"])
+    def test_order_is_a_nonnegative_integer(self, order):
+        # the Laguerre rule is accurate at the integer orders of the angular
+        # modes (an integral float such as 2.0 is one, see test_zero_profile);
+        # at order 0.5 it was off by 1.8e-4 with no error
+        with pytest.raises(ValueError, match="order"):
+            hankel_apply(1.0, order, 0.3, 0.3, lambda x: x**0.5, 1.0)
+
+    def test_large_radius_overflows(self):
+        # y^2 overflows double precision: an error, not nan+nanj with warnings
+        with np.errstate(all="raise"), pytest.raises(OverflowError):
+            hankel_apply(1.0, 0, 0.3, 0.3, lambda r: r * 0 + 1, 1e308)
+
 
 class TestRotationalFrft:
     def test_zero_point_with_phase(self):
@@ -314,21 +326,9 @@ class TestRotationalFrft:
         with pytest.raises(ValueError):
             rotational_frft(1.0, 0.4, 0.3, -1, lambda r: r, 1.0)
 
-
-class TestAngularCoefficients:
-    def test_single_mode(self):
-        out = angular_coefficients(lambda z: z, [0, 1, 2], r=1.7, n_angular=16)
-        assert out[1] == pytest.approx(1.7, rel=1e-13)
-        assert abs(out[0]) < 1e-14
-        assert abs(out[2]) < 1e-14
-
-    def test_constant(self):
-        out = angular_coefficients(lambda z: 3.0 - 1.0j, [0], r=0.5, n_angular=8)
-        assert out[0] == pytest.approx(3.0 - 1.0j)
-
-    def test_aliasing_guard(self):
-        with pytest.raises(ValueError):
-            angular_coefficients(lambda z: z, [5], r=1.0, n_angular=10)
+    def test_rejects_non_integer_mode(self):
+        with pytest.raises(ValueError, match="order"):
+            rotational_frft(1.0, 0.4, 0.3, 1.5, lambda r: r**1.5, 1.0)
 
 
 class TestBargmann2:
