@@ -158,8 +158,6 @@ def cmd_transform(args):
     else:  # hankel
         prof = RadialFunction.from_coeff(f)
         for y in xs:
-            if y < 0:
-                continue
             val = hankel_apply(f.nu, args.order, u, v, prof, y)
             records.append({"point": {"y": y}, "value": _cnum(val)})
     print(json.dumps(records))

@@ -182,8 +182,12 @@ def frft_kernel_raw(nu, u, v, zeta, xi):
     out += a
     out += p * np.conj(zeta)
     out += q * zeta
-    if np.max(out.real) > _EXP_GUARD:
-        raise OverflowError("kernel exponent real part exceeds %g" % _EXP_GUARD)
+    top = np.max(out.real)
+    if top > _EXP_GUARD:
+        raise OverflowError(
+            "kernel exponent real part %g exceeds %g (checked before quadrature weights)"
+            % (top, _EXP_GUARD)
+        )
     np.exp(out, out=out)
     out *= c / math.pi
     return out

@@ -213,7 +213,7 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     u, v = u.real, v.real
     _check_point("hankel_apply radius y", y)
     if not y >= 0:
-        raise ValueError("y must be >= 0, got %r" % (y,))
+        raise ValueError("y must be >= 0, got %r" % (float(y),))
     ell = nu / (1.0 - u * v)
     shift = ell * u * v * y * y
     if not math.isfinite(shift):

@@ -201,20 +201,48 @@ def check_kernel_autocorrelation(sizes):
     return worst
 
 
+_ORBIT = 16  # angular nodes per disk of the bi-disk rule of `singular_values`
+
+
 def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, sizes):
-    # the norm of each basis image over the bi-disk
+    """Norm of each basis image R_w psi_{m,n} over the bi-disk, by plane
+    quadrature in z and `bidisk_rule(alpha, beta, 8, 16)` in (u, v).
+
+    The sum runs over one node per rotation orbit.  Since uv is unchanged by
+    (u, v) -> (u e^{i phi}, v e^{-i phi}), the kernel obeys
+    K_{u e^{i phi}, v e^{-i phi}}(z; w) = K_{u,v}(z e^{-i phi}; w).  When 16
+    divides `n_angular`, rotating by phi = 2 pi k / 16 permutes the plane
+    nodes, so each image only gains the phase e^{i(m-n) phi} and its modulus
+    is constant on the orbit (phi_u + phi, phi_v - phi) of the bi-disk grid.
+    The u-nodes at angle 0, paired with every v-node, meet each orbit once,
+    and 16 times their tensor weight makes the orbit sum equal the full
+    16-angle bi-disk sum to rounding.  This is algebra on the kernel, not the
+    closed singular-value formula, so the check stays an independent
+    quadrature.  At n_angular = 48, 64 and 80 the two sums agree to 1.4e-15.
+    At an `n_angular` that 16 does not divide they are different quadratures
+    of the same norm, which is exactly rotation-invariant, and their errors
+    against the closed form are of one order (w = 1 and 0.6+0.5i, with
+    n_radial = 64): orbit 6.1e-6, full 4.3e-6 at 20; 1.3e-6 for both at 24;
+    1.9e-2 for both at 8.
+    """
     rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
-    brule = bidisk_rule(alpha, beta, 8, 10)
-    u, v = brule.nodes.T
-    images = _psi_images(nu, rule, max_m, max_n, u, v, w)
-    return np.sqrt((images.real**2 + images.imag**2) @ brule.weights)
+    brule = bidisk_rule(alpha, beta, 8, _ORBIT)
+    u, v = brule.axes  # radius-major: u[::16] is the angle-0 node of each radius
+    weights = _ORBIT * brule.weights.reshape(len(u), len(v))[::_ORBIT]
+    images = _psi_images(nu, rule, max_m, max_n, u[::_ORBIT, None], v[None, :], w)
+    return np.sqrt((images.real**2 + images.imag**2) @ weights.ravel())
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-7)
 def check_singular_values(sizes):
     """Closed singular-value formula against the double-quadrature norm of the
     dual image, at w = 1 on the (1,1) zero circle |w| = 1, where s_(1,1) must
-    vanish, and at the generic point w = 0.6+0.5i off it."""
+    vanish, and at the generic point w = 0.6+0.5i off it.
+
+    The bi-disk sum takes one (u, v) node per rotation orbit, which the
+    kernel's rotation covariance makes equal to the full 16-angle sum when
+    16 divides `n_angular`; at other sizes it is an equally accurate
+    quadrature of the same norm (see `_singular_values_quadrature`)."""
     nu, alpha, beta = 1.0, 1.0, 1.0
     worst = 0.0
     for w in (1.0 + 0.0j, 0.6 + 0.5j):

@@ -238,12 +238,14 @@ class TestTransformCommand:
             ("--kind", "hankel", "--u-re", "0.3", "--u-im", "0.5", "--v-re", "0.3"),
             ("--kind", "hankel", "--u-re", "0.3", "--v-re", "0.3", "--v-im=-0.1"),
             ("--kind", "hankel", "--u-re", "1.5", "--v-re", "0.3"),
+            ("--kind", "hankel", "--u-re", "0.3", "--v-re", "0.3",
+             "--grid-center-re", "0", "--grid-half", "1", "--grid-count", "3"),
             ("--kind", "dual", "--grid-half", "1.5"),
             ("--kind", "dual", "--grid-center-re", "nan"),
             ("--kind", "frft", "--u-re", "0.3", "--v-im", "nan"),
         ],
-        ids=["hankel_u_im", "hankel_v_im", "hankel_u_outside", "dual_grid_outside",
-             "dual_grid_nan", "frft_v_nan"],
+        ids=["hankel_u_im", "hankel_v_im", "hankel_u_outside", "hankel_grid_negative",
+             "dual_grid_outside", "dual_grid_nan", "frft_v_nan"],
     )
     def test_domain_error(self, tmp_path, flags):
         # a real parameter is never read off a complex flag pair, and no

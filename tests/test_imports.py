@@ -91,7 +91,8 @@ def test_numpy_only_commands_never_load_scipy(coeff_file):
     "argv",
     [
         ["hermite", "zeros", "--m", "3", "--n", "2"],
-        ["transform", "--kind", "hankel", "--u-re", "0.3", "--v-re", "0.4", "--order", "1"],
+        ["transform", "--kind", "hankel", "--u-re", "0.3", "--v-re", "0.4", "--order", "1",
+         "--grid-center-re", "0.5"],
     ],
     ids=["hermite_zeros", "transform_hankel"],
 )

@@ -75,7 +75,8 @@ class TestFrftKernel:
 
     def test_overflow_guard(self):
         p = TransformParams(1.0, 0.9, 0.0)
-        with pytest.raises(OverflowError):
+        # the limit is on the bare exponent, before any quadrature weight
+        with pytest.raises(OverflowError, match="before quadrature weights"):
             frft_kernel(p, 30.0, 30.0)
 
 

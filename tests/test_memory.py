@@ -49,9 +49,9 @@ def test_adjoint_apply_memory():
 
 
 def test_singular_values_quadrature_memory():
-    # 32 x 48 plane nodes x 6400 bi-disk nodes: 157 MB for the whole matrix
-    sizes = {"n_radial": 32, "n_angular": 48}
-    assert 32 * 48 * 6400 * 16 > 130 * 2**20
+    # 144 x 64 plane nodes x 1024 bi-disk orbit nodes: 151 MB for the whole matrix
+    sizes = {"n_radial": 144, "n_angular": 64}
+    assert 144 * 64 * 1024 * 16 > 130 * 2**20
     out, peak = traced_peak(
         lambda: _singular_values_quadrature(1.0, 1.0, 1.0, 1.0 + 0j, 4, 4, sizes)
     )

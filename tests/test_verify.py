@@ -5,10 +5,12 @@ import functools
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import itofrft
 import itofrft.verify as verify
+from itofrft.quadrature import bidisk_rule, plane_rule
 from itofrft.verify import DEFAULT_SIZES, INVARIANT_CHECKS, run_checks
 
 INVARIANTS = [fn.__name__.removeprefix("check_") for fn in INVARIANT_CHECKS]
@@ -87,6 +89,34 @@ def test_override_keeps_zero_circle_condition(monkeypatch):
     (res,) = run_checks(names=["singular_values"], sizes=small, tolerances=loose)
     assert res.observed <= res.tolerance
     assert not res.passed
+
+
+@pytest.mark.parametrize("w", [1.0 + 0.0j, 0.6 + 0.5j])
+def test_singular_values_orbit_sum_matches_full_sum(w):
+    # one kernel column per rotation orbit gives the full 16-angle bi-disk sum
+    sizes = {"n_radial": 16, "n_angular": 16}
+    rule = plane_rule(1.0, 16, 16)
+    brule = bidisk_rule(1.0, 1.0, 8, 16)
+    u, v = brule.nodes.T
+    images = verify._psi_images(1.0, rule, 4, 4, u, v, w)
+    full = np.sqrt((images.real**2 + images.imag**2) @ brule.weights)
+    orbit = verify._singular_values_quadrature(1.0, 1.0, 1.0, w, 4, 4, sizes)
+    assert np.max(np.abs(orbit - full)) <= 1e-13
+
+
+def test_singular_values_kernel_work(monkeypatch):
+    # 4096 plane nodes against one (u, v) node per orbit, at each of two w
+    raw, entries = verify.frft_kernel_raw, []
+
+    def counted(*args):
+        out = raw(*args)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(verify, "frft_kernel_raw", counted)
+    (res,) = run_checks(names=["singular_values"])
+    assert res.passed
+    assert 0 < sum(entries) <= 2 * 4096 * 1024
 
 
 @pytest.mark.parametrize(
