@@ -30,10 +30,6 @@ from .transforms import (
 OUT_DIR_ENV = "ITOFRFT_OUT_DIR"
 
 
-class DomainError(Exception):
-    pass
-
-
 def _cnum(z):
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
@@ -52,33 +48,31 @@ def _complex(args, name):
 
 
 def load_coeff_file(path):
-    """Read and validate a CoeffFile JSON document."""
+    """Read and validate a CoeffFile JSON document; raises ValueError on any
+    fault of the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise DomainError("cannot read coefficient file %s: %s" % (path, exc))
+        raise ValueError("cannot read coefficient file %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
-        raise DomainError("coefficient file %s is not valid JSON: %s" % (path, exc))
+        raise ValueError("coefficient file %s is not valid JSON: %s" % (path, exc))
     if not isinstance(doc, dict) or "nu" not in doc or "coeffs" not in doc:
-        raise DomainError("coefficient file must be an object with 'nu' and 'coeffs'")
+        raise ValueError("coefficient file must be an object with 'nu' and 'coeffs'")
     nu = doc["nu"]
     if not isinstance(nu, (int, float)):
-        raise DomainError("'nu' must be a number")
+        raise ValueError("'nu' must be a number")
     coeffs = {}
     for rec in doc["coeffs"]:
         try:
             m, n = int(rec["m"]), int(rec["n"])
             val = complex(float(rec["re"]), float(rec["im"]))
         except (KeyError, TypeError, ValueError):
-            raise DomainError("coefficient records need integer m, n and re, im")
+            raise ValueError("coefficient records need integer m, n and re, im")
         if (m, n) in coeffs:
-            raise DomainError("duplicate coefficient index (%d, %d)" % (m, n))
+            raise ValueError("duplicate coefficient index (%d, %d)" % (m, n))
         coeffs[(m, n)] = val
-    try:
-        return CoeffFunction(nu=float(nu), coeffs=coeffs)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    return CoeffFunction(nu=float(nu), coeffs=coeffs)
 
 
 def save_coeff_file(path, f):
@@ -95,12 +89,6 @@ def save_coeff_file(path, f):
 
 
 def cmd_hermite(args):
-    if min(args.m, args.n, args.max_m, args.max_n) < 0 or not (
-        0 < args.nu < math.inf and args.tol > 0
-    ):
-        print("invalid flag value: indices must be >= 0, nu finite and > 0, tol > 0",
-              file=sys.stderr)
-        return 2
     if args.action == "eval":
         val = ito_hermite.hermite_ito(args.nu, args.m, args.n, _complex(args, "z"))
         print(json.dumps({"value": _cnum(val)}))
@@ -134,12 +122,13 @@ def _axis(center, half, count):
 
 
 def cmd_transform(args):
-    if args.grid_count < 1 or args.order < 0:
-        print("invalid flag value: grid-count must be >= 1, order >= 0", file=sys.stderr)
-        return 2
     f = load_coeff_file(args.input)
     u, v = _complex(args, "u"), _complex(args, "v")
-    xs = _axis(args.grid_center_re, args.grid_half, args.grid_count)
+    center = args.grid_center_re
+    if center is None:
+        # hankel radii start at 0; the frft and dual grids are centred at 0
+        center = args.grid_half if args.kind == "hankel" else 0.0
+    xs = _axis(center, args.grid_half, args.grid_count)
     ys = _axis(args.grid_center_im, args.grid_half, args.grid_count)
     records = []
     if args.kind == "frft":
@@ -165,13 +154,7 @@ def cmd_transform(args):
 
 
 def cmd_spectrum(args):
-    # every check and every computation comes before the first file is written
-    if min(args.max_m, args.max_n) < 0 or not (0 < args.nu < math.inf and args.schatten > 0):
-        print(
-            "invalid flag value: max-m, max-n must be >= 0, nu finite and > 0, schatten > 0",
-            file=sys.stderr,
-        )
-        return 2
+    # every computation comes before the first file is written
     w = _complex(args, "w")
     point = (args.nu, args.alpha, args.beta, w)
     spec = spectral.spectrum(*point, args.max_m, args.max_n)
@@ -211,12 +194,12 @@ def cmd_spectrum(args):
     return 0
 
 
-_CONFIG_KEYS = ("sizes", "tolerances", "checks", "out_dir")
+_CONFIG_KEYS = ("tolerances", "checks", "out_dir")
 
 
 def _config_problem(config):
     """Why the shape of a parsed verify config is wrong, or None.  The
-    sizes, tolerances and check names are `run_checks`'s to validate."""
+    tolerances and check names are `run_checks`'s to validate."""
     if not isinstance(config, dict):
         return "expected a JSON object, got %s" % type(config).__name__
     unknown = sorted(set(config) - set(_CONFIG_KEYS))
@@ -243,7 +226,7 @@ def cmd_verify(args):
             return 2
     problem = _config_problem(config)
     if problem is None:
-        run = [config.get("sizes", {}), config.get("tolerances", {}), config.get("checks")]
+        run = [config.get("tolerances", {}), config.get("checks")]
         try:
             verify._plan(*run)
         except ValueError as exc:
@@ -272,14 +255,37 @@ def cmd_verify(args):
     return 0 if report["passed"] else 3
 
 
+def _flag(convert, ok, rule):
+    """An argparse type: `convert` the text, then require `ok` of the value,
+    so that a bad flag is a usage error (exit 2) before anything runs."""
+
+    def parse(text):
+        val = convert(text)
+        if not ok(val):
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (rule, val))
+        return val
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_INDEX = _flag(int, lambda n: n >= 0, ">= 0")
+_NU = _flag(float, lambda x: 0 < x < math.inf, "finite and > 0")
+_POSITIVE = _flag(float, lambda x: x > 0, "> 0")
+
+
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads a value such as -1e-05 after a flag as a
-    negative number: the negative-number pattern of argparse up to at least
-    Python 3.11 has no exponent form and takes such a value for an option."""
+    """ArgumentParser that reports a usage error in one stderr line, and that
+    reads a value such as -1e-05 after a flag as a negative number: the
+    negative-number pattern of argparse up to at least Python 3.11 has no
+    exponent form and takes such a value for an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
 def build_parser():
@@ -292,18 +298,18 @@ def build_parser():
 
     ph = sub.add_parser("hermite", help="evaluate polynomials, zeros, null sets")
     ph.add_argument("action", choices=["eval", "zeros", "nullset"])
-    ph.add_argument("--nu", type=float, default=1.0)
-    ph.add_argument("--m", type=int, default=0)
-    ph.add_argument("--n", type=int, default=0)
+    ph.add_argument("--nu", type=_NU, default=1.0)
+    ph.add_argument("--m", type=_INDEX, default=0)
+    ph.add_argument("--n", type=_INDEX, default=0)
     _add_complex(ph, "z", "w")
-    ph.add_argument("--max-m", type=int, default=5)
-    ph.add_argument("--max-n", type=int, default=5)
-    ph.add_argument("--tol", type=float, default=1e-10)
+    ph.add_argument("--max-m", type=_INDEX, default=5)
+    ph.add_argument("--max-n", type=_INDEX, default=5)
+    ph.add_argument("--tol", type=_POSITIVE, default=1e-10)
     ph.set_defaults(fn=cmd_hermite)
 
     pk = sub.add_parser("kernel", help="evaluate kernel functions at a point")
     pk.add_argument("--kind", choices=["mehler", "frft", "bergman"], required=True)
-    pk.add_argument("--nu", type=float, default=1.0)
+    pk.add_argument("--nu", type=_NU, default=1.0)
     pk.add_argument("--alpha", type=float, default=1.0)
     pk.add_argument("--beta", type=float, default=1.0)
     _add_complex(pk, "u", "v", "z", "w", "z2", "w2")
@@ -313,19 +319,19 @@ def build_parser():
     pt.add_argument("--kind", choices=["frft", "dual", "hankel"], required=True)
     pt.add_argument("--input", required=True, help="CoeffFile JSON path")
     _add_complex(pt, "u", "v", "w", "grid-center")
-    pt.add_argument("--order", type=int, default=0)
+    pt.add_argument("--order", type=_INDEX, default=0)
     pt.add_argument("--grid-half", type=float, default=0.5)
-    pt.add_argument("--grid-count", type=int, default=3)
-    pt.set_defaults(fn=cmd_transform)
+    pt.add_argument("--grid-count", type=_flag(int, lambda n: n >= 1, ">= 1"), default=3)
+    pt.set_defaults(fn=cmd_transform, grid_center_re=None)
 
     ps = sub.add_parser("spectrum", help="tabulate singular values")
-    ps.add_argument("--nu", type=float, default=1.0)
+    ps.add_argument("--nu", type=_NU, default=1.0)
     ps.add_argument("--alpha", type=float, required=True)
     ps.add_argument("--beta", type=float, required=True)
     _add_complex(ps, "w")
-    ps.add_argument("--max-m", type=int, default=20)
-    ps.add_argument("--max-n", type=int, default=20)
-    ps.add_argument("--schatten", type=float, default=2.0)
+    ps.add_argument("--max-m", type=_INDEX, default=20)
+    ps.add_argument("--max-n", type=_INDEX, default=20)
+    ps.add_argument("--schatten", type=_POSITIVE, default=2.0)
     ps.add_argument("--out-dir", default=".")
     ps.set_defaults(fn=cmd_spectrum)
 
@@ -341,7 +347,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, ValueError, OverflowError, RuntimeError) as exc:
+    except (ValueError, OverflowError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

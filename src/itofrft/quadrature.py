@@ -11,9 +11,10 @@ Every rule bakes the analytic weight of its measure into the weights, so
 Rules are immutable after construction.  `integrate` evaluates f on all nodes
 in one call, so f must accept numpy arrays and broadcast.  A plane rule passes
 its complex node array.  The bidisk and quadrant rules are tensor products and
-keep their two per-axis node arrays in `axes`; `integrate` passes them as an
-(nx, 1) column and a (1, ny) row, so f sees the whole grid by broadcasting and
-computes a factor of one variable (u^m, v^n, a kernel power) once per axis.
+keep their grid only as the two per-axis node arrays in `axes`; `integrate`
+passes them as an (nx, 1) column and a (1, ny) row, so f sees the whole grid
+by broadcasting and computes a factor of one variable (u^m, v^n, a kernel
+power) once per axis.
 
 Domain: the bi-disk and quadrant measures are finite exactly when alpha,
 beta > -1, and the plane measure needs a finite nu > 0.
@@ -40,20 +41,19 @@ DEFAULT_N_ANGULAR = 64
 @dataclass(frozen=True)
 class QuadratureRule:
     kind: str  # plane | bidisk | quadrant
-    nodes: np.ndarray  # (N,) complex for plane, (N, 2) for bidisk/quadrant
+    nodes: np.ndarray | None  # (N,) complex for plane; None for bidisk/quadrant
     weights: np.ndarray  # (N,) real, strictly positive
     params: dict = field(default_factory=dict)
-    # tensor rules: per-axis nodes (x, y), with nodes[i * len(y) + j] = (x_i, y_j)
+    # tensor rules: per-axis nodes (x, y); weights[i * len(y) + j] is (x_i, y_j)'s
     axes: tuple | None = None
 
     def __post_init__(self):
-        if len(self.nodes) != len(self.weights):
+        grid = (self.nodes,) if self.axes is None else self.axes
+        if math.prod(map(len, grid)) != len(self.weights):
             raise ValueError("nodes and weights must have equal length")
-        if self.nodes.ndim == 2 and self.axes is None:
-            raise ValueError("a rule with two node columns is a tensor rule and needs its axes")
         if not np.all(self.weights > 0):
             raise ValueError("all quadrature weights must be strictly positive")
-        for arr in (self.nodes, self.weights, *(self.axes or ())):
+        for arr in (self.weights, *grid):
             arr.setflags(write=False)
 
 
@@ -94,15 +94,8 @@ def _disk_polar(alpha, n_radial, n_angular):
 
 def _tensor(kind, x, wx, y, wy, params):
     # product rule: node pairs (x_i, y_j) in row-major order, weights wx_i wy_j
-    nodes = np.empty((len(x), len(y), 2), dtype=np.result_type(x, y))
-    nodes[:, :, 0] = x[:, None]
-    nodes[:, :, 1] = y
     return QuadratureRule(
-        kind=kind,
-        nodes=nodes.reshape(-1, 2),
-        weights=np.outer(wx, wy).ravel(),
-        params=params,
-        axes=(x, y),
+        kind=kind, nodes=None, weights=np.outer(wx, wy).ravel(), params=params, axes=(x, y)
     )
 
 
@@ -173,10 +166,9 @@ def _samples(rule, f):
     vals = np.broadcast_to(np.asarray(vals, dtype=complex), shape).ravel()
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            "non-finite integrand sample at node %r" % (rule.nodes[i],)
-        )
+        k = int(np.argmax(bad))
+        node = rule.nodes[k] if rule.axes is None else (x[k // len(y)], y[k % len(y)])
+        raise ValueError("non-finite integrand sample at node %r" % (node,))
     return vals
 
 
@@ -187,7 +179,7 @@ def integrate(rule, f):
     and quadrant rules always carry their two axes, and f is called once as
     f(x[:, None], y[None, :]) on them; any result that broadcasts to
     (len(x), len(y)) is accepted (a function of one variable, a constant,
-    the full grid) and read row-major, the order of `rule.nodes`.  f may
+    the full grid) and read row-major, the order of `rule.weights`.  f may
     evaluate the nodes concurrently provided it is itself safe for
     concurrent calls.  Raises ValueError on any non-finite sample, naming
     the offending node.

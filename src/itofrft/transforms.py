@@ -9,6 +9,7 @@ quadrature rule, which then serves as the independent cross-check of the
 exact route.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -166,13 +167,17 @@ def adjoint_apply(nu, w, alpha, beta, g, z, rule):
     _check_point("adjoint_apply points (w, z)", w, z)
     # conj(K) . (weights g) = conj(K . conj(weights g)), one conjugation per point
     weighted = np.conj(rule.weights * _samples(rule, g))
-    u, v = rule.nodes[:, 0], rule.nodes[:, 1]
+    u, v = rule.axes
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=complex)
 
     def contract(s):
-        # one expression, so that each kernel block is freed on return
-        out[s] = np.conj(frft_kernel_raw(nu, u, v, flat[s, None], w) @ weighted)
+        # one expression, so that each kernel block is freed on return; the
+        # (points, len(u), len(v)) block, read row-major, is in weight order
+        out[s] = np.conj(
+            frft_kernel_raw(nu, u[:, None], v, flat[s, None, None], w).reshape(-1, len(weighted))
+            @ weighted
+        )
 
     _blockwise(contract, len(flat), len(weighted))
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
@@ -186,6 +191,16 @@ def bergman_norm(coeffs, alpha, beta):
         if b != 0:
             total += gamma_norm(alpha, beta, m, n) * abs(b) ** 2
     return math.sqrt(total)
+
+
+@functools.cache
+def _hankel_rule():
+    """The `HANKEL_NODES`-node Gauss-Laguerre rule (t, wt) of `hankel_apply`,
+    built on first use and write-protected, since every call shares it."""
+    rule = scipy_special().roots_genlaguerre(HANKEL_NODES, 0.0)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def hankel_apply(nu, order, u, v, psi_profile, y):
@@ -218,8 +233,7 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     shift = ell * u * v * y * y
     if not math.isfinite(shift):
         raise OverflowError("hankel_apply at y=%g overflows double precision" % y)
-    sp = scipy_special()
-    t, wt = sp.roots_genlaguerre(HANKEL_NODES, 0.0)
+    t, wt = _hankel_rule()
     x = np.sqrt(t / ell)
     b = 2.0 * ell * math.sqrt(u * v) * y
     samples = np.asarray(psi_profile(x), dtype=complex)
@@ -229,7 +243,7 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
         raise ValueError("non-finite radial sample at x=%g" % x[i])
     # I_order(bx) e^{-ell uv y^2} = ive(order, bx) e^{bx - ell uv y^2}
     bx = b * x
-    factor = sp.ive(order, bx) * np.exp(bx - shift)
+    factor = scipy_special().ive(order, bx) * np.exp(bx - shift)
     return (u / v) ** (order / 2.0) * complex(np.dot(wt, samples * factor))
 
 

@@ -60,8 +60,6 @@ class CheckResult:
 ACCEPTANCE_CHECKS = []  # the paper's claims, in declaration order
 INVARIANT_CHECKS = []  # module-level invariants, in declaration order
 
-DEFAULT_SIZES = {"n_radial": 64, "n_angular": 64, "quadrant_n": 64}
-
 
 def _name(check):
     return check.__name__.removeprefix("check_")
@@ -70,15 +68,15 @@ def _name(check):
 def _check(group, default):
     """Declare the check defined below: it reports under its function name
     without `check_`, is judged at tolerance `default` unless called with
-    another, and joins `group`.  Its body takes the sizes and returns the
+    another, and joins `group`.  Its body takes no argument and returns the
     observed value, or (observed, detail, side conditions)."""
 
     def declare(body):
         name = _name(body)
 
         @functools.wraps(body)
-        def check(sizes, tolerance=None):
-            out = body(sizes)
+        def check(tolerance=None):
+            out = body()
             observed, detail, side_conditions = out if isinstance(out, tuple) else (out, "", True)
             tol = default if tolerance is None else tolerance
             return CheckResult(name, float(observed), float(tol), detail, bool(side_conditions))
@@ -116,12 +114,12 @@ _UV_PAIRS = [(0.5, 0.5), (0.4j, 0.3), (-0.25, 0.5)]
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-10)
-def check_orthonormality(sizes):
+def check_orthonormality():
     """Gram matrix of the normalized basis under plane quadrature is the
     identity for all indices <= 8 and nu in {0.5, 1, 2}."""
     worst = 0.0
     for nu in (0.5, 1.0, 2.0):
-        rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
+        rule = plane_rule(nu)
         P = psi_table(nu, rule.nodes, 8, 8).reshape(81, -1)
         G = (P * rule.weights) @ P.conj().T
         worst = max(worst, float(np.max(np.abs(G - np.eye(81)))))
@@ -129,7 +127,7 @@ def check_orthonormality(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-9)
-def check_mehler_series_vs_closed(sizes):
+def check_mehler_series_vs_closed():
     """Bilinear psi-series at trunc=80 against (nu/pi) times the closed Mehler
     function, on a 5x5 (z, w) grid with |z|, |w| <= 1.5."""
     z, w = _Z_POINTS[:, None], _Z_POINTS[None, :]
@@ -143,7 +141,7 @@ def check_mehler_series_vs_closed(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-9)
-def check_mehler_classical(sizes):
+def check_mehler_classical():
     """Classical one-variable Mehler identity, series truncated at N=100.
 
     Evaluated in extended precision: near x = -y = 3 the closed form is
@@ -170,11 +168,11 @@ def check_mehler_classical(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-8)
-def check_frft_eigenrelation(sizes):
+def check_frft_eigenrelation():
     """frft_apply(psi_{m,n}) = u^m v^n psi_{m,n} for m, n <= 6 on a 4x4 target
     grid, three parameter points including complex values."""
     nu = 1.0
-    rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
+    rule = plane_rule(nu)
     axis = np.linspace(-1.2, 1.2, 4)
     xis = (axis[:, None] + 1j * axis[None, :]).ravel()
     uv = np.array([(0.3, 0.5), (0.5j, 0.2), (-0.4, 0.4)])
@@ -186,10 +184,10 @@ def check_frft_eigenrelation(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-9)
-def check_kernel_autocorrelation(sizes):
+def check_kernel_autocorrelation():
     """Plane quadrature of |K_{u,v}(z; w)|^2 equals K_{|u|^2,|v|^2}(w; w)."""
     nu = 1.0
-    rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
+    rule = plane_rule(nu)
     worst = 0.0
     for u, v in ((0.6, 0.6), (0.5j, 0.4), (-0.3 + 0.3j, 0.25), (0.2, -0.55j)):
         for w in (0.7, -0.4 + 1.1j):
@@ -204,28 +202,22 @@ def check_kernel_autocorrelation(sizes):
 _ORBIT = 16  # angular nodes per disk of the bi-disk rule of `singular_values`
 
 
-def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, sizes):
-    """Norm of each basis image R_w psi_{m,n} over the bi-disk, by plane
-    quadrature in z and `bidisk_rule(alpha, beta, 8, 16)` in (u, v).
+def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, rule):
+    """Norm of each basis image R_w psi_{m,n} over the bi-disk, by the plane
+    quadrature `rule` in z and `bidisk_rule(alpha, beta, 8, 16)` in (u, v).
 
     The sum runs over one node per rotation orbit.  Since uv is unchanged by
     (u, v) -> (u e^{i phi}, v e^{-i phi}), the kernel obeys
-    K_{u e^{i phi}, v e^{-i phi}}(z; w) = K_{u,v}(z e^{-i phi}; w).  When 16
-    divides `n_angular`, rotating by phi = 2 pi k / 16 permutes the plane
-    nodes, so each image only gains the phase e^{i(m-n) phi} and its modulus
-    is constant on the orbit (phi_u + phi, phi_v - phi) of the bi-disk grid.
-    The u-nodes at angle 0, paired with every v-node, meet each orbit once,
-    and 16 times their tensor weight makes the orbit sum equal the full
-    16-angle bi-disk sum to rounding.  This is algebra on the kernel, not the
-    closed singular-value formula, so the check stays an independent
-    quadrature.  At n_angular = 48, 64 and 80 the two sums agree to 1.4e-15.
-    At an `n_angular` that 16 does not divide they are different quadratures
-    of the same norm, which is exactly rotation-invariant, and their errors
-    against the closed form are of one order (w = 1 and 0.6+0.5i, with
-    n_radial = 64): orbit 6.1e-6, full 4.3e-6 at 20; 1.3e-6 for both at 24;
-    1.9e-2 for both at 8.
+    K_{u e^{i phi}, v e^{-i phi}}(z; w) = K_{u,v}(z e^{-i phi}; w).  Rotating
+    by phi = 2 pi k / 16 permutes the plane nodes, so each image only gains
+    the phase e^{i(m-n) phi} and its modulus is constant on the orbit
+    (phi_u + phi, phi_v - phi) of the bi-disk grid.  The u-nodes at angle 0,
+    paired with every v-node, meet each orbit once, and 16 times their
+    tensor weight makes the orbit sum equal the full 16-angle bi-disk sum to
+    rounding.  This is algebra on the kernel, not the closed singular-value
+    formula, so the check stays an independent quadrature.  It needs 16 to
+    divide the angular count of `rule`, as it does for the default 64.
     """
-    rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
     brule = bidisk_rule(alpha, beta, 8, _ORBIT)
     u, v = brule.axes  # radius-major: u[::16] is the angle-0 node of each radius
     weights = _ORBIT * brule.weights.reshape(len(u), len(v))[::_ORBIT]
@@ -234,20 +226,20 @@ def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-7)
-def check_singular_values(sizes):
+def check_singular_values():
     """Closed singular-value formula against the double-quadrature norm of the
     dual image, at w = 1 on the (1,1) zero circle |w| = 1, where s_(1,1) must
     vanish, and at the generic point w = 0.6+0.5i off it.
 
     The bi-disk sum takes one (u, v) node per rotation orbit, which the
-    kernel's rotation covariance makes equal to the full 16-angle sum when
-    16 divides `n_angular`; at other sizes it is an equally accurate
-    quadrature of the same norm (see `_singular_values_quadrature`)."""
+    kernel's rotation covariance makes equal to the full 16-angle sum (see
+    `_singular_values_quadrature`)."""
     nu, alpha, beta = 1.0, 1.0, 1.0
+    rule = plane_rule(nu)
     worst = 0.0
     for w in (1.0 + 0.0j, 0.6 + 0.5j):
         closed = spectrum(nu, alpha, beta, w, 4, 4).values
-        quad = _singular_values_quadrature(nu, alpha, beta, w, 4, 4, sizes)
+        quad = _singular_values_quadrature(nu, alpha, beta, w, 4, 4, rule)
         worst = max(worst, float(np.max(np.abs(closed - quad))))
         if w == 1.0:
             s11_circle = float(closed[1, 1])
@@ -256,7 +248,7 @@ def check_singular_values(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 0.0)
-def check_schatten_bound(sizes):
+def check_schatten_bound():
     """Every tabulated singular value obeys the Gamma-ratio envelope
     pi e^{nu|w|^2/2} (m! n! G(a+1) G(b+1) / (G(m+a+2) G(n+b+2)))^{1/2}."""
     nu, alpha, beta = 1.0, 1.0, 1.0
@@ -268,7 +260,7 @@ def check_schatten_bound(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-10)
-def check_boundedness_bracket(sizes):
+def check_boundedness_bracket():
     """k_w bracket containment plus empirical Rayleigh quotients below
     k_w^{1/2}, over the full parameter battery."""
     rng = np.random.default_rng(2024)
@@ -297,11 +289,11 @@ def check_boundedness_bracket(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-7)
-def check_hankel_reduction(sizes):
+def check_hankel_reduction():
     """Angular Fourier coefficients of the 2D transform equal the order-k
     Hankel transforms of the input's radial profiles, k in {0, 1, 2}."""
     nu, u, v = 1.0, 0.4, 0.3
-    rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
+    rule = plane_rule(nu)
     profiles = {0: lambda r: 1.0 - r**2, 1: lambda r: r, 2: lambda r: r**2}
     # f = sum_k profile_k(r) e^{ik theta} = (1 - r^2) + z + z^2, weighted
     z = rule.nodes
@@ -321,7 +313,7 @@ def check_hankel_reduction(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-10)
-def check_hankel_fixed_point(sizes):
+def check_hankel_fixed_point():
     """Order-0 Hankel transform of the constant profile is identically 1."""
     worst = 0.0
     for u, v in ((0.4, 0.3), (0.7, 0.2)):
@@ -332,7 +324,7 @@ def check_hankel_fixed_point(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-8)
-def check_bergman_reproducing(sizes):
+def check_bergman_reproducing():
     """Kernel quadrature reproduces the monomial z^2 w^3 at interior points;
     the closed kernel matches its 40x40 basis partial sum at |coords| <= 0.5."""
     worst = 0.0
@@ -359,7 +351,7 @@ def check_bergman_reproducing(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 0.0)
-def check_null_space(sizes):
+def check_null_space():
     """At w = 1, nu = 1 the numerically detected null indices over a 6x6 box
     match the zero-circle prediction, and the dual transform annihilates
     exactly those modes."""
@@ -372,7 +364,7 @@ def check_null_space(sizes):
     }
     detected = null_index_set(nu, w, 5, 5, 1e-10)
     # the modes whose images vanish on a 3x3 (u, v) grid
-    rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
+    rule = plane_rule(nu)
     grid = np.array([0.2, 0.45, 0.7])
     images = _psi_images(nu, rule, 5, 5, grid[:, None], grid, w)
     vanish = np.max(np.abs(images), axis=-1) < 1e-10
@@ -382,7 +374,7 @@ def check_null_space(sizes):
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-3)
-def check_compactness_tail(sizes):
+def check_compactness_tail():
     """Finite-rank tail decreases monotonically and falls below 1e-3 of its
     (2, 2) value by cutoff (20, 20), for alpha = beta = 1."""
     nu, alpha, beta, w = 1.0, 1.0, 1.0, 1.0
@@ -392,7 +384,7 @@ def check_compactness_tail(sizes):
 
 
 @_check(INVARIANT_CHECKS, 1e-12)
-def check_rodrigues_cross_check(sizes):
+def check_rodrigues_cross_check():
     """Recurrence evaluation against the explicit alternating finite sum."""
     nu = 1.3
     zs = [0.4 + 0.9j, -1.2 + 0.3j, 2.0 - 1.0j]
@@ -417,7 +409,7 @@ def check_rodrigues_cross_check(sizes):
 
 
 @_check(INVARIANT_CHECKS, 1e-12)
-def check_conjugate_symmetry(sizes):
+def check_conjugate_symmetry():
     """hermite_ito(m, n, z) is the conjugate of hermite_ito(n, m, z)."""
     nu = 0.8
     axis = np.linspace(-1.0, 1.0, 5)
@@ -429,7 +421,7 @@ def check_conjugate_symmetry(sizes):
 
 
 @_check(INVARIANT_CHECKS, 1e-11)
-def check_laguerre_factorization(sizes):
+def check_laguerre_factorization():
     """For m >= n, H_{m,n} = (-1)^n n! nu^m z^{m-n} L_n^{(m-n)}(nu |z|^2)."""
     nu = 1.0
     zs = np.array([0.5 + 0.5j, -1.1 + 0.2j, 1.7j, 2.0])
@@ -450,7 +442,7 @@ def check_laguerre_factorization(sizes):
 
 
 @_check(INVARIANT_CHECKS, 1e-9)
-def check_zero_radii_consistency(sizes):
+def check_zero_radii_consistency():
     """The polynomial vanishes on every reported zero circle."""
     worst = 0.0
     for nu in (0.5, 2.0):
@@ -467,7 +459,7 @@ def check_zero_radii_consistency(sizes):
 
 
 @_check(INVARIANT_CHECKS, 0.0)
-def check_bessel_monotone(sizes):
+def check_bessel_monotone():
     """I_a(x) > 0 and increasing in x for each fixed order a >= 0, with I_a
     assembled as ive(a, x) e^x the way `hankel_apply` uses it."""
     xs = np.linspace(0.1, 40.0, 60)
@@ -480,12 +472,12 @@ def check_bessel_monotone(sizes):
 
 
 @_check(INVARIANT_CHECKS, 1e-9)
-def check_dual_coeff_vs_quadrature(sizes):
+def check_dual_coeff_vs_quadrature():
     """Coefficient-path dual transform against the quadrature path of
     `frft_apply` on the plane rule.  f is handed to `frft_apply` as a plain
     callable, so that it integrates instead of taking the same exact route."""
     nu, w = 1.0, 0.6 + 0.4j
-    rule = plane_rule(nu, sizes["n_radial"], sizes["n_angular"])
+    rule = plane_rule(nu)
     f = CoeffFunction(
         nu=nu,
         coeffs={(0, 0): 0.5, (2, 1): 1.0 - 0.5j, (1, 3): 0.25j, (4, 0): -0.75},
@@ -499,7 +491,7 @@ def check_dual_coeff_vs_quadrature(sizes):
 
 
 @_check(INVARIANT_CHECKS, 0.0)
-def check_pointwise_estimate(sizes):
+def check_pointwise_estimate():
     """|R_w f(u,v)| <= K_{|u|^2,|v|^2}(w; w)^{1/2} ||f|| for unit-norm f."""
     rng = np.random.default_rng(7)
     nu, w = 1.0, 0.9 - 0.3j
@@ -517,7 +509,7 @@ def check_pointwise_estimate(sizes):
 
 
 @_check(INVARIANT_CHECKS, 1e-8)
-def check_adjoint_identity(sizes):
+def check_adjoint_identity():
     """<R f, g>_{alpha,beta} = <f, R* g>_{L2} on low-degree pairs."""
     nu, w, alpha, beta = 1.0, 0.8, 1.0, 1.0
     prule = plane_rule(nu, 48, 24)
@@ -537,7 +529,7 @@ def check_adjoint_identity(sizes):
 
 
 @_check(INVARIANT_CHECKS, 1e-8)
-def check_parseval_dual_norm(sizes):
+def check_parseval_dual_norm():
     """Bi-disk quadrature norm of the dual image equals the weighted
     coefficient sum sum |a|^2 |psi(w)|^2 gamma, which is `bergman_norm` of
     the image's monomial coefficients a_{m,n} psi_{m,n}(w)."""
@@ -556,11 +548,11 @@ def check_parseval_dual_norm(sizes):
 
 
 @_check(INVARIANT_CHECKS, 1e-8)
-def check_bargmann_laguerre_basis(sizes):
+def check_bargmann_laguerre_basis():
     """Second Bargmann transform maps the Laguerre product basis to
     [G(a+m+1)/m!][G(b+n+1)/n!] z^m w^n."""
     alpha, beta = 0.5, 1.0
-    rule = quadrant_rule(alpha, beta, sizes["quadrant_n"])
+    rule = quadrant_rule(alpha, beta)
     sp = scipy_special()
     gammaln, eval_genlaguerre = sp.gammaln, sp.eval_genlaguerre
     worst = 0.0
@@ -585,32 +577,25 @@ def check_bargmann_laguerre_basis(sizes):
 
 
 @_check(INVARIANT_CHECKS, 1e-10)
-def check_quadrature_selfconvergence(sizes):
+def check_quadrature_selfconvergence():
     """Doubling the radial size changes a smooth integrand by < 1e-10."""
     nu = 1.0
     f = lambda z: np.exp(-0.3 * np.abs(z) ** 2 + 0.2 * z)
-    a = integrate(plane_rule(nu, sizes["n_radial"], sizes["n_angular"]), f)
-    b = integrate(plane_rule(nu, 2 * sizes["n_radial"], sizes["n_angular"]), f)
+    a = integrate(plane_rule(nu), f)
+    b = integrate(plane_rule(nu, 128), f)
     return float(_rel(a, b))
 
 
-def _plan(sizes, tolerances, names):
+def _plan(tolerances, names):
     """The checks a run selects, in list order, each with the tolerance it is
-    judged at (None for its default), and the sizes they read.
+    judged at (None for its default).
 
-    Raises ValueError, before any check runs, on a size that is not a key of
-    `DEFAULT_SIZES` or not an integer >= 8, a tolerance whose key names no
-    check or whose value is not a number > 0, and a name that names no check.
+    Raises ValueError, before any check runs, on a tolerance whose key names
+    no check or whose value is not a number > 0, and on a name that names no
+    check.
     """
     every = ACCEPTANCE_CHECKS + INVARIANT_CHECKS
     known = {_name(fn) for fn in every}
-    if not isinstance(sizes, dict):
-        raise ValueError("'sizes' must be an object")
-    for key, val in sizes.items():
-        if key not in DEFAULT_SIZES:
-            raise ValueError("unknown size %r (allowed: %s)" % (key, ", ".join(DEFAULT_SIZES)))
-        if isinstance(val, bool) or not isinstance(val, int) or val < 8:
-            raise ValueError("size %r must be an integer >= 8, got %r" % (key, val))
     if not isinstance(tolerances, dict):
         raise ValueError("'tolerances' must be an object")
     for key, val in tolerances.items():
@@ -624,27 +609,25 @@ def _plan(sizes, tolerances, names):
         if set(names) - known:
             raise ValueError("unknown check names: %s" % sorted(set(names) - known))
         every = [fn for fn in every if _name(fn) in names]
-    return [(fn, tolerances.get(_name(fn))) for fn in every], dict(DEFAULT_SIZES, **sizes)
+    return [(fn, tolerances.get(_name(fn))) for fn in every]
 
 
-def run_checks(sizes=None, tolerances=None, names=None):
+def run_checks(tolerances=None, names=None):
     """Run the acceptance and invariant checks and return their CheckResults.
 
-    `sizes` overrides entries of `DEFAULT_SIZES`; `tolerances` maps a check
-    name to the tolerance it is judged at, which leaves the check's other
-    conditions in force; `names` restricts the run to the listed checks.  A
-    check's name is the one it reports, its function name without `check_`.
-    Each result records the check's wall time in `wall_s`.  The whole config
-    is validated first: see `_plan` for what raises ValueError.  A
-    ValueError from a running check propagates as it is.
+    Each check builds its quadrature rules at the one size its tolerance was
+    set for.  `tolerances` maps a check name to the tolerance it is judged
+    at, which leaves the check's other conditions in force; `names` restricts
+    the run to the listed checks.  A check's name is the one it reports, its
+    function name without `check_`.  Each result records the check's wall
+    time in `wall_s`.  The whole config is validated first: see `_plan` for
+    what raises ValueError.  A ValueError from a running check propagates as
+    it is.
     """
-    selected, sizes = _plan(
-        {} if sizes is None else sizes, {} if tolerances is None else tolerances, names
-    )
     results = []
-    for fn, tolerance in selected:
+    for fn, tolerance in _plan({} if tolerances is None else tolerances, names):
         start = time.perf_counter()
-        result = fn(sizes, tolerance)
+        result = fn(tolerance)
         result.wall_s = time.perf_counter() - start
         results.append(result)
     return results

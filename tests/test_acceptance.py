@@ -12,15 +12,14 @@ being weakened.
 
 import pytest
 
-from itofrft.verify import ACCEPTANCE_CHECKS, DEFAULT_SIZES
+from itofrft.verify import ACCEPTANCE_CHECKS
 
 CRITERIA = [fn.__name__.removeprefix("check_") for fn in ACCEPTANCE_CHECKS]
 
 
 @pytest.fixture(scope="module")
 def results():
-    sizes = dict(DEFAULT_SIZES)
-    return {name: fn(sizes) for name, fn in zip(CRITERIA, ACCEPTANCE_CHECKS)}
+    return {name: fn() for name, fn in zip(CRITERIA, ACCEPTANCE_CHECKS)}
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)

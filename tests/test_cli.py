@@ -97,8 +97,9 @@ class TestHermiteCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [("eval", "--nu=nan"), ("eval", "--nu=inf"), ("nullset", "--tol=nan")],
-        ids=["eval_nu_nan", "eval_nu_inf", "nullset_tol_nan"],
+        [("eval", "--nu=nan"), ("eval", "--nu=inf"), ("nullset", "--tol=nan"),
+         ("eval", "--nu", "abc")],
+        ids=["eval_nu_nan", "eval_nu_inf", "nullset_tol_nan", "eval_nu_not_a_number"],
     )
     def test_invalid_flag(self, flags):
         res = run_cli("hermite", *flags)
@@ -139,12 +140,11 @@ class TestKernelCommand:
             ("--kind", "bergman", "--alpha", "nan"),
             ("--kind", "bergman", "--beta=-2"),
             ("--kind", "bergman", "--z2-re", "nan"),
-            ("--kind", "frft", "--nu", "inf"),
             ("--kind", "mehler", "--v-im", "nan"),
             ("--kind", "frft", "--z-re", "nan"),
             ("--kind", "mehler", "--w-im", "inf"),
         ],
-        ids=["bergman_alpha_nan", "bergman_beta_-2", "bergman_point_nan", "frft_nu_inf",
+        ids=["bergman_alpha_nan", "bergman_beta_-2", "bergman_point_nan",
              "mehler_v_nan", "frft_point_nan", "mehler_point_inf"],
     )
     def test_domain_error(self, flags):
@@ -153,6 +153,19 @@ class TestKernelCommand:
         assert res.returncode == 1
         assert res.stdout == ""
         assert len(res.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--kind", "frft", "--nu", "inf"), ("--kind", "frft", "--nu", "-1")],
+        ids=["frft_nu_inf", "frft_nu_negative"],
+    )
+    def test_invalid_flag(self, flags):
+        # a bad --nu is a usage error, one line, before any kernel is formed
+        res = run_cli("kernel", *flags)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "--nu" in res.stderr
 
 
 class TestTransformCommand:
@@ -211,6 +224,14 @@ class TestTransformCommand:
         jsonschema.validate(doc, schemas["transform_output"])
         assert doc[0]["point"] == {"y": 1.0}
         assert doc[0]["value"]["re"] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-10)
+
+    def test_hankel_default_grid(self, tmp_path):
+        # with no grid flags the hankel radii start at 0: y = 0, 0.5, 1
+        path = write_coeffs(tmp_path / "f.json", 1.0, {(0, 0): 1.0})
+        res = run_cli("transform", "--kind", "hankel", "--input", path, "--u-re", "0.3", "--v-re", "0.3")
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert [rec["point"] for rec in doc] == [{"y": 0.0}, {"y": 0.5}, {"y": 1.0}]
 
     def test_deterministic_output(self, tmp_path):
         path = write_coeffs(tmp_path / "f.json", 1.0, {(1, 1): 0.5})
@@ -435,9 +456,16 @@ class TestVerifyCommand:
         res = run_cli("verify", "--config", str(tmp_path / "absent.json"))
         assert res.returncode == 2
 
-    def test_bad_sizes(self, tmp_path):
-        cfg = self._config(tmp_path, {"sizes": {"n_radial": 4}})
-        assert run_cli("verify", "--config", cfg).returncode == 2
+    def test_bad_sizes(self, tmp_path, monkeypatch):
+        # every check runs at its one stated size: a sizes key is unknown
+        monkeypatch.setenv("ITOFRFT_OUT_DIR", str(tmp_path))
+        cfg = self._config(tmp_path, {"sizes": {"n_radial": 64}})
+        res = run_cli("verify", "--config", cfg)
+        assert res.returncode == 2
+        assert res.stderr.strip().splitlines() == [
+            "invalid config: unknown keys ['sizes'] (allowed: tolerances, checks, out_dir)"
+        ]
+        assert not (tmp_path / "report.json").exists()
 
     def test_bad_tolerances(self, tmp_path):
         cfg = self._config(tmp_path, {"tolerances": {"orthonormality": 0.0}})

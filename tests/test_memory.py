@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from itofrft import kernels
-from itofrft.quadrature import bidisk_rule
+from itofrft.quadrature import bidisk_rule, plane_rule
 from itofrft.transforms import adjoint_apply
 from itofrft.verify import _singular_values_quadrature
 
@@ -50,10 +50,10 @@ def test_adjoint_apply_memory():
 
 def test_singular_values_quadrature_memory():
     # 144 x 64 plane nodes x 1024 bi-disk orbit nodes: 151 MB for the whole matrix
-    sizes = {"n_radial": 144, "n_angular": 64}
+    rule = plane_rule(1.0, 144, 64)
     assert 144 * 64 * 1024 * 16 > 130 * 2**20
     out, peak = traced_peak(
-        lambda: _singular_values_quadrature(1.0, 1.0, 1.0, 1.0 + 0j, 4, 4, sizes)
+        lambda: _singular_values_quadrature(1.0, 1.0, 1.0, 1.0 + 0j, 4, 4, rule)
     )
     assert out.shape == (5, 5) and np.all(np.isfinite(out))
     assert peak <= LIMIT, "peak %.1f MB" % (peak / 2**20)

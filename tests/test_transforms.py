@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gamma as gamma_fn
 
+from itofrft import transforms
 from itofrft.ito_hermite import psi
 from itofrft.kernels import TransformParams, _block_rows, frft_kernel, frft_kernel_raw
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
+from itofrft.specfun import scipy_special
 from itofrft.spectral import gamma_norm
 from itofrft.transforms import (
+    HANKEL_NODES,
     CoeffFunction,
     RadialFunction,
     adjoint_apply,
@@ -305,6 +308,24 @@ class TestHankel:
         # at order 0.5 it was off by 1.8e-4 with no error
         with pytest.raises(ValueError, match="order"):
             hankel_apply(1.0, order, 0.3, 0.3, lambda x: x**0.5, 1.0)
+
+    def test_rule_built_once(self, monkeypatch):
+        # every call shares one Gauss-Laguerre rule, built on first use
+        sp = scipy_special()
+        build, built = sp.roots_genlaguerre, []
+        monkeypatch.setattr(sp, "roots_genlaguerre", lambda *args: built.append(args) or build(*args))
+        transforms._hankel_rule.cache_clear()
+        try:
+            for y in (0.0, 0.5, 1.0, 2.0):
+                hankel_apply(1.0, 0, 0.3, 0.3, lambda x: np.ones_like(x), y)
+            t, wt = transforms._hankel_rule()
+        finally:
+            transforms._hankel_rule.cache_clear()
+        assert built == [(HANKEL_NODES, 0.0)]
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+        with pytest.raises(ValueError):
+            wt[0] = 0.0
 
     def test_large_radius_overflows(self):
         # y^2 overflows double precision: an error, not nan+nanj with warnings

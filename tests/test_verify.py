@@ -1,5 +1,5 @@
-"""The invariant checks of itofrft.verify, and how checks are selected,
-sized and traced.  The acceptance checks are run by test_acceptance.py."""
+"""The invariant checks of itofrft.verify, and how checks are selected
+and traced.  The acceptance checks are run by test_acceptance.py."""
 
 import functools
 import importlib.util
@@ -11,7 +11,7 @@ import pytest
 import itofrft
 import itofrft.verify as verify
 from itofrft.quadrature import bidisk_rule, plane_rule
-from itofrft.verify import DEFAULT_SIZES, INVARIANT_CHECKS, run_checks
+from itofrft.verify import INVARIANT_CHECKS, run_checks
 
 INVARIANTS = [fn.__name__.removeprefix("check_") for fn in INVARIANT_CHECKS]
 
@@ -24,20 +24,6 @@ def test_invariant(name):
     assert res.passed, "%s: observed %.6e exceeds tolerance %.6e" % (
         name, res.observed, res.tolerance,
     )
-
-
-def test_quadrant_size_reaches_the_rule(monkeypatch):
-    build, built = verify.quadrant_rule, []
-
-    def spy(alpha, beta, n):
-        built.append(n)
-        return build(alpha, beta, n)
-
-    monkeypatch.setattr(verify, "quadrant_rule", spy)
-    assert DEFAULT_SIZES["quadrant_n"] != 40
-    (res,) = run_checks(names=["bargmann_laguerre_basis"], sizes={"quadrant_n": 40})
-    assert built == [40]
-    assert res.passed
 
 
 def test_mehler_check_sums_through_mehler_series(monkeypatch):
@@ -71,9 +57,8 @@ def test_override_keeps_monotone_condition(monkeypatch):
 
 
 def test_override_keeps_zero_circle_condition(monkeypatch):
-    small = {"n_radial": 16, "n_angular": 16}
     loose = {"singular_values": 1.0}
-    (res,) = run_checks(names=["singular_values"], sizes=small, tolerances=loose)
+    (res,) = run_checks(names=["singular_values"], tolerances=loose)
     assert res.passed
 
     spectrum = verify.spectrum
@@ -86,7 +71,7 @@ def test_override_keeps_zero_circle_condition(monkeypatch):
         return type(spec)(params=spec.params, values=values)
 
     monkeypatch.setattr(verify, "spectrum", lifted)
-    (res,) = run_checks(names=["singular_values"], sizes=small, tolerances=loose)
+    (res,) = run_checks(names=["singular_values"], tolerances=loose)
     assert res.observed <= res.tolerance
     assert not res.passed
 
@@ -94,13 +79,13 @@ def test_override_keeps_zero_circle_condition(monkeypatch):
 @pytest.mark.parametrize("w", [1.0 + 0.0j, 0.6 + 0.5j])
 def test_singular_values_orbit_sum_matches_full_sum(w):
     # one kernel column per rotation orbit gives the full 16-angle bi-disk sum
-    sizes = {"n_radial": 16, "n_angular": 16}
     rule = plane_rule(1.0, 16, 16)
     brule = bidisk_rule(1.0, 1.0, 8, 16)
-    u, v = brule.nodes.T
+    x, y = brule.axes
+    u, v = np.repeat(x, len(y)), np.tile(y, len(x))  # every node, in weight order
     images = verify._psi_images(1.0, rule, 4, 4, u, v, w)
     full = np.sqrt((images.real**2 + images.imag**2) @ brule.weights)
-    orbit = verify._singular_values_quadrature(1.0, 1.0, 1.0, w, 4, 4, sizes)
+    orbit = verify._singular_values_quadrature(1.0, 1.0, 1.0, w, 4, 4, rule)
     assert np.max(np.abs(orbit - full)) <= 1e-13
 
 
@@ -122,11 +107,9 @@ def test_singular_values_kernel_work(monkeypatch):
 @pytest.mark.parametrize(
     "config",
     [
-        {"sizes": {"n_radail": 8, "n_angular": 8}},
-        {"sizes": {"n_radial": 8, "n_angular": 3}},
         {"names": ["hankel_fixed_point"], "tolerances": {"hankel_fixed_pont": 1e-30}},
     ],
-    ids=["unknown_size", "size_below_8", "unknown_tolerance"],
+    ids=["unknown_tolerance"],
 )
 def test_malformed_config_rejected_before_any_check(config, monkeypatch):
     ran = []
