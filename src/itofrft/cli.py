@@ -121,6 +121,16 @@ def _axis(center, half, count):
     return np.linspace(center - half, center + half, count)
 
 
+def _hankel_order(f):
+    """The Hankel order of f: the angular mode m - n >= 0 that every
+    coefficient shares, 0 for the empty expansion."""
+    modes = {m - n for m, n in f.coeffs} or {0}
+    if len(modes) > 1 or min(modes) < 0:
+        raise ValueError("--kind hankel needs one mode m - n >= 0 in every coefficient, got %s"
+                         % sorted(modes))
+    return modes.pop()
+
+
 def cmd_transform(args):
     f = load_coeff_file(args.input)
     u, v = _complex(args, "u"), _complex(args, "v")
@@ -145,9 +155,9 @@ def cmd_transform(args):
                 val = dual_apply_coeff(f.nu, w, f, (uu, vv))
                 records.append({"point": {"u": uu, "v": vv}, "value": _cnum(val)})
     else:  # hankel
-        prof = RadialFunction.from_coeff(f)
+        order, prof = _hankel_order(f), RadialFunction.from_coeff(f)
         for y in xs:
-            val = hankel_apply(f.nu, args.order, u, v, prof, y)
+            val = hankel_apply(f.nu, order, u, v, prof, y)
             records.append({"point": {"y": y}, "value": _cnum(val)})
     print(json.dumps(records))
     return 0
@@ -270,7 +280,7 @@ def _flag(convert, ok, rule):
 
 
 _INDEX = _flag(int, lambda n: n >= 0, ">= 0")
-_NU = _flag(float, lambda x: 0 < x < math.inf, "finite and > 0")
+_FINITE_POSITIVE = _flag(float, lambda x: 0 < x < math.inf, "finite and > 0")
 _POSITIVE = _flag(float, lambda x: x > 0, "> 0")
 
 
@@ -298,7 +308,7 @@ def build_parser():
 
     ph = sub.add_parser("hermite", help="evaluate polynomials, zeros, null sets")
     ph.add_argument("action", choices=["eval", "zeros", "nullset"])
-    ph.add_argument("--nu", type=_NU, default=1.0)
+    ph.add_argument("--nu", type=_FINITE_POSITIVE, default=1.0)
     ph.add_argument("--m", type=_INDEX, default=0)
     ph.add_argument("--n", type=_INDEX, default=0)
     _add_complex(ph, "z", "w")
@@ -309,7 +319,7 @@ def build_parser():
 
     pk = sub.add_parser("kernel", help="evaluate kernel functions at a point")
     pk.add_argument("--kind", choices=["mehler", "frft", "bergman"], required=True)
-    pk.add_argument("--nu", type=_NU, default=1.0)
+    pk.add_argument("--nu", type=_FINITE_POSITIVE, default=1.0)
     pk.add_argument("--alpha", type=float, default=1.0)
     pk.add_argument("--beta", type=float, default=1.0)
     _add_complex(pk, "u", "v", "z", "w", "z2", "w2")
@@ -319,19 +329,18 @@ def build_parser():
     pt.add_argument("--kind", choices=["frft", "dual", "hankel"], required=True)
     pt.add_argument("--input", required=True, help="CoeffFile JSON path")
     _add_complex(pt, "u", "v", "w", "grid-center")
-    pt.add_argument("--order", type=_INDEX, default=0)
     pt.add_argument("--grid-half", type=float, default=0.5)
     pt.add_argument("--grid-count", type=_flag(int, lambda n: n >= 1, ">= 1"), default=3)
     pt.set_defaults(fn=cmd_transform, grid_center_re=None)
 
     ps = sub.add_parser("spectrum", help="tabulate singular values")
-    ps.add_argument("--nu", type=_NU, default=1.0)
+    ps.add_argument("--nu", type=_FINITE_POSITIVE, default=1.0)
     ps.add_argument("--alpha", type=float, required=True)
     ps.add_argument("--beta", type=float, required=True)
     _add_complex(ps, "w")
     ps.add_argument("--max-m", type=_INDEX, default=20)
     ps.add_argument("--max-n", type=_INDEX, default=20)
-    ps.add_argument("--schatten", type=_POSITIVE, default=2.0)
+    ps.add_argument("--schatten", type=_FINITE_POSITIVE, default=2.0)
     ps.add_argument("--out-dir", default=".")
     ps.set_defaults(fn=cmd_spectrum)
 

@@ -14,16 +14,13 @@ the fractional Fourier kernel are checked by `ito_hermite._check_nu` and
 `_check_point`, the Bergman weights by `quadrature._check_weights`.
 
 The callers that contract a kernel matrix (`transforms.adjoint_apply` and
-`verify._psi_images`) build it block by block through one runner,
-`_blockwise`.  Blocks are contracted on up to two worker threads, so that one
-block's exponential overlaps the other's exponent assembly and matrix
-product; a core taken by a thread of the BLAS is not given a worker.  At most
-`BLOCK_ENTRIES` kernel entries are in flight across the workers, so memory
-stays bounded whatever the number of nodes.
+`verify._psi_images`) build it block by block over the slices of `_blocks`,
+one block at a time on the calling thread.  Each block holds at most
+`BLOCK_ENTRIES` kernel entries, so memory stays bounded whatever the number
+of nodes.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +38,8 @@ __all__ = [
 
 _EXP_GUARD = 700.0
 
-# kernel entries in flight across all workers of `_blockwise`: 4 MB of complex128
-BLOCK_ENTRIES = 1 << 18
-_MAX_WORKERS = 2
+# kernel entries in one block of `_blocks`: 2 MB of complex128
+BLOCK_ENTRIES = 1 << 17
 
 
 def _check_disk(what, *points):
@@ -69,56 +65,17 @@ class TransformParams:
         _check_disk("fractional parameters u, v", self.u, self.v)
 
 
-def _blas_threads(cores):
-    # threads of the BLAS behind numpy, as its standard variables set them;
-    # unset, OpenBLAS and MKL start one per core
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cores
-
-
-def _workers():
-    """Worker threads of `_blockwise`: one per group of usable cores as large
-    as the BLAS's thread count, since each worker's matrix products may use
-    that many threads; at least one and at most `_MAX_WORKERS`.
-
-    A multi-threaded BLAS keeps its threads spinning for a while after each
-    matrix product, so a worker without cores of its own slows every block
-    instead of overlapping it."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cores = os.cpu_count() or 1
-    return max(1, min(_MAX_WORKERS, cores // _blas_threads(cores)))
-
-
 def _block_rows(width):
-    """Indices in one block of `_blockwise` when each index contributes
-    `width` kernel entries: `_MAX_WORKERS` blocks hold `BLOCK_ENTRIES`."""
-    return max(1, BLOCK_ENTRIES // (_MAX_WORKERS * width))
+    """Indices in one block of `_blocks` when each index contributes `width`
+    kernel entries: a block holds `BLOCK_ENTRIES`, or one index if wider."""
+    return max(1, BLOCK_ENTRIES // width)
 
 
-def _blockwise(fn, count, width):
-    """[fn(s) for s in the consecutive slices of range(count)], each
-    `_block_rows(width)` long but the last.
-
-    The blocks do not depend on the worker count, so neither do the results.
-    With one block or one worker the blocks run inline; otherwise they run
-    on a pool of `_workers()` threads made for this call, so `fn` must be
-    safe for concurrent calls.  An
-    exception from a block propagates, and no thread outlives the call.
-    """
+def _blocks(count, width):
+    """The consecutive slices of range(count), each `_block_rows(width)`
+    long but the last."""
     step = _block_rows(width)
-    blocks = [slice(i, min(i + step, count)) for i in range(0, count, step)]
-    workers = _workers()
-    if len(blocks) <= 1 or workers <= 1:
-        return [fn(s) for s in blocks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, blocks))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def mehler_closed(p, z, w):
@@ -167,6 +124,12 @@ def frft_kernel_raw(nu, u, v, zeta, xi):
 
     The full-size result is assembled, guarded, exponentiated and scaled by
     nu / (pi (1-uv)) in one buffer.
+
+    Rotation covariance: uv and the exponent are unchanged by
+    zeta -> zeta e^{i phi} with (u, v) -> (u e^{i phi}, v e^{-i phi}), so
+    K_{u,v}(zeta e^{i phi}; xi) = K_{u e^{-i phi}, v e^{i phi}}(zeta; xi).
+    The orbit sums of `verify._singular_values_quadrature` and
+    `verify._adjoint_pairing` rest on it.
     """
     zeta = np.asarray(zeta, dtype=complex)
     xi = np.asarray(xi, dtype=complex)

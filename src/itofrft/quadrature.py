@@ -179,9 +179,7 @@ def integrate(rule, f):
     and quadrant rules always carry their two axes, and f is called once as
     f(x[:, None], y[None, :]) on them; any result that broadcasts to
     (len(x), len(y)) is accepted (a function of one variable, a constant,
-    the full grid) and read row-major, the order of `rule.weights`.  f may
-    evaluate the nodes concurrently provided it is itself safe for
-    concurrent calls.  Raises ValueError on any non-finite sample, naming
-    the offending node.
+    the full grid) and read row-major, the order of `rule.weights`.  Raises
+    ValueError on any non-finite sample, naming the offending node.
     """
     return complex(np.dot(rule.weights, _samples(rule, f)))

@@ -97,10 +97,16 @@ def spectrum(nu, alpha, beta, w, max_m, max_n):
 
 
 def schatten_partial(spec, p):
-    """Partial Schatten sum: sum of s_{m,n}^p over the tabulated box."""
-    if not p > 0:
-        raise ValueError("Schatten exponent p must be positive, got %r" % (p,))
-    return float(np.sum(spec.values**p))
+    """Partial Schatten sum: sum of s_{m,n}^p over the tabulated box, for a
+    finite p > 0.  Raises OverflowError where the sum overflows double
+    precision."""
+    if not 0 < p < math.inf:
+        raise ValueError("Schatten exponent p must be finite and positive, got %r" % (p,))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(spec.values**p))
+    if total == math.inf:
+        raise OverflowError("Schatten sum of s^p at p=%r overflows double precision" % (p,))
+    return total
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .specfun import scipy_special
 from .ito_hermite import _check_index, _check_nu, _check_point, psi_table
-from .kernels import _blockwise, _check_disk, frft_kernel_raw
+from .kernels import _blocks, _check_disk, frft_kernel_raw
 from .quadrature import _check_rule, _samples, integrate
 from .spectral import gamma_norm
 
@@ -153,12 +153,12 @@ def adjoint_apply(nu, w, alpha, beta, g, z, rule):
 
     z may be an array: the result has its shape, and a scalar z gives a
     complex number.  g is sampled once on the rule's grid, as `integrate`
-    calls it, and the weighted samples are contracted against conj(K) a
-    block of points of z at a time by `kernels._blockwise`, on up to two
-    threads with at most `BLOCK_ENTRIES` kernel entries in flight, so memory
-    stays bounded for any number of points.  A non-finite sample of g raises
-    ValueError naming the node; an exponent the kernel's overflow guard
-    rejects raises OverflowError.
+    calls it, and the weighted samples are contracted against conj(K) one
+    block of points of z at a time (`kernels._blocks`), with at most
+    `BLOCK_ENTRIES` kernel entries per block, so memory stays bounded for
+    any number of points.  A non-finite sample of g raises ValueError naming
+    the node; an exponent the kernel's overflow guard rejects raises
+    OverflowError.
     """
     _check_nu(nu)
     _check_rule(rule, "bidisk", alpha=alpha, beta=beta)
@@ -170,16 +170,12 @@ def adjoint_apply(nu, w, alpha, beta, g, z, rule):
     u, v = rule.axes
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=complex)
-
-    def contract(s):
-        # one expression, so that each kernel block is freed on return; the
-        # (points, len(u), len(v)) block, read row-major, is in weight order
+    for s in _blocks(len(flat), len(weighted)):
+        # the (points, len(u), len(v)) block, read row-major, is in weight order
         out[s] = np.conj(
             frft_kernel_raw(nu, u[:, None], v, flat[s, None, None], w).reshape(-1, len(weighted))
             @ weighted
         )
-
-    _blockwise(contract, len(flat), len(weighted))
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 

@@ -13,9 +13,9 @@ import numpy as np
 from .specfun import hermite_real, scipy_special
 from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
 from .kernels import (
-    TransformParams, _blockwise, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
+    TransformParams, _blocks, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
 )
-from .quadrature import bidisk_rule, integrate, plane_rule, quadrant_rule
+from .quadrature import _samples, bidisk_rule, integrate, plane_rule, quadrant_rule
 from .spectral import finite_rank_tail, gamma_norm, kw_constant, spectrum
 from .transforms import (
     CoeffFunction,
@@ -96,17 +96,14 @@ def _psi_images(nu, rule, max_m, max_n, u, v, xi):
     """Plane-quadrature transforms of the basis: entry [m, n, j] is the sum
     over the nodes z of w(z) psi_{m,n}(z) K_{u_j, v_j}(z; xi_j), with u, v
     and xi broadcast together and flattened to the index j.  The kernel
-    matrix is formed and contracted a block of columns at a time by
-    `kernels._blockwise`, on up to two threads, with at most `BLOCK_ENTRIES`
-    entries in flight."""
+    matrix is formed and contracted one block of columns at a time
+    (`kernels._blocks`), with at most `BLOCK_ENTRIES` entries per block."""
     u, v, xi = (a.ravel() for a in np.broadcast_arrays(u, v, xi))
     PW = psi_table(nu, rule.nodes, max_m, max_n).reshape(-1, len(rule.nodes)) * rule.weights
-    images = _blockwise(
-        lambda j: PW @ frft_kernel_raw(nu, u[j], v[j], rule.nodes[:, None], xi[j]),
-        len(xi),
-        len(rule.nodes),
-    )
-    return np.concatenate(images, axis=1).reshape(max_m + 1, max_n + 1, -1)
+    images = np.empty((len(PW), len(xi)), dtype=complex)
+    for j in _blocks(len(xi), len(rule.nodes)):
+        images[:, j] = PW @ frft_kernel_raw(nu, u[j], v[j], rule.nodes[:, None], xi[j])
+    return images.reshape(max_m + 1, max_n + 1, -1)
 
 
 _Z_POINTS = np.array([0.3 + 0.2j, -1.0 + 1.1j, 1.5, -0.7 - 1.2j, 0.9j])
@@ -206,17 +203,16 @@ def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, rule):
     """Norm of each basis image R_w psi_{m,n} over the bi-disk, by the plane
     quadrature `rule` in z and `bidisk_rule(alpha, beta, 8, 16)` in (u, v).
 
-    The sum runs over one node per rotation orbit.  Since uv is unchanged by
-    (u, v) -> (u e^{i phi}, v e^{-i phi}), the kernel obeys
-    K_{u e^{i phi}, v e^{-i phi}}(z; w) = K_{u,v}(z e^{-i phi}; w).  Rotating
-    by phi = 2 pi k / 16 permutes the plane nodes, so each image only gains
-    the phase e^{i(m-n) phi} and its modulus is constant on the orbit
-    (phi_u + phi, phi_v - phi) of the bi-disk grid.  The u-nodes at angle 0,
-    paired with every v-node, meet each orbit once, and 16 times their
-    tensor weight makes the orbit sum equal the full 16-angle bi-disk sum to
-    rounding.  This is algebra on the kernel, not the closed singular-value
-    formula, so the check stays an independent quadrature.  It needs 16 to
-    divide the angular count of `rule`, as it does for the default 64.
+    The sum runs over one node per rotation orbit.  By the kernel's rotation
+    covariance (`kernels.frft_kernel_raw`), rotating (u, v) to
+    (u e^{i phi}, v e^{-i phi}) with phi = 2 pi k / 16 permutes the plane
+    nodes, so each image only gains the phase e^{i(m-n) phi} and its modulus
+    is constant on the orbit (phi_u + phi, phi_v - phi) of the bi-disk grid.
+    The u-nodes at angle 0, paired with every v-node, meet each orbit once,
+    and 16 times their tensor weight makes the orbit sum equal the full sum
+    to rounding.  This is algebra on the kernel, not the closed formula, so
+    the check stays an independent quadrature.  It needs 16 to divide the
+    angular count of `rule`, as it does for the default 64.
     """
     brule = bidisk_rule(alpha, beta, 8, _ORBIT)
     u, v = brule.axes  # radius-major: u[::16] is the angle-0 node of each radius
@@ -229,11 +225,8 @@ def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, rule):
 def check_singular_values():
     """Closed singular-value formula against the double-quadrature norm of the
     dual image, at w = 1 on the (1,1) zero circle |w| = 1, where s_(1,1) must
-    vanish, and at the generic point w = 0.6+0.5i off it.
-
-    The bi-disk sum takes one (u, v) node per rotation orbit, which the
-    kernel's rotation covariance makes equal to the full 16-angle sum (see
-    `_singular_values_quadrature`)."""
+    vanish, and at the generic point w = 0.6+0.5i off it.  The bi-disk sum
+    runs over rotation orbits (`_singular_values_quadrature`)."""
     nu, alpha, beta = 1.0, 1.0, 1.0
     rule = plane_rule(nu)
     worst = 0.0
@@ -508,9 +501,43 @@ def check_pointwise_estimate():
     return worst
 
 
+def _adjoint_pairing(nu, w, f, g, prule, brule):
+    """<f, R* g>_{L2}: the sum over the nodes z of the plane rule `prule` of
+    weight(z) f(z) conj(R* g(z)), R* being `adjoint_apply` on `brule`.
+
+    It runs over one plane node per rotation orbit.  With n the angular count
+    of `brule`, which must divide that of `prule`, rotating by
+    phi_k = 2 pi k / n permutes the nodes of both rules, so the kernel's
+    rotation covariance (`kernels.frft_kernel_raw`) gives
+    R* g(zeta e^{i phi_k}) = R* g_k(zeta) with g_k(u, v) = g(u e^{i phi_k}, v e^{-i phi_k}).
+    The plane weights depend on the radius alone, so by linearity the sum is
+    sum_b weight(zeta_b) conj(R* G_b(zeta_b)) over the base nodes zeta_b at
+    the angles below 2 pi / n, with G_b = sum_k conj(f(zeta_b e^{i phi_k})) g_k.
+    """
+    n = brule.params["n_angular"]
+    per, rest = divmod(prule.params["n_angular"], n)  # base angles per radius
+    if rest:
+        raise ValueError("the bi-disk angular count must divide the plane's")
+    # plane node (radius i, angle a + per k) is zeta_(i, a) e^{i phi_k}
+    conj_f = np.conj(f(prule.nodes)).reshape(-1, n, per).transpose(0, 2, 1).reshape(-1, n)
+    base, weights = (a.reshape(-1, n, per)[:, 0].ravel() for a in (prule.nodes, prule.weights))
+    # g_k on the bi-disk grid: the angle index of u moves by +k, that of v by -k
+    u, v = brule.axes
+    samples = _samples(brule, g).reshape(-1, n, len(v) // n, n)
+    rotated = np.array([np.roll(samples, (-k, k), axis=(1, 3)) for k in range(n)])
+    rotated = rotated.reshape(n, len(u), len(v))
+    alpha, beta = brule.params["alpha"], brule.params["beta"]
+    # each G_b, sampled on the grid `adjoint_apply` samples, is formed when its call starts
+    rstar = [adjoint_apply(nu, w, alpha, beta, lambda u, v, G=np.tensordot(c, rotated, 1): G, zb, brule)
+             for c, zb in zip(conj_f, base)]
+    return complex(np.dot(weights, np.conj(rstar)))
+
+
 @_check(INVARIANT_CHECKS, 1e-8)
 def check_adjoint_identity():
-    """<R f, g>_{alpha,beta} = <f, R* g>_{L2} on low-degree pairs."""
+    """<R f, g>_{alpha,beta} = <f, R* g>_{L2} on low-degree pairs.  The
+    right-hand side runs over rotation orbits (`_adjoint_pairing`): 96 of
+    the 1152 plane nodes."""
     nu, w, alpha, beta = 1.0, 0.8, 1.0, 1.0
     prule = plane_rule(nu, 48, 24)
     brule = bidisk_rule(alpha, beta, 12, 12)
@@ -523,9 +550,7 @@ def check_adjoint_identity():
         brule,
         lambda u, v: dual_apply_coeff(nu, w, f, (u, v)) * np.conj(g(u, v)),
     )
-    rstar = adjoint_apply(nu, w, alpha, beta, g, prule.nodes, brule)
-    rhs = complex(np.dot(prule.weights, f(prule.nodes) * np.conj(rstar)))
-    return abs(lhs - rhs)
+    return abs(lhs - _adjoint_pairing(nu, w, f, g, prule, brule))
 
 
 @_check(INVARIANT_CHECKS, 1e-8)

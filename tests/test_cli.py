@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from itofrft import cli
@@ -216,7 +217,7 @@ class TestTransformCommand:
         path = write_coeffs(tmp_path / "f.json", 1.0, {(0, 0): 1.0})
         res = run_cli(
             "transform", "--kind", "hankel", "--input", path,
-            "--u-re", "0.3", "--v-re", "0.3", "--order", "0",
+            "--u-re", "0.3", "--v-re", "0.3",
             "--grid-center-re", "1.0", "--grid-half", "0", "--grid-count", "1",
         )
         assert res.returncode == 0, res.stderr
@@ -224,6 +225,35 @@ class TestTransformCommand:
         jsonschema.validate(doc, schemas["transform_output"])
         assert doc[0]["point"] == {"y": 1.0}
         assert doc[0]["value"]["re"] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-10)
+
+    def test_hankel_order_is_the_input_mode(self, tmp_path):
+        # every coefficient has m - n = 1, so the order is 1, and at real
+        # y > 0 the reduction equals the 2D transform at xi = y
+        path = write_coeffs(tmp_path / "f.json", 1.0, {(1, 0): 1.0, (2, 1): 0.5j})
+        grid = ("--u-re", "0.3", "--v-re", "0.3", "--grid-center-re", "0.75",
+                "--grid-half", "0.25", "--grid-count", "3")
+        hankel = run_cli("transform", "--kind", "hankel", "--input", path, *grid)
+        assert hankel.returncode == 0, hankel.stderr
+        frft = run_cli("transform", "--kind", "frft", "--input", path, *grid)
+        assert frft.returncode == 0, frft.stderr
+        got = [complex(r["value"]["re"], r["value"]["im"]) for r in json.loads(hankel.stdout)]
+        want = [complex(r["value"]["re"], r["value"]["im"]) for r in json.loads(frft.stdout)
+                if r["point"]["im"] == 0.0]
+        assert [r["point"]["y"] for r in json.loads(hankel.stdout)] == [0.5, 0.75, 1.0]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [{(1, 0): 1.0, (0, 0): 1.0}, {(0, 1): 1.0}],
+        ids=["hankel_two_modes", "hankel_negative_mode"],
+    )
+    def test_hankel_needs_one_mode(self, tmp_path, coeffs):
+        path = write_coeffs(tmp_path / "f.json", 1.0, coeffs)
+        res = run_cli("transform", "--kind", "hankel", "--input", path, "--u-re", "0.3", "--v-re", "0.3")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "m - n" in res.stderr
 
     def test_hankel_default_grid(self, tmp_path):
         # with no grid flags the hankel radii start at 0: y = 0, 0.5, 1
@@ -282,9 +312,8 @@ class TestTransformCommand:
         [
             ("--kind", "frft", "--grid-count", "0"),
             ("--kind", "dual", "--grid-count=-1"),
-            ("--kind", "hankel", "--u-re", "0.3", "--v-re", "0.3", "--order=-1"),
         ],
-        ids=["grid_count_0", "grid_count_negative", "order_negative"],
+        ids=["grid_count_0", "grid_count_negative"],
     )
     def test_invalid_flag(self, tmp_path, flags):
         # rejected before the input is read: the file does not exist
@@ -380,7 +409,7 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize(
         "flag",
         ["--max-m=-1", "--max-n=-1", "--nu=0", "--nu=-1", "--schatten=-1", "--schatten=0",
-         "--nu=inf", "--nu=nan", "--schatten=nan"],
+         "--nu=inf", "--nu=nan", "--schatten=nan", "--schatten=inf"],
     )
     def test_invalid_flag(self, tmp_path, flag):
         # a usage error before any computation: exit 2, one line, no file
@@ -390,6 +419,20 @@ class TestSpectrumCommand:
         assert res.stdout == ""
         assert len(res.stderr.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_schatten_overflow(self, tmp_path):
+        # s^2000 overflows at w = 3: exit 1 with one line (no warning), and
+        # no file is written
+        out = tmp_path / "out"
+        res = run_cli_process(
+            "spectrum", "--alpha", "1", "--beta", "1", "--max-m", "3", "--max-n", "3",
+            "--w-re", "3", "--schatten", "2000", "--out-dir", str(out),
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert "overflows" in res.stderr
+        assert not (out / "summary.json").exists() and not (out / "spectrum.csv").exists()
 
     def test_failure_leaves_earlier_files(self, tmp_path, monkeypatch):
         # a run that fails after the table is computed writes neither file,

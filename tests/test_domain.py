@@ -89,6 +89,8 @@ BAD_CALLS = [
     case("null_index_set-tol-0", lambda: null_index_set(1.0, 0.5, 2, 2, 0.0)),
     case("schatten_partial-p-nan",
          lambda: schatten_partial(spectrum(1.0, 1.0, 1.0, 0.5, 2, 2), NAN)),
+    case("schatten_partial-p-inf",
+         lambda: schatten_partial(spectrum(1.0, 1.0, 1.0, 0.5, 2, 2), INF)),
     # hankel parameters: real u, v in (0, 1), y >= 0
     case("hankel_apply-u-complex", lambda: hankel_apply(1.0, 0, 0.3 + 0.5j, 0.3, one, 0.5)),
     case("hankel_apply-v-nan", lambda: hankel_apply(1.0, 0, 0.3, NAN, one, 0.5)),

@@ -7,7 +7,7 @@ from itofrft import kernels
 from itofrft.kernels import (
     TransformParams,
     _block_rows,
-    _blockwise,
+    _blocks,
     bergman_kernel,
     frft_kernel,
     frft_kernel_raw,
@@ -177,66 +177,50 @@ class TestBergmanKernel:
 
 
 class TestBlockwise:
-    """The one block runner behind `adjoint_apply` and `_psi_images`: its
-    blocks do not depend on the worker count, so neither do the results."""
+    """The one block splitter behind `adjoint_apply` and `_psi_images`: the
+    blocks run in order on the calling thread, and the results of many
+    blocks match those of one."""
 
     def test_slices_in_order(self):
-        width = kernels.BLOCK_ENTRIES // 6  # three indices per block
+        width = kernels.BLOCK_ENTRIES // 3  # three indices per block
         assert _block_rows(width) == 3
-        assert _blockwise(lambda s: (s.start, s.stop), 8, width) == [(0, 3), (3, 6), (6, 8)]
-        assert _blockwise(lambda s: s, 0, width) == []
+        assert _blocks(8, width) == [slice(0, 3), slice(3, 6), slice(6, 8)]
+        assert _blocks(0, width) == []
+        assert _block_rows(2 * kernels.BLOCK_ENTRIES) == 1  # a wide index is a block alone
 
-    @pytest.mark.parametrize(
-        "cores,env,workers",
-        [
-            (2, {}, 1),  # an unpinned BLAS starts a thread per core
-            (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
-            (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
-            (8, {"OMP_NUM_THREADS": "4"}, 2),
-            (4, {"MKL_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
-            (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
-        ],
-    )
-    def test_workers_leave_the_blas_threads_their_cores(self, cores, env, workers, monkeypatch):
-        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(cores)))
-        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert kernels._workers() == workers
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_adjoint_apply_bit_identical(self, workers, monkeypatch):
-        nu, w, alpha, beta = 1.0, 0.7 - 0.2j, 1.0, 0.5
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_adjoint_apply_bit_identical(self, nu, monkeypatch):
+        w, alpha, beta = 0.7 - 0.2j, 1.0, 0.5
         brule = bidisk_rule(alpha, beta, 8, 8)
         g = lambda u, v: 1.0 + u * np.conj(v) - 0.5j * v**2
         zs = np.linspace(-1.5, 1.5, 300) + 0.4j
-        # several blocks of points, the last one partial
-        per_block = _block_rows(len(brule.weights))
-        assert zs.size > 2 * per_block and zs.size % per_block
-        monkeypatch.setattr(kernels, "_workers", lambda: 1)
-        serial = adjoint_apply(nu, w, alpha, beta, g, zs, brule)
-        monkeypatch.setattr(kernels, "_workers", lambda: workers)
-        np.testing.assert_array_equal(adjoint_apply(nu, w, alpha, beta, g, zs, brule), serial)
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", zs.size * len(brule.weights))
+        assert len(_blocks(zs.size, len(brule.weights))) == 1
+        whole = adjoint_apply(nu, w, alpha, beta, g, zs, brule)
+        # blocks of 7 points, the last one partial: each point is a row of
+        # one matrix-vector product, whose rounding the blocks do not change
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7 * len(brule.weights))
+        assert len(_blocks(zs.size, len(brule.weights))) == 43
+        np.testing.assert_array_equal(adjoint_apply(nu, w, alpha, beta, g, zs, brule), whole)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_psi_images_bit_identical(self, workers, monkeypatch):
+    def test_psi_images_blocks_match_one_block(self, monkeypatch):
         nu = 1.0
         rule = plane_rule(nu, 16, 16)
         rng = np.random.default_rng(5)
         u, v = 0.4 * rng.standard_normal((2, 1100)) + 0.3j * rng.standard_normal((2, 1100))
         xi = rng.standard_normal(1100) + 1j * rng.standard_normal(1100)
-        # several blocks of columns, the last one partial
-        per_block = _block_rows(len(rule.nodes))
-        assert xi.size > 2 * per_block and xi.size % per_block
-        monkeypatch.setattr(kernels, "_workers", lambda: 1)
-        serial = _psi_images(nu, rule, 3, 2, u, v, xi)
-        assert serial.shape == (4, 3, 1100)
-        monkeypatch.setattr(kernels, "_workers", lambda: workers)
-        np.testing.assert_array_equal(_psi_images(nu, rule, 3, 2, u, v, xi), serial)
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", xi.size * len(rule.nodes))
+        whole = _psi_images(nu, rule, 3, 2, u, v, xi)
+        assert whole.shape == (4, 3, 1100)
+        # blocks of 7 columns, the last one partial.  The BLAS rounds a
+        # matrix product by how many columns it has, so the images agree to
+        # a few ulps of the largest entry, not bit for bit
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7 * len(rule.nodes))
+        assert len(_blocks(xi.size, len(rule.nodes))) == 158
+        got = _psi_images(nu, rule, 3, 2, u, v, xi)
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-13 * np.max(np.abs(whole)))
 
-    def test_overflow_in_worker_block_propagates(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_workers", lambda: 2)
+    def test_overflow_in_a_later_block_propagates(self):
         brule = bidisk_rule(1.0, 1.0, 8, 8)
         zs = np.full(100, 0.3 + 0.1j)
         zs[-1] = 200.0  # exponent ~ 0.4 |z|^2 in the last, partial, block

@@ -1,30 +1,21 @@
 """Traced peak memory of the blocked kernel paths.
 
 Each path contracts a kernel matrix that, built whole, would need well over
-130 MB.  `kernels._blockwise` builds it a block at a time on up to two worker
-threads, with at most `BLOCK_ENTRIES` entries in flight across them, so the
-peak stays far below 64 MB.  The tests run the blocks on two workers, the
-most in flight.  numpy's array buffers are allocated through the traced
-allocator, and tracemalloc traces every thread, so the workers' blocks are
-counted.
+130 MB.  `kernels._blocks` splits it into blocks of at most `BLOCK_ENTRIES`
+entries, contracted one at a time, so the peak stays far below 64 MB.
+numpy's array buffers are allocated through the traced allocator, so the
+blocks are counted.
 """
 
 import tracemalloc
 
 import numpy as np
-import pytest
 
-from itofrft import kernels
 from itofrft.quadrature import bidisk_rule, plane_rule
 from itofrft.transforms import adjoint_apply
-from itofrft.verify import _singular_values_quadrature
+from itofrft.verify import _singular_values_quadrature, check_adjoint_identity
 
 LIMIT = 64 * 2**20
-
-
-@pytest.fixture(autouse=True)
-def two_workers(monkeypatch):
-    monkeypatch.setattr(kernels, "_workers", lambda: 2)
 
 
 def traced_peak(fn):
@@ -57,3 +48,10 @@ def test_singular_values_quadrature_memory():
     )
     assert out.shape == (5, 5) and np.all(np.isfinite(out))
     assert peak <= LIMIT, "peak %.1f MB" % (peak / 2**20)
+
+
+def test_adjoint_identity_memory():
+    # its 96 orbit sums of g, formed together, would take 96 x 20736 x 16 B = 32 MB
+    res, peak = traced_peak(check_adjoint_identity)
+    assert res.passed
+    assert peak <= 16 * 2**20, "peak %.1f MB" % (peak / 2**20)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -118,6 +119,15 @@ class TestSchatten:
         spec = spectrum(1.0, 1.0, 1.0, 0.6, 2, 2)
         with pytest.raises(ValueError):
             schatten_partial(spec, 0.0)
+
+    def test_overflow_raises_without_warning(self):
+        # s_(0,0) = 10.6 at w = 3, so s^2000 overflows; the sum is never inf
+        spec = spectrum(1.0, 1.0, 1.0, 3.0, 3, 3)
+        assert schatten_partial(spec, 200.0) < math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows"):
+                schatten_partial(spec, 2000.0)
 
 
 class TestKwConstant:

@@ -10,6 +10,7 @@ import pytest
 
 import itofrft
 import itofrft.verify as verify
+from itofrft import transforms
 from itofrft.quadrature import bidisk_rule, plane_rule
 from itofrft.verify import INVARIANT_CHECKS, run_checks
 
@@ -102,6 +103,47 @@ def test_singular_values_kernel_work(monkeypatch):
     (res,) = run_checks(names=["singular_values"])
     assert res.passed
     assert 0 < sum(entries) <= 2 * 4096 * 1024
+
+
+def _adjoint_pair():
+    f = transforms.CoeffFunction(nu=1.0, coeffs={(0, 0): 1.0, (1, 2): 0.5 - 0.25j, (3, 0): 0.3j})
+
+    def g(u, v):  # no rotation symmetry in (u, v)
+        return u * np.conj(u) + 0.5 * v**2 - 0.25j * u + u * v**3
+
+    return f, g
+
+
+def test_adjoint_pairing_orbit_sum_matches_full_sum():
+    # one plane node per rotation orbit gives the sum over every plane node
+    prule, brule = plane_rule(1.0, 8, 12), bidisk_rule(1.0, 1.0, 4, 6)
+    f, g = _adjoint_pair()
+    rstar = transforms.adjoint_apply(1.0, 0.8, 1.0, 1.0, g, prule.nodes, brule)
+    full = complex(np.dot(prule.weights, f(prule.nodes) * np.conj(rstar)))
+    orbit = verify._adjoint_pairing(1.0, 0.8, f, g, prule, brule)
+    assert abs(orbit - full) <= 1e-13
+
+
+def test_adjoint_pairing_needs_dividing_angles():
+    f, g = _adjoint_pair()
+    with pytest.raises(ValueError, match="divide"):
+        verify._adjoint_pairing(1.0, 0.8, f, g, plane_rule(1.0, 8, 12), bidisk_rule(1.0, 1.0, 4, 5))
+
+
+def test_adjoint_identity_kernel_work(monkeypatch):
+    # 96 base plane nodes, each against the 12 x 12 per-disk bi-disk grid
+    raw, entries = transforms.frft_kernel_raw, []
+
+    def counted(*args):
+        out = raw(*args)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(transforms, "frft_kernel_raw", counted)
+    monkeypatch.setattr(verify, "frft_kernel_raw", counted)
+    (res,) = run_checks(names=["adjoint_identity"])
+    assert res.passed
+    assert 0 < sum(entries) <= 96 * 144**2
 
 
 @pytest.mark.parametrize(
