@@ -220,6 +220,21 @@ class TestBlockwise:
         got = _psi_images(nu, rule, 3, 2, u, v, xi)
         np.testing.assert_allclose(got, whole, rtol=0, atol=1e-13 * np.max(np.abs(whole)))
 
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_psi_images_bit_identical(self, nu, monkeypatch):
+        rule = plane_rule(nu, 16, 16)
+        rng = np.random.default_rng(7)
+        u, v = 0.4 * rng.standard_normal((2, 300)) + 0.3j * rng.standard_normal((2, 300))
+        xi = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        # blocks of 7 columns, the last one partial: each block's images are
+        # those of its own columns alone, in place and bit for bit
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7 * len(rule.nodes))
+        blocks = _blocks(xi.size, len(rule.nodes))
+        assert len(blocks) == 43 and blocks[-1].stop - blocks[-1].start == 6
+        got = _psi_images(nu, rule, 3, 2, u, v, xi)
+        for j in blocks:
+            np.testing.assert_array_equal(got[..., j], _psi_images(nu, rule, 3, 2, u[j], v[j], xi[j]))
+
     def test_overflow_in_a_later_block_propagates(self):
         brule = bidisk_rule(1.0, 1.0, 8, 8)
         zs = np.full(100, 0.3 + 0.1j)
