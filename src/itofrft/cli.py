@@ -19,13 +19,7 @@ import numpy as np
 
 from . import ito_hermite, spectral
 from .kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed
-from .transforms import (
-    CoeffFunction,
-    RadialFunction,
-    dual_apply_coeff,
-    frft_apply,
-    hankel_apply,
-)
+from .transforms import CoeffFunction, dual_apply_coeff, frft_apply, hankel_apply
 
 OUT_DIR_ENV = "ITOFRFT_OUT_DIR"
 
@@ -75,19 +69,6 @@ def load_coeff_file(path):
     return CoeffFunction(nu=float(nu), coeffs=coeffs)
 
 
-def save_coeff_file(path, f):
-    doc = {
-        "nu": f.nu,
-        "coeffs": [
-            {"m": m, "n": n, "re": a.real, "im": a.imag}
-            for (m, n), a in sorted(f.coeffs.items())
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def cmd_hermite(args):
     if args.action == "eval":
         val = ito_hermite.hermite_ito(args.nu, args.m, args.n, _complex(args, "z"))
@@ -118,7 +99,9 @@ def cmd_kernel(args):
 def _axis(center, half, count):
     if count == 1:
         return np.array([center])
-    return np.linspace(center - half, center + half, count)
+    # an axis beyond double precision holds inf or NaN, for the library to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(center - half, center + half, count)
 
 
 def _hankel_order(f):
@@ -140,25 +123,19 @@ def cmd_transform(args):
         center = args.grid_half if args.kind == "hankel" else 0.0
     xs = _axis(center, args.grid_half, args.grid_count)
     ys = _axis(args.grid_center_im, args.grid_half, args.grid_count)
-    records = []
+    # one library call over each whole grid, x (or u) down the rows
     if args.kind == "frft":
-        p = TransformParams(f.nu, u, v)
-        for xr in xs:
-            for xi_im in ys:
-                xi = complex(xr, xi_im)
-                val = frft_apply(p, f, xi)
-                records.append({"point": _cnum(xi), "value": _cnum(val)})
+        xis = np.empty((len(xs), len(ys)), dtype=complex)
+        xis.real, xis.imag = xs[:, None], ys
+        vals = frft_apply(TransformParams(f.nu, u, v), f, xis)
+        points = [_cnum(xi) for xi in xis.ravel()]
     elif args.kind == "dual":
-        w = _complex(args, "w")
-        for uu in xs:
-            for vv in ys:
-                val = dual_apply_coeff(f.nu, w, f, (uu, vv))
-                records.append({"point": {"u": uu, "v": vv}, "value": _cnum(val)})
+        vals = dual_apply_coeff(f.nu, _complex(args, "w"), f, (xs[:, None], ys))
+        points = [{"u": uu, "v": vv} for uu in xs for vv in ys]
     else:  # hankel
-        order, prof = _hankel_order(f), RadialFunction.from_coeff(f)
-        for y in xs:
-            val = hankel_apply(f.nu, order, u, v, prof, y)
-            records.append({"point": {"y": y}, "value": _cnum(val)})
+        vals = hankel_apply(f.nu, _hankel_order(f), u, v, f, xs)
+        points = [{"y": y} for y in xs]
+    records = [{"point": pt, "value": _cnum(val)} for pt, val in zip(points, vals.ravel())]
     print(json.dumps(records))
     return 0
 
@@ -281,7 +258,7 @@ def _flag(convert, ok, rule):
 
 _INDEX = _flag(int, lambda n: n >= 0, ">= 0")
 _FINITE_POSITIVE = _flag(float, lambda x: 0 < x < math.inf, "finite and > 0")
-_POSITIVE = _flag(float, lambda x: x > 0, "> 0")
+_FINITE_NONNEGATIVE = _flag(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,7 +291,7 @@ def build_parser():
     _add_complex(ph, "z", "w")
     ph.add_argument("--max-m", type=_INDEX, default=5)
     ph.add_argument("--max-n", type=_INDEX, default=5)
-    ph.add_argument("--tol", type=_POSITIVE, default=1e-10)
+    ph.add_argument("--tol", type=_FINITE_POSITIVE, default=1e-10)
     ph.set_defaults(fn=cmd_hermite)
 
     pk = sub.add_parser("kernel", help="evaluate kernel functions at a point")
@@ -329,7 +306,7 @@ def build_parser():
     pt.add_argument("--kind", choices=["frft", "dual", "hankel"], required=True)
     pt.add_argument("--input", required=True, help="CoeffFile JSON path")
     _add_complex(pt, "u", "v", "w", "grid-center")
-    pt.add_argument("--grid-half", type=float, default=0.5)
+    pt.add_argument("--grid-half", type=_FINITE_NONNEGATIVE, default=0.5)
     pt.add_argument("--grid-count", type=_flag(int, lambda n: n >= 1, ">= 1"), default=3)
     pt.set_defaults(fn=cmd_transform, grid_center_re=None)
 

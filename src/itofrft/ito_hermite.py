@@ -161,8 +161,8 @@ def null_index_set(nu, w, max_m, max_n, tol):
     The test is applied to the normalized psi rather than the raw polynomial
     so that `tol` is scale-free across the index box.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive, got %r" % (tol,))
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and > 0, got %r" % (tol,))
     P = psi_table(nu, complex(w), max_m, max_n)
     mm, nn = np.nonzero(np.abs(P) < tol)
     return {(int(m), int(n)) for m, n in zip(mm, nn)}

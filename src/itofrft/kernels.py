@@ -13,11 +13,11 @@ package, and NaN fails it.  nu and the points of the Mehler function and
 the fractional Fourier kernel are checked by `ito_hermite._check_nu` and
 `_check_point`, the Bergman weights by `quadrature._check_weights`.
 
-The callers that contract a kernel matrix (`transforms.adjoint_apply` and
-`verify._psi_images`) build it block by block over the slices of `_blocks`,
-one block at a time on the calling thread.  Each block holds at most
-`BLOCK_ENTRIES` kernel entries, so memory stays bounded whatever the number
-of nodes.
+The callers that contract a kernel matrix (`transforms._contract`, behind
+`frft_apply` and `adjoint_apply`, and `verify._psi_images`) build it over
+the slices of `_blocks`, one block at a time on the calling thread.  Each
+block holds at most `BLOCK_ENTRIES` kernel entries, so memory stays bounded
+whatever the number of nodes.
 """
 
 import math

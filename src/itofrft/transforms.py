@@ -78,7 +78,8 @@ def _coeff_terms(f, z):
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Radial profile r -> complex for rotationally symmetric inputs."""
+    """Radial profile r -> complex for rotationally symmetric inputs.  The
+    package no longer uses it; it stays public for `perfbench/workloads.py`."""
 
     profile: object  # callable on arrays of r >= 0
 
@@ -94,7 +95,7 @@ class RadialFunction:
 
 def _eigen_sum(nu, f, point, uv):
     """sum a_{m,n} u^m v^n psi_{m,n}(point) for a finite expansion f, from
-    one psi table at the point; (u, v) entries broadcast elementwise.
+    one psi table over the point(s); (u, v) entries broadcast elementwise.
 
     This is the eigenrelation of the transform with parameters (nu, u, v), so
     the psi_{m,n} of f must be its eigenfunctions: f.nu must equal nu.
@@ -105,22 +106,34 @@ def _eigen_sum(nu, f, point, uv):
             % (f.nu, nu)
         )
     u, v = (np.asarray(c, dtype=complex) for c in uv)
-    out = sum(t * u**m * v**n for m, n, t in _coeff_terms(f, complex(point)))
+    out = sum(t * u**m * v**n for m, n, t in _coeff_terms(f, np.asarray(point, dtype=complex)))
     return complex(out) if np.ndim(out) == 0 else out
 
 
+def _contract(kernel_rows, weighted, points):
+    """kernel_rows(x) @ weighted at each point x of the array points, with
+    the (points, nodes) kernel matrix formed one block of `kernels._blocks`
+    at a time, so memory stays bounded; a complex number if points is 0-d."""
+    flat = points.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for s in _blocks(len(flat), len(weighted)):
+        out[s] = kernel_rows(flat[s]) @ weighted
+    return complex(out[0]) if points.ndim == 0 else out.reshape(points.shape)
+
+
 def frft_apply(p, f, xi, rule=None):
-    """2D fractional Fourier transform at the point xi:
+    """2D fractional Fourier transform at the point(s) xi:
 
         integral of f(zeta) K^nu_{u,v}(zeta; xi) e^{-nu |zeta|^2} dA(zeta).
 
+    An array xi gives an array of its shape, a scalar xi a complex number.
     Two routes, chosen by the type of f:
     - a `CoeffFunction` is transformed exactly by the eigenrelation, psi_{m,n}
       maps to u^m v^n psi_{m,n}: the result is sum a_{m,n} u^m v^n
       psi_{m,n}(xi), from one psi table at xi.  Its nu must equal p.nu.
       No rule is needed;
-    - any other callable is sampled on the plane quadrature `rule`, which is
-      then required.
+    - any other callable is sampled once on the plane quadrature `rule`,
+      which is then required.
     A rule that is given is validated (kind and nu) on either route.
     """
     if rule is not None:
@@ -129,21 +142,26 @@ def frft_apply(p, f, xi, rule=None):
         return _eigen_sum(p.nu, f, xi, (p.u, p.v))
     if rule is None:
         raise ValueError("a callable input needs a plane quadrature rule")
-    xi = complex(xi)
-    return integrate(rule, lambda z: np.asarray(f(z)) * frft_kernel_raw(p.nu, p.u, p.v, z, xi))
+    xi = np.asarray(xi, dtype=complex)
+    _check_point("frft_apply point xi", xi)
+    return _contract(
+        lambda x: frft_kernel_raw(p.nu, p.u, p.v, rule.nodes, x[:, None]),
+        rule.weights * _samples(rule, f),
+        xi,
+    )
 
 
 def dual_apply_coeff(nu, w, f, uv):
     """Quadrature-free dual transform of a finite expansion:
     sum a_{m,n} psi_{m,n}(w) u^m v^n.
 
-    (u, v) entries may be scalars or arrays (broadcast elementwise), each in
-    the open unit disk.  The dual transform at (u, v) is the 2D transform
-    with TransformParams(nu, u, v), read at the target w; both evaluate the
-    same eigenrelation sum.
+    w is one point.  (u, v) entries may be scalars or arrays (broadcast
+    elementwise), each in the open unit disk.  The dual transform at (u, v)
+    is the 2D transform with TransformParams(nu, u, v), read at the target
+    w; both evaluate the same eigenrelation sum.
     """
     _check_disk("dual transform points (u, v)", *uv)
-    return _eigen_sum(nu, f, w, uv)
+    return _eigen_sum(nu, f, complex(w), uv)
 
 
 def adjoint_apply(nu, w, alpha, beta, g, z, rule):
@@ -151,32 +169,24 @@ def adjoint_apply(nu, w, alpha, beta, g, z, rule):
 
         integral over D^2 of g(u, v) conj(K^nu_{u,v}(z; w)) dmu_{alpha,beta}(u, v).
 
-    z may be an array: the result has its shape, and a scalar z gives a
-    complex number.  g is sampled once on the rule's grid, as `integrate`
-    calls it, and the weighted samples are contracted against conj(K) one
-    block of points of z at a time (`kernels._blocks`), with at most
-    `BLOCK_ENTRIES` kernel entries per block, so memory stays bounded for
-    any number of points.  A non-finite sample of g raises ValueError naming
-    the node; an exponent the kernel's overflow guard rejects raises
-    OverflowError.
+    An array z gives an array of its shape, a scalar z a complex number.
+    g is sampled once on the rule's grid, as `integrate` calls it, and
+    contracted against conj(K) in blocks of points (`_contract`).  A
+    non-finite sample of g raises ValueError naming the node; an exponent
+    the kernel's overflow guard rejects raises OverflowError.
     """
     _check_nu(nu)
     _check_rule(rule, "bidisk", alpha=alpha, beta=beta)
     z = np.asarray(z, dtype=complex)
     w = complex(w)
     _check_point("adjoint_apply points (w, z)", w, z)
-    # conj(K) . (weights g) = conj(K . conj(weights g)), one conjugation per point
-    weighted = np.conj(rule.weights * _samples(rule, g))
     u, v = rule.axes
-    flat = z.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for s in _blocks(len(flat), len(weighted)):
-        # the (points, len(u), len(v)) block, read row-major, is in weight order
-        out[s] = np.conj(
-            frft_kernel_raw(nu, u[:, None], v, flat[s, None, None], w).reshape(-1, len(weighted))
-            @ weighted
-        )
-    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+    # conj(K) . (weights g) = conj(K . conj(weights g)); a (len(u), len(v)) row is in weight order
+    return _contract(
+        lambda x: frft_kernel_raw(nu, u[:, None], v, x[:, None, None], w).reshape(len(x), -1),
+        np.conj(rule.weights * _samples(rule, g)),
+        z,
+    ).conjugate()
 
 
 def bergman_norm(coeffs, alpha, beta):
@@ -212,7 +222,8 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     paper's modes: a non-negative integer (an integral float such as 2.0 is
     accepted).  Parameters are restricted to real u, v in (0, 1) so that
     every fractional power is principal and positive; a complex u or v with
-    a nonzero imaginary part raises ValueError.  y is finite; where y^2
+    a nonzero imaginary part raises ValueError.  An array y gives an array of
+    its shape, a scalar y a complex number.  Every y is finite; where y^2
     overflows double precision the call raises OverflowError.
     """
     _check_nu(nu)
@@ -222,25 +233,27 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     if not (u.imag == v.imag == 0 and 0.0 < u.real < 1.0 and 0.0 < v.real < 1.0):
         raise ValueError("hankel_apply requires real u, v in (0, 1), got u=%r v=%r" % (u, v))
     u, v = u.real, v.real
+    y = np.asarray(y, dtype=float)
     _check_point("hankel_apply radius y", y)
-    if not y >= 0:
-        raise ValueError("y must be >= 0, got %r" % (float(y),))
+    lo, hi = float(y.min(initial=0.0)), float(y.max(initial=0.0))
+    if lo < 0:
+        raise ValueError("y must be >= 0, got %r" % (lo,))
     ell = nu / (1.0 - u * v)
+    if not math.isfinite(ell * u * v * hi * hi):
+        raise OverflowError("hankel_apply at y=%g overflows double precision" % hi)
     shift = ell * u * v * y * y
-    if not math.isfinite(shift):
-        raise OverflowError("hankel_apply at y=%g overflows double precision" % y)
     t, wt = _hankel_rule()
     x = np.sqrt(t / ell)
-    b = 2.0 * ell * math.sqrt(u * v) * y
     samples = np.asarray(psi_profile(x), dtype=complex)
     samples = np.broadcast_to(samples, x.shape)
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():  # not np.all, which costs twice as much
         i = int(np.argmax(~np.isfinite(samples)))
         raise ValueError("non-finite radial sample at x=%g" % x[i])
-    # I_order(bx) e^{-ell uv y^2} = ive(order, bx) e^{bx - ell uv y^2}
-    bx = b * x
-    factor = scipy_special().ive(order, bx) * np.exp(bx - shift)
-    return (u / v) ** (order / 2.0) * complex(np.dot(wt, samples * factor))
+    # I_order(bx) e^{-ell uv y^2} = ive(order, bx) e^{bx - ell uv y^2}, over (points, nodes)
+    bx = (2.0 * ell * math.sqrt(u * v) * y)[..., None] * x
+    factor = scipy_special().ive(order, bx) * np.exp(bx - shift[..., None])
+    out = (u / v) ** (order / 2.0) * (samples * factor).dot(wt)
+    return complex(out) if y.ndim == 0 else out
 
 
 def rotational_frft(nu, u, v, k, psi_profile, xi):

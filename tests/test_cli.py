@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from itofrft import cli
-from itofrft.cli import load_coeff_file, save_coeff_file
+from itofrft.cli import load_coeff_file
 from itofrft.ito_hermite import psi
+from itofrft.kernels import TransformParams
 from itofrft.spectral import schatten_partial, spectrum
 from itofrft.transforms import CoeffFunction
+
+from helpers import save_coeff_file
 
 CLI = [sys.executable, "-m", "itofrft.cli"]
 
@@ -99,8 +102,9 @@ class TestHermiteCommand:
     @pytest.mark.parametrize(
         "flags",
         [("eval", "--nu=nan"), ("eval", "--nu=inf"), ("nullset", "--tol=nan"),
-         ("eval", "--nu", "abc")],
-        ids=["eval_nu_nan", "eval_nu_inf", "nullset_tol_nan", "eval_nu_not_a_number"],
+         ("nullset", "--tol=inf"), ("eval", "--nu", "abc")],
+        ids=["eval_nu_nan", "eval_nu_inf", "nullset_tol_nan", "nullset_tol_inf",
+             "eval_nu_not_a_number"],
     )
     def test_invalid_flag(self, flags):
         res = run_cli("hermite", *flags)
@@ -312,8 +316,12 @@ class TestTransformCommand:
         [
             ("--kind", "frft", "--grid-count", "0"),
             ("--kind", "dual", "--grid-count=-1"),
+            ("--kind", "frft", "--grid-half=-1"),
+            ("--kind", "hankel", "--grid-half", "inf"),
+            ("--kind", "dual", "--grid-half", "nan"),
         ],
-        ids=["grid_count_0", "grid_count_negative"],
+        ids=["grid_count_0", "grid_count_negative", "grid_half_negative", "grid_half_inf",
+             "grid_half_nan"],
     )
     def test_invalid_flag(self, tmp_path, flags):
         # rejected before the input is read: the file does not exist
@@ -321,6 +329,50 @@ class TestTransformCommand:
         assert res.returncode == 2
         assert len(res.stderr.strip().splitlines()) == 1, res.stderr
         assert res.stdout == ""
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--kind", "frft", "--grid-half", "1e308"),
+            ("--kind", "dual", "--grid-half", "1e308"),
+            ("--kind", "hankel", "--u-re", "0.3", "--v-re", "0.3", "--grid-half", "1e200"),
+        ],
+        ids=["frft_axis_overflows", "dual_axis_overflows", "hankel_shift_overflows"],
+    )
+    def test_oversized_grid_is_one_line(self, tmp_path, flags):
+        # an axis or a y^2 beyond double precision: one message, no numpy warning
+        path = write_coeffs(tmp_path / "f.json", 1.0, {(0, 0): 1.0})
+        res = run_cli("transform", "--input", path, "--grid-count", "3", *flags)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+    @pytest.mark.parametrize("kind", ["frft", "dual", "hankel"])
+    def test_one_call_per_grid(self, tmp_path, monkeypatch, kind):
+        # each kind makes one library call over its whole grid, and its
+        # records equal the per-point calls
+        name = {"frft": "frft_apply", "dual": "dual_apply_coeff", "hankel": "hankel_apply"}[kind]
+        library, calls = getattr(cli, name), []
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or library(*args))
+        nu, coeffs = 1.0, {(1, 0): 1.0, (2, 1): 0.5 - 0.25j}  # one mode, k = 1
+        path = write_coeffs(tmp_path / "f.json", nu, coeffs)
+        res = run_cli("transform", "--kind", kind, "--input", path, "--u-re", "0.3",
+                      "--v-re", "0.4", "--w-re", "0.7", "--grid-half", "0.4", "--grid-count", "4")
+        assert res.returncode == 0, res.stderr
+        assert len(calls) == 1
+        doc = json.loads(res.stdout)
+        assert len(doc) == (4 if kind == "hankel" else 16)
+        f = CoeffFunction(nu=nu, coeffs=coeffs)
+        if kind == "frft":
+            p = TransformParams(nu, 0.3, 0.4)
+            want = [library(p, f, complex(r["point"]["re"], r["point"]["im"])) for r in doc]
+        elif kind == "dual":
+            want = [library(nu, 0.7, f, (r["point"]["u"], r["point"]["v"])) for r in doc]
+        else:
+            want = [library(nu, 1, 0.3, 0.4, f, r["point"]["y"]) for r in doc]
+        got = [complex(r["value"]["re"], r["value"]["im"]) for r in doc]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 class TestCoeffFileRoundTrip:

@@ -23,6 +23,8 @@ from itofrft.transforms import (
     hankel_apply,
 )
 
+from helpers import save_coeff_file
+
 NAN, INF = math.nan, math.inf
 
 PLANE = plane_rule(1.0, 8, 8)
@@ -87,6 +89,7 @@ BAD_CALLS = [
     # positive scalars
     case("null_index_set-tol-nan", lambda: null_index_set(1.0, 0.5, 2, 2, NAN)),
     case("null_index_set-tol-0", lambda: null_index_set(1.0, 0.5, 2, 2, 0.0)),
+    case("null_index_set-tol-inf", lambda: null_index_set(1.0, 0.5, 2, 2, INF)),
     case("schatten_partial-p-nan",
          lambda: schatten_partial(spectrum(1.0, 1.0, 1.0, 0.5, 2, 2), NAN)),
     case("schatten_partial-p-inf",
@@ -105,6 +108,7 @@ BAD_CALLS = [
     case("spectrum-w-nan", lambda: spectrum(1.0, 1.0, 1.0, NAN, 2, 2)),
     case("CoeffFunction-call-nan", lambda: F(NAN)),
     case("frft_apply-xi-nan", lambda: frft_apply(P, F, NAN)),
+    case("frft_apply-quadrature-xi-nan", lambda: frft_apply(P, one, np.array([0.5, NAN]), PLANE)),
     case("dual_apply_coeff-w-nan", lambda: dual_apply_coeff(1.0, NAN, F, (0.1, 0.2))),
     case("kw_constant-w-nan", lambda: kw_constant(1.0, 1.0, 1.0, NAN)),
     case("finite_rank_tail-w-nan", lambda: finite_rank_tail(1.0, 1.0, 1.0, NAN, 2, 2)),
@@ -153,7 +157,7 @@ def _raise_sentinel(*args, **kwargs):
 
 def _transform_dual(tmp_path):
     path = tmp_path / "f.json"
-    cli.save_coeff_file(path, F)
+    save_coeff_file(path, F)
     return cli.main(["transform", "--kind", "dual", "--input", str(path), "--grid-count", "1"])
 
 
@@ -200,6 +204,7 @@ HOMES = {
         lambda _: frft_kernel(P, 0.5, 0.1),
         lambda _: mehler_closed(P, 0.5, 0.1),
         lambda _: hankel_apply(1.0, 0, 0.3, 0.3, one, 0.5),
+        lambda _: frft_apply(P, one, 0.5, PLANE),
     ],
     (quadrature, "_check_rule"): [
         lambda _: frft_apply(TransformParams(1.0, 0.2, 0.3), F, 0.5, PLANE),

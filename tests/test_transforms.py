@@ -124,6 +124,35 @@ class TestFrft:
         want = 0.4 * (0.3j) ** 2 * psi(1.0, 1, 2, xi) - 0.5 * psi(1.0, 0, 0, xi)
         assert frft_apply(p, f, xi) == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("route,rtol", [("exact", 1e-15), ("quadrature", 1e-14)])
+    def test_array_xi_matches_pointwise(self, rule, route, rtol):
+        p = TransformParams(1.0, 0.35 + 0.2j, -0.5)
+        f = CoeffFunction(nu=1.0, coeffs={(0, 0): 0.5, (2, 1): 1.0 - 0.5j, (1, 3): 0.25j})
+        g = f if route == "exact" else (lambda z: f(z))
+        axis = np.linspace(-1.5, 1.5, 12)
+        xis = axis[:, None] + 1j * np.linspace(-1.2, 1.4, 10)
+        # on the quadrature route, more than one kernel block of points, the last partial
+        per_block = _block_rows(len(rule.nodes))
+        assert xis.size > per_block and xis.size % per_block
+        got = frft_apply(p, g, xis, rule)
+        assert got.shape == xis.shape
+        want = np.array([frft_apply(p, g, xi, rule) for xi in xis.ravel()]).reshape(xis.shape)
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("route", ["exact", "quadrature"])
+    def test_scalar_xi_returns_complex(self, rule, route):
+        f = CoeffFunction(nu=1.0, coeffs={(1, 0): 1.0})
+        g = f if route == "exact" else (lambda z: f(z))
+        assert type(frft_apply(TransformParams(1.0, 0.3, 0.2), g, 0.5 - 0.1j, rule)) is complex
+
+    @pytest.mark.parametrize("route", ["exact", "quadrature"])
+    def test_nan_in_array_xi_rejected(self, rule, route):
+        f = CoeffFunction(nu=1.0, coeffs={(1, 0): 1.0})
+        g = f if route == "exact" else (lambda z: f(z))
+        xis = np.array([[0.1, 0.2j], [math.nan, 0.3]])
+        with pytest.raises(ValueError, match="finite"):
+            frft_apply(TransformParams(1.0, 0.3, 0.2), g, xis, rule)
+
     def test_matrix_matches_kernel(self, rule):
         us = np.array([0.3, 0.5j])
         vs = np.array([0.2, -0.4])
@@ -155,6 +184,13 @@ class TestDual:
         us = np.linspace(-0.5, 0.5, 5)
         out = dual_apply_coeff(1.0, 2.0, f, (us, 0.0))
         np.testing.assert_allclose(out, psi(1.0, 1, 0, 2.0) * us, rtol=1e-13)
+
+    def test_array_w_rejected(self):
+        # an array w would broadcast against the (u, v) arrays
+        f = CoeffFunction(nu=1.0, coeffs={(1, 0): 1.0})
+        us = np.linspace(-0.5, 0.5, 3)
+        with pytest.raises(TypeError):
+            dual_apply_coeff(1.0, np.array([0.5, 1.0, 1.5]), f, (us, 0.0))
 
     def test_empty_function(self):
         f = CoeffFunction(nu=1.0, coeffs={})
@@ -287,6 +323,30 @@ class TestHankel:
         want = 2.0 * ell * (u / v) ** (order / 2.0) * integral
         got = hankel_apply(nu, order, u, v, lambda x: x**order, y)
         assert got == pytest.approx(complex(want), rel=1e-12)
+
+    def test_array_y_matches_pointwise(self):
+        nu, u, v = 1.0, 0.4, 0.3
+        f = CoeffFunction(nu=nu, coeffs={(2, 1): 1.0, (3, 2): 0.5j})  # one mode, k = 1
+        ys = np.linspace(0.0, 3.0, 21).reshape(3, 7)
+        got = hankel_apply(nu, 1, u, v, f, ys)
+        assert got.shape == ys.shape
+        want = np.array([hankel_apply(nu, 1, u, v, f, y) for y in ys.ravel()]).reshape(ys.shape)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
+
+    def test_scalar_y_returns_complex(self):
+        assert type(hankel_apply(1.0, 0, 0.3, 0.3, lambda x: np.ones_like(x), 0.5)) is complex
+        assert type(hankel_apply(1.0, 0, 0.3, 0.3, lambda x: np.ones_like(x), np.float64(0.5))) is complex
+
+    @pytest.mark.parametrize(
+        "bad,error,match",
+        [(math.nan, ValueError, "finite"), (-0.5, ValueError, ">= 0, got -0.5"),
+         (1e200, OverflowError, "y=1e\\+200 overflows")],
+        ids=["nan", "negative", "overflow"],
+    )
+    def test_bad_entry_in_array_y(self, bad, error, match):
+        ys = np.array([0.0, 0.5, bad, 1.0])
+        with np.errstate(all="raise"), pytest.raises(error, match=match):
+            hankel_apply(1.0, 0, 0.3, 0.3, lambda x: np.ones_like(x), ys)
 
     def test_parameter_validation(self):
         prof = lambda x: np.ones_like(x)
