@@ -41,6 +41,16 @@ def _complex(args, name):
     return complex(getattr(args, name + "_re"), getattr(args, name + "_im"))
 
 
+def _is_number(x):
+    # a JSON number: Python's bool is an int, but JSON's true is not a number
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_integer(x):
+    # a JSON integer as the schema reads it: 2 and 2.0 are, 1.7 is not
+    return _is_number(x) and (isinstance(x, int) or x.is_integer())
+
+
 def load_coeff_file(path):
     """Read and validate a CoeffFile JSON document; raises ValueError on any
     fault of the file."""
@@ -53,19 +63,21 @@ def load_coeff_file(path):
         raise ValueError("coefficient file %s is not valid JSON: %s" % (path, exc))
     if not isinstance(doc, dict) or "nu" not in doc or "coeffs" not in doc:
         raise ValueError("coefficient file must be an object with 'nu' and 'coeffs'")
-    nu = doc["nu"]
-    if not isinstance(nu, (int, float)):
+    nu, records = doc["nu"], doc["coeffs"]
+    if not _is_number(nu):
         raise ValueError("'nu' must be a number")
+    if not isinstance(records, list):
+        raise ValueError("'coeffs' must be a list of coefficient records")
     coeffs = {}
-    for rec in doc["coeffs"]:
-        try:
-            m, n = int(rec["m"]), int(rec["n"])
-            val = complex(float(rec["re"]), float(rec["im"]))
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("coefficient records need integer m, n and re, im")
+    for rec in records:
+        rec = rec if isinstance(rec, dict) else {}
+        m, n, re_part, im_part = (rec.get(k) for k in ("m", "n", "re", "im"))
+        if not (_is_integer(m) and _is_integer(n) and _is_number(re_part) and _is_number(im_part)):
+            raise ValueError("coefficient records need integer m, n and numbers re, im")
+        m, n = int(m), int(n)
         if (m, n) in coeffs:
             raise ValueError("duplicate coefficient index (%d, %d)" % (m, n))
-        coeffs[(m, n)] = val
+        coeffs[(m, n)] = complex(re_part, im_part)
     return CoeffFunction(nu=float(nu), coeffs=coeffs)
 
 

@@ -13,11 +13,11 @@ package, and NaN fails it.  nu and the points of the Mehler function and
 the fractional Fourier kernel are checked by `ito_hermite._check_nu` and
 `_check_point`, the Bergman weights by `quadrature._check_weights`.
 
-The callers that contract a kernel matrix (`transforms._contract`, behind
-`frft_apply` and `adjoint_apply`, and `verify._psi_images`) build it over
-the slices of `_blocks`, one block at a time on the calling thread.  Each
-block holds at most `BLOCK_ENTRIES` kernel entries, so memory stays bounded
-whatever the number of nodes.
+Every kernel quadrature in the package (`transforms.frft_apply`,
+`transforms.adjoint_apply` and `verify._psi_images`) contracts its kernel
+matrix through `_contract`, which forms it one block of points at a time on
+the calling thread.  Each block holds at most `BLOCK_ENTRIES` kernel
+entries, so memory stays bounded whatever the number of nodes.
 """
 
 import math
@@ -38,7 +38,7 @@ __all__ = [
 
 _EXP_GUARD = 700.0
 
-# kernel entries in one block of `_blocks`: 2 MB of complex128
+# kernel entries in one block of `_contract`: 2 MB of complex128
 BLOCK_ENTRIES = 1 << 17
 
 
@@ -65,17 +65,24 @@ class TransformParams:
         _check_disk("fractional parameters u, v", self.u, self.v)
 
 
-def _block_rows(width):
-    """Indices in one block of `_blocks` when each index contributes `width`
-    kernel entries: a block holds `BLOCK_ENTRIES`, or one index if wider."""
-    return max(1, BLOCK_ENTRIES // width)
-
-
-def _blocks(count, width):
-    """The consecutive slices of range(count), each `_block_rows(width)`
-    long but the last."""
-    step = _block_rows(width)
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+def _contract(kernel_rows, weighted, points):
+    """kernel_rows(x) @ weighted at each point x of the array points, for
+    (points, nodes) kernel rows and (nodes,) or (nodes, k) weights: an array
+    of shape points.shape + weighted.shape[1:], a complex number if that is
+    ().  The rows are formed in the fewest blocks of at most `BLOCK_ENTRIES`
+    entries (one row if a row is wider), so memory stays bounded."""
+    flat = points.ravel()
+    out = np.empty(flat.shape + weighted.shape[1:], dtype=complex)
+    step = max(1, BLOCK_ENTRIES // len(weighted))
+    if len(flat):
+        # block sizes within one of each other, not full blocks and a rest:
+        # numpy computes a one-row product by gemv or dot, which round
+        # otherwise than the product of more rows, so a lone last row would
+        # change the value of its point
+        for rows in np.array_split(np.arange(len(flat)), -(-len(flat) // step)):
+            out[rows] = kernel_rows(flat[rows]) @ weighted
+    out = out.reshape(points.shape + weighted.shape[1:])
+    return complex(out) if out.ndim == 0 else out
 
 
 def mehler_closed(p, z, w):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .specfun import scipy_special
 from .ito_hermite import _check_index, _check_nu, _check_point, psi_table
-from .kernels import _blocks, _check_disk, frft_kernel_raw
+from .kernels import _check_disk, _contract, frft_kernel_raw
 from .quadrature import _check_rule, _samples, integrate
 from .spectral import gamma_norm
 
@@ -108,17 +108,6 @@ def _eigen_sum(nu, f, point, uv):
     u, v = (np.asarray(c, dtype=complex) for c in uv)
     out = sum(t * u**m * v**n for m, n, t in _coeff_terms(f, np.asarray(point, dtype=complex)))
     return complex(out) if np.ndim(out) == 0 else out
-
-
-def _contract(kernel_rows, weighted, points):
-    """kernel_rows(x) @ weighted at each point x of the array points, with
-    the (points, nodes) kernel matrix formed one block of `kernels._blocks`
-    at a time, so memory stays bounded; a complex number if points is 0-d."""
-    flat = points.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for s in _blocks(len(flat), len(weighted)):
-        out[s] = kernel_rows(flat[s]) @ weighted
-    return complex(out[0]) if points.ndim == 0 else out.reshape(points.shape)
 
 
 def frft_apply(p, f, xi, rule=None):

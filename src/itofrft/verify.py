@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import hermite_real, scipy_special
+from .specfun import scipy_special
 from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
 from .kernels import (
-    TransformParams, _blocks, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
+    TransformParams, _contract, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
 )
 from .quadrature import _samples, bidisk_rule, integrate, plane_rule, quadrant_rule
 from .spectral import finite_rank_tail, gamma_norm, kw_constant, spectrum
@@ -96,14 +96,16 @@ def _psi_images(nu, rule, max_m, max_n, u, v, xi):
     """Plane-quadrature transforms of the basis: entry [m, n, j] is the sum
     over the nodes z of w(z) psi_{m,n}(z) K_{u_j, v_j}(z; xi_j), with u, v
     and xi broadcast together and flattened to the index j.  The kernel
-    matrix is formed and contracted one block of columns at a time
-    (`kernels._blocks`), with at most `BLOCK_ENTRIES` entries per block."""
+    rows of the indices j are formed and contracted one block at a time
+    (`kernels._contract`)."""
     u, v, xi = (a.ravel() for a in np.broadcast_arrays(u, v, xi))
     PW = psi_table(nu, rule.nodes, max_m, max_n).reshape(-1, len(rule.nodes)) * rule.weights
-    images = np.empty((len(PW), len(xi)), dtype=complex)
-    for j in _blocks(len(xi), len(rule.nodes)):
-        images[:, j] = PW @ frft_kernel_raw(nu, u[j], v[j], rule.nodes[:, None], xi[j])
-    return images.reshape(max_m + 1, max_n + 1, -1)
+    images = _contract(
+        lambda j: frft_kernel_raw(nu, u[j, None], v[j, None], rule.nodes, xi[j, None]),
+        PW.T,
+        np.arange(len(xi)),
+    )
+    return images.T.reshape(max_m + 1, max_n + 1, -1)
 
 
 _Z_POINTS = np.array([0.3 + 0.2j, -1.0 + 1.1j, 1.5, -0.7 - 1.2j, 0.9j])
@@ -148,7 +150,11 @@ def check_mehler_classical():
     """
     depth = 100
     xs = np.linspace(-3.0, 3.0, 21).astype(np.longdouble)
-    H = np.array([hermite_real(n, xs) for n in range(depth + 1)])
+    # physicists' Hermite H_k(x): H_{k+1} = 2x H_k - 2k H_{k-1}
+    H = np.empty((depth + 1, len(xs)), dtype=np.longdouble)
+    H[0], H[1] = 1.0, 2.0 * xs
+    for k in range(1, depth):
+        H[k + 1] = 2.0 * xs * H[k] - 2.0 * k * H[k - 1]
     worst = 0.0
     for t in (0.1, 0.3, 0.5):
         t = np.longdouble(t)

@@ -282,6 +282,28 @@ class TestTransformCommand:
         assert res.returncode == 1
         assert "re, im" in res.stderr
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"nu": 1.0, "coeffs": 5},
+            {"nu": 1.0, "coeffs": None},
+            {"nu": 1.0, "coeffs": [{"m": 1.7, "n": 0, "re": 1.0, "im": 0.0}]},
+            {"nu": 1.0, "coeffs": [{"m": True, "n": 0, "re": 1.0, "im": 0.0}]},
+            {"nu": 1.0, "coeffs": [{"m": 0, "n": 0, "re": "2", "im": 0.0}]},
+            {"nu": True, "coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]},
+        ],
+        ids=["coeffs_number", "coeffs_null", "m_fraction", "m_bool", "re_string", "nu_bool"],
+    )
+    def test_schema_invalid_file(self, tmp_path, schemas, doc):
+        # a file the schema rejects is never read as some other expansion
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schemas["coeff_file"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("transform", "--kind", "frft", "--input", str(path), "--grid-count", "1")
+        assert res.returncode == 1
+        assert res.stdout == "" and len(res.stderr.strip().splitlines()) == 1, res.stderr
+
     def test_parameter_outside_disk(self, tmp_path):
         path = write_coeffs(tmp_path / "f.json", 1.0, {(0, 0): 1.0})
         res = run_cli("transform", "--kind", "frft", "--input", path, "--u-re", "1.5")

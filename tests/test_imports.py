@@ -111,7 +111,7 @@ def test_adjoint_apply_starts_no_thread(monkeypatch):
     monkeypatch.setattr(transforms, "frft_kernel_raw", spy)
     brule = bidisk_rule(1.0, 1.0, 8, 8)
     zs = np.linspace(-1.0, 1.0, 100) + 0.2j
-    assert zs.size > kernels._block_rows(len(brule.weights))
+    assert zs.size > kernels.BLOCK_ENTRIES // len(brule.weights)
     before = threading.active_count()
     out = transforms.adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: u, zs, brule)
     assert np.all(np.isfinite(out))

@@ -6,8 +6,7 @@ import pytest
 from itofrft import kernels
 from itofrft.kernels import (
     TransformParams,
-    _block_rows,
-    _blocks,
+    _contract,
     bergman_kernel,
     frft_kernel,
     frft_kernel_raw,
@@ -176,17 +175,48 @@ class TestBergmanKernel:
             bergman_kernel(0.0, 0.0, (1.0, 0.0), (0.0, 0.0))
 
 
-class TestBlockwise:
-    """The one block splitter behind `adjoint_apply` and `_psi_images`: the
-    blocks run in order on the calling thread, and the results of many
-    blocks match those of one."""
+def block_slices(count, nodes):
+    """The slices of range(count) over which `kernels._contract` forms the
+    kernel rows of count points, each row `nodes` entries long."""
+    step = max(1, kernels.BLOCK_ENTRIES // nodes)
+    return [slice(r[0], r[-1] + 1) for r in np.array_split(np.arange(count), -(-count // step))]
 
-    def test_slices_in_order(self):
-        width = kernels.BLOCK_ENTRIES // 3  # three indices per block
-        assert _block_rows(width) == 3
-        assert _blocks(8, width) == [slice(0, 3), slice(3, 6), slice(6, 8)]
-        assert _blocks(0, width) == []
-        assert _block_rows(2 * kernels.BLOCK_ENTRIES) == 1  # a wide index is a block alone
+
+class TestBlockwise:
+    """The one block loop, `_contract`, behind `frft_apply`, `adjoint_apply`
+    and `_psi_images`: the blocks run in order on the calling thread, and
+    the results of many blocks match those of one."""
+
+    def test_slices_in_order(self, monkeypatch):
+        seen = []
+
+        def rows(x):
+            seen.append(x.tolist())
+            return np.ones((len(x), 4))
+
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 3 * 4)  # at most three points per block
+        out = _contract(rows, np.arange(4.0), np.arange(7.0))
+        assert seen == [[0, 1, 2], [3, 4], [5, 6]]  # no lone last point
+        assert out.shape == (7,) and np.all(out == 6)
+        assert seen == [list(range(7)[s]) for s in block_slices(7, 4)]  # as the tests below assume
+        seen.clear()
+        _contract(rows, np.arange(4.0), np.arange(8.0).reshape(2, 4))
+        assert seen == [[0, 1, 2], [3, 4, 5], [6, 7]]
+        seen.clear()
+        assert _contract(rows, np.arange(4.0), np.empty(0)).shape == (0,) and seen == []
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 3)  # a row wider than a block is one alone
+        _contract(rows, np.arange(4.0), np.arange(3.0))
+        assert seen == [[0], [1], [2]]
+
+    def test_result_shape(self):
+        rows = lambda x: np.ones((len(x), 4)) * x[:, None]
+        weighted = np.arange(8.0).reshape(4, 2)  # (nodes, k)
+        assert type(_contract(rows, weighted[:, 0], np.array(2.0))) is complex
+        np.testing.assert_array_equal(_contract(rows, weighted, np.array(2.0)), [24, 32])
+        points = np.arange(6.0).reshape(2, 3)
+        got = _contract(rows, weighted, points)
+        assert got.shape == (2, 3, 2)
+        np.testing.assert_array_equal(got, points[..., None] * [12, 16])
 
     @pytest.mark.parametrize("nu", [1, 2])
     def test_adjoint_apply_bit_identical(self, nu, monkeypatch):
@@ -195,12 +225,12 @@ class TestBlockwise:
         g = lambda u, v: 1.0 + u * np.conj(v) - 0.5j * v**2
         zs = np.linspace(-1.5, 1.5, 300) + 0.4j
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", zs.size * len(brule.weights))
-        assert len(_blocks(zs.size, len(brule.weights))) == 1
+        assert len(block_slices(zs.size, len(brule.weights))) == 1
         whole = adjoint_apply(nu, w, alpha, beta, g, zs, brule)
         # blocks of 7 points, the last one partial: each point is a row of
         # one matrix-vector product, whose rounding the blocks do not change
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7 * len(brule.weights))
-        assert len(_blocks(zs.size, len(brule.weights))) == 43
+        assert len(block_slices(zs.size, len(brule.weights))) == 43
         np.testing.assert_array_equal(adjoint_apply(nu, w, alpha, beta, g, zs, brule), whole)
 
     def test_psi_images_blocks_match_one_block(self, monkeypatch):
@@ -212,13 +242,11 @@ class TestBlockwise:
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", xi.size * len(rule.nodes))
         whole = _psi_images(nu, rule, 3, 2, u, v, xi)
         assert whole.shape == (4, 3, 1100)
-        # blocks of 7 columns, the last one partial.  The BLAS rounds a
-        # matrix product by how many columns it has, so the images agree to
-        # a few ulps of the largest entry, not bit for bit
+        # 158 blocks of 6 or 7 points: each point is a row of one matrix
+        # product, whose rounding the blocks do not change
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7 * len(rule.nodes))
-        assert len(_blocks(xi.size, len(rule.nodes))) == 158
-        got = _psi_images(nu, rule, 3, 2, u, v, xi)
-        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-13 * np.max(np.abs(whole)))
+        assert len(block_slices(xi.size, len(rule.nodes))) == 158
+        np.testing.assert_array_equal(_psi_images(nu, rule, 3, 2, u, v, xi), whole)
 
     @pytest.mark.parametrize("nu", [1, 2])
     def test_psi_images_bit_identical(self, nu, monkeypatch):
@@ -229,7 +257,7 @@ class TestBlockwise:
         # blocks of 7 columns, the last one partial: each block's images are
         # those of its own columns alone, in place and bit for bit
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7 * len(rule.nodes))
-        blocks = _blocks(xi.size, len(rule.nodes))
+        blocks = block_slices(xi.size, len(rule.nodes))
         assert len(blocks) == 43 and blocks[-1].stop - blocks[-1].start == 6
         got = _psi_images(nu, rule, 3, 2, u, v, xi)
         for j in blocks:
@@ -238,7 +266,7 @@ class TestBlockwise:
     def test_overflow_in_a_later_block_propagates(self):
         brule = bidisk_rule(1.0, 1.0, 8, 8)
         zs = np.full(100, 0.3 + 0.1j)
-        zs[-1] = 200.0  # exponent ~ 0.4 |z|^2 in the last, partial, block
-        assert zs.size % _block_rows(len(brule.weights))
+        zs[-1] = 200.0  # exponent ~ 0.4 |z|^2 in the last block
+        assert zs.size > kernels.BLOCK_ENTRIES // len(brule.weights)
         with pytest.raises(OverflowError):
             adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: u, zs, brule)

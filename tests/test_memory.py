@@ -1,7 +1,7 @@
 """Traced peak memory of the blocked kernel paths.
 
 Each path contracts a kernel matrix that, built whole, would need well over
-130 MB.  `kernels._blocks` splits it into blocks of at most `BLOCK_ENTRIES`
+130 MB.  `kernels._contract` splits it into blocks of at most `BLOCK_ENTRIES`
 entries, contracted one at a time, so the peak stays far below 64 MB.
 numpy's array buffers are allocated through the traced allocator, so the
 blocks are counted.

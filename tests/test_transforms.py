@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gamma as gamma_fn
 
-from itofrft import transforms
+from itofrft import kernels, transforms
 from itofrft.ito_hermite import psi
-from itofrft.kernels import TransformParams, _block_rows, frft_kernel, frft_kernel_raw
+from itofrft.kernels import TransformParams, frft_kernel, frft_kernel_raw
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
 from itofrft.specfun import scipy_special
 from itofrft.spectral import gamma_norm
@@ -131,9 +131,8 @@ class TestFrft:
         g = f if route == "exact" else (lambda z: f(z))
         axis = np.linspace(-1.5, 1.5, 12)
         xis = axis[:, None] + 1j * np.linspace(-1.2, 1.4, 10)
-        # on the quadrature route, more than one kernel block of points, the last partial
-        per_block = _block_rows(len(rule.nodes))
-        assert xis.size > per_block and xis.size % per_block
+        # on the quadrature route, more than one kernel block of points
+        assert xis.size > kernels.BLOCK_ENTRIES // len(rule.nodes)
         got = frft_apply(p, g, xis, rule)
         assert got.shape == xis.shape
         want = np.array([frft_apply(p, g, xi, rule) for xi in xis.ravel()]).reshape(xis.shape)
@@ -228,9 +227,8 @@ class TestAdjoint:
         g = lambda u, v: 1.0 + u * np.conj(v) - 0.5j * v**2
         rng = np.random.default_rng(3)
         zs = (rng.standard_normal(300) + 1j * rng.standard_normal(300)).reshape(20, 15)
-        # more than one kernel block of points, the last one partial
-        per_block = _block_rows(len(brule.weights))
-        assert zs.size > per_block and zs.size % per_block
+        # more than one kernel block of points
+        assert zs.size > kernels.BLOCK_ENTRIES // len(brule.weights)
         got = adjoint_apply(nu, w, alpha, beta, g, zs, brule)
         assert got.shape == zs.shape
         want = np.array(
