@@ -51,18 +51,34 @@ def _is_integer(x):
     return _is_number(x) and (isinstance(x, int) or x.is_integer())
 
 
+def _check_keys(obj, allowed, what):
+    # additionalProperties: false in the schema
+    for key in obj:
+        if key not in allowed:
+            raise ValueError("%s has unknown key %r; allowed: %s" % (what, key, ", ".join(allowed)))
+
+
 def load_coeff_file(path):
-    """Read and validate a CoeffFile JSON document; raises ValueError on any
-    fault of the file."""
+    """Read and validate a CoeffFile JSON document as its schema does,
+    unknown keys included; raises ValueError on any fault of the file."""
+
+    def reject_constant(name):
+        # json.load would read the non-JSON literals NaN, Infinity and -Infinity as floats
+        raise ValueError(
+            "coefficient file %s is not valid JSON: %s is not a JSON number; "
+            "nu, re and im are finite numbers" % (path, name)
+        )
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_constant)
     except OSError as exc:
         raise ValueError("cannot read coefficient file %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ValueError("coefficient file %s is not valid JSON: %s" % (path, exc))
     if not isinstance(doc, dict) or "nu" not in doc or "coeffs" not in doc:
         raise ValueError("coefficient file must be an object with 'nu' and 'coeffs'")
+    _check_keys(doc, ("nu", "coeffs"), "coefficient file")
     nu, records = doc["nu"], doc["coeffs"]
     if not _is_number(nu):
         raise ValueError("'nu' must be a number")
@@ -71,6 +87,7 @@ def load_coeff_file(path):
     coeffs = {}
     for rec in records:
         rec = rec if isinstance(rec, dict) else {}
+        _check_keys(rec, ("m", "n", "re", "im"), "coefficient record")
         m, n, re_part, im_part = (rec.get(k) for k in ("m", "n", "re", "im"))
         if not (_is_integer(m) and _is_integer(n) and _is_number(re_part) and _is_number(im_part)):
             raise ValueError("coefficient records need integer m, n and numbers re, im")

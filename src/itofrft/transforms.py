@@ -3,12 +3,16 @@ adjoint, the second Bargmann transform, and the fractional Hankel reduction.
 
 Finite psi-expansions (`CoeffFunction`) are the preferred input
 representation: the 2D transform and its dual evaluate them exactly through
-the eigenrelation psi_{m,n} -> u^m v^n psi_{m,n}, with no quadrature.  Plain
+the eigenrelation psi_{m,n} -> u^m v^n psi_{m,n}, with no quadrature.  On a
+column x row grid of (u, v) the dual transform is one matrix product,
+(u^m) B (v^n)^T with B[m, n] = a_{m,n} psi_{m,n}(w); elementwise (u, v)
+pairs, and `frft_apply` over its points, take the term sum.  Plain
 callables are also accepted; `frft_apply` integrates them on a plane
 quadrature rule, which then serves as the independent cross-check of the
 exact route.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -50,8 +54,11 @@ class CoeffFunction:
         clean = {}
         for (m, n), a in self.coeffs.items():
             _check_index(m, n)
+            a = complex(a)
+            if not cmath.isfinite(a):
+                raise ValueError("coefficient (%d, %d) is not finite: %r" % (m, n, a))
             if a != 0:
-                clean[(int(m), int(n))] = complex(a)
+                clean[(int(m), int(n))] = a
         object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     @property
@@ -93,6 +100,16 @@ class RadialFunction:
         return cls(profile=lambda r: f(np.asarray(r, dtype=complex)))
 
 
+def _check_basis(nu, f):
+    """The psi_{m,n} of f must be the eigenfunctions of a transform with
+    scaling nu: f.nu must equal nu."""
+    if nu != f.nu:
+        raise ValueError(
+            "f is expanded in the basis for nu=%r but the transform uses nu=%r"
+            % (f.nu, nu)
+        )
+
+
 def _eigen_sum(nu, f, point, uv):
     """sum a_{m,n} u^m v^n psi_{m,n}(point) for a finite expansion f, from
     one psi table over the point(s); (u, v) entries broadcast elementwise.
@@ -100,11 +117,7 @@ def _eigen_sum(nu, f, point, uv):
     This is the eigenrelation of the transform with parameters (nu, u, v), so
     the psi_{m,n} of f must be its eigenfunctions: f.nu must equal nu.
     """
-    if nu != f.nu:
-        raise ValueError(
-            "f is expanded in the basis for nu=%r but the transform uses nu=%r"
-            % (f.nu, nu)
-        )
+    _check_basis(nu, f)
     u, v = (np.asarray(c, dtype=complex) for c in uv)
     out = sum(t * u**m * v**n for m, n, t in _coeff_terms(f, np.asarray(point, dtype=complex)))
     return complex(out) if np.ndim(out) == 0 else out
@@ -145,12 +158,38 @@ def dual_apply_coeff(nu, w, f, uv):
     sum a_{m,n} psi_{m,n}(w) u^m v^n.
 
     w is one point.  (u, v) entries may be scalars or arrays (broadcast
-    elementwise), each in the open unit disk.  The dual transform at (u, v)
-    is the 2D transform with TransformParams(nu, u, v), read at the target
-    w; both evaluate the same eigenrelation sum.
+    elementwise), each in the open unit disk; an array input gives an array
+    of the broadcast shape, two scalars a complex number.  The dual
+    transform at (u, v) is the 2D transform with TransformParams(nu, u, v),
+    read at the target w; both evaluate the same eigenrelation sum.
+
+    Two routes, chosen by the shapes of u and v:
+    - where they vary along disjoint axes of the broadcast shape (a column
+      times a row, or a scalar on either side), the result is the matrix
+      product (u^m) B (v^n)^T with B[m, n] = a_{m,n} psi_{m,n}(w), from one
+      psi table at w, written once into the output;
+    - where they share an axis (elementwise pairs), it is the term sum of
+      `_eigen_sum`.
     """
     _check_disk("dual transform points (u, v)", *uv)
-    return _eigen_sum(nu, f, complex(w), uv)
+    w = complex(w)
+    u, v = (np.asarray(c, dtype=complex) for c in uv)
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    # the axes of the broadcast shape along which u (v) varies
+    u_axes, v_axes = (
+        [i for i, k in enumerate(c.shape, len(shape) - c.ndim) if k != 1] for c in (u, v)
+    )
+    if set(u_axes) & set(v_axes):
+        return _eigen_sum(nu, f, w, (u, v))
+    _check_basis(nu, f)
+    m, n, terms = zip(*_coeff_terms(f, w))
+    B = np.zeros((max(m) + 1, max(n) + 1), dtype=complex)
+    B[m, n] = terms
+    # the entries of u (of v) in C order run over its varying axes in order
+    upow, vpow = (np.vander(c.ravel(), k, increasing=True) for c, k in zip((u, v), B.shape))
+    out = (upow @ B @ vpow.T).reshape([shape[i] for i in u_axes + v_axes])
+    out = out.transpose(np.argsort(u_axes + v_axes)).reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def adjoint_apply(nu, w, alpha, beta, g, z, rule):

@@ -435,6 +435,42 @@ class TestCoeffFileRoundTrip:
         assert "nu" in res.stderr and len(res.stderr.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("kind", ["frft", "dual"])
+    @pytest.mark.parametrize(
+        "value", ["NaN", "Infinity", "-Infinity", "1e400"], ids=["nan", "inf", "minus_inf", "overflow"]
+    )
+    def test_nonfinite_coefficient_rejected(self, tmp_path, kind, value):
+        # never NaN (not JSON) on stdout: one line on stderr, exit 1
+        p = tmp_path / "f.json"
+        p.write_text('{"nu": 1.0, "coeffs": [{"m": 1, "n": 0, "re": %s, "im": 0.0}]}' % value)
+        res = run_cli("transform", "--kind", kind, "--input", str(p), "--grid-count", "1")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+    @pytest.mark.parametrize("kind", ["frft", "dual"])
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"nu": 1.0, "x": 2, "coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]}, "'x'"),
+            ({"nu": 1.0, "coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0, "extra": 1}]}, "'extra'"),
+            ({"nu": 1.0, "coeffs": [{"m": 0, "n": 0, "Re": 1.0, "re": 1.0, "im": 0.0}]}, "'Re'"),
+        ],
+        ids=["top_level", "record", "misspelt"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, schemas, kind, doc, key):
+        # additionalProperties: false at both levels of the schema
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schemas["coeff_file"])
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(doc))
+        res = run_cli("transform", "--kind", kind, "--input", str(p), "--grid-count", "1")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert key in res.stderr
+
+
 class TestSpectrumCommand:
     def test_artifacts(self, tmp_path, schemas):
         res = run_cli(

@@ -1,10 +1,12 @@
-"""Traced peak memory of the blocked kernel paths.
+"""Traced peak memory of the blocked kernel paths and of the dual transform
+on a grid.
 
-Each path contracts a kernel matrix that, built whole, would need well over
-130 MB.  `kernels._contract` splits it into blocks of at most `BLOCK_ENTRIES`
-entries, contracted one at a time, so the peak stays far below 64 MB.
-numpy's array buffers are allocated through the traced allocator, so the
-blocks are counted.
+Each kernel path contracts a kernel matrix that, built whole, would need well
+over 130 MB.  `kernels._contract` splits it into blocks of at most
+`BLOCK_ENTRIES` entries, contracted one at a time, so the peak stays far
+below 64 MB.  The dual transform on a column x row grid is one matrix
+product that writes its output once.  numpy's array buffers are allocated
+through the traced allocator, so the blocks are counted.
 """
 
 import tracemalloc
@@ -12,7 +14,7 @@ import tracemalloc
 import numpy as np
 
 from itofrft.quadrature import bidisk_rule, plane_rule
-from itofrft.transforms import adjoint_apply
+from itofrft.transforms import CoeffFunction, adjoint_apply, dual_apply_coeff
 from itofrft.verify import _singular_values_quadrature, check_adjoint_identity
 
 LIMIT = 64 * 2**20
@@ -55,3 +57,13 @@ def test_adjoint_identity_memory():
     res, peak = traced_peak(check_adjoint_identity)
     assert res.passed
     assert peak <= 16 * 2**20, "peak %.1f MB" % (peak / 2**20)
+
+
+def test_dual_grid_memory():
+    # a 384 x 384 grid: no full-grid temporary beyond the output
+    f = CoeffFunction(nu=1.0, coeffs={(0, 0): 1.0, (8, 3): 0.5j, (2, 8): -0.25})
+    radii = np.sqrt(np.linspace(0.05, 0.95, 16))
+    disk = (radii[:, None] * np.exp(2j * np.pi * np.arange(24) / 24)).ravel()
+    out, peak = traced_peak(lambda: dual_apply_coeff(1.0, 0.7 - 0.2j, f, (disk[:, None], disk)))
+    assert out.shape == (384, 384)
+    assert peak <= 1.25 * out.nbytes, "peak %.2f x the output" % (peak / out.nbytes)

@@ -36,6 +36,11 @@ class TestCoeffFunction:
         z = 0.4 - 0.3j
         assert f(z) == pytest.approx(2.0 * psi(1.0, 0, 0, z) + 1.0j * psi(1.0, 1, 0, z))
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, complex(0.0, -math.inf), complex(1.0, math.nan)])
+    def test_nonfinite_coefficient_rejected(self, a):
+        with pytest.raises(ValueError, match="not finite"):
+            CoeffFunction(nu=1.0, coeffs={(0, 0): 1.0, (2, 1): a})
+
     def test_zero_coefficients_dropped(self):
         f = CoeffFunction(nu=1.0, coeffs={(0, 0): 0.0, (2, 1): 1.0})
         assert set(f.coeffs) == {(2, 1)}
@@ -183,6 +188,62 @@ class TestDual:
         us = np.linspace(-0.5, 0.5, 5)
         out = dual_apply_coeff(1.0, 2.0, f, (us, 0.0))
         np.testing.assert_allclose(out, psi(1.0, 1, 0, 2.0) * us, rtol=1e-13)
+
+    AGREE_RTOL = 1e-14  # relative to the largest entry of the reference
+
+    @staticmethod
+    def per_term(nu, w, f, u, v):
+        """sum a_{m,n} psi_{m,n}(w) u^m v^n, one term at a time."""
+        shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+        out = np.zeros(shape, dtype=complex)
+        for (m, n), a in f.coeffs.items():
+            out += a * psi(nu, m, n, w) * np.asarray(u) ** m * np.asarray(v) ** n
+        return out
+
+    @pytest.mark.parametrize(
+        "u_shape, v_shape",
+        [
+            ((6, 1), (1, 5)),
+            ((1, 5), (6, 1)),
+            ((6,), ()),
+            ((), (6,)),
+            ((6, 1, 1), (1, 4, 3)),
+            ((6, 1, 3), (1, 4, 1)),
+            ((6,), (6,)),
+            ((6, 5), (1, 5)),
+            ((), ()),
+        ],
+        ids=["column_row", "row_column", "array_scalar", "scalar_array", "column_block",
+             "interleaved", "elementwise", "overlapping", "scalars"],
+    )
+    def test_agrees_with_per_term_sum(self, u_shape, v_shape):
+        nu, w = 1.3, 0.7 - 0.4j
+        f = CoeffFunction(nu=nu, coeffs={(0, 0): 0.5, (3, 5): 1.0 - 2.0j, (8, 2): -0.75j})
+        rng = np.random.default_rng(5)
+        u, v = (
+            0.65 * (rng.uniform(-1, 1, s) + 1j * rng.uniform(-1, 1, s)) for s in (u_shape, v_shape)
+        )
+        got = dual_apply_coeff(nu, w, f, (u, v))
+        want = self.per_term(nu, w, f, u, v)
+        assert np.shape(got) == want.shape
+        if want.shape == ():
+            assert type(got) is complex
+        assert np.max(np.abs(got - want)) <= self.AGREE_RTOL * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [(np.full((3, 1), 0.5), np.full((1, 4), 0.2j)), (np.full(3, 0.5), np.full(3, 0.2j))],
+        ids=["grid", "elementwise"],
+    )
+    def test_empty_function_gives_zeros_of_broadcast_shape(self, u, v):
+        out = dual_apply_coeff(1.0, 1.0, CoeffFunction(nu=1.0, coeffs={}), (u, v))
+        assert out.shape == np.broadcast_shapes(u.shape, v.shape)
+        assert not np.any(out)
+
+    def test_empty_grid(self):
+        f = CoeffFunction(nu=1.0, coeffs={(1, 2): 1.0})
+        out = dual_apply_coeff(1.0, 0.5, f, (np.zeros((0, 1)), np.full((1, 5), 0.3)))
+        assert out.shape == (0, 5)
 
     def test_array_w_rejected(self):
         # an array w would broadcast against the (u, v) arrays
