@@ -258,6 +258,7 @@ def cmd_verify(args):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "checks": [r.to_dict() for r in results],
         "passed": all(r.passed for r in results),
+        "scipy_import_s": sum(r.scipy_import_s for r in results),
     }
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:

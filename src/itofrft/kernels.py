@@ -136,7 +136,10 @@ def frft_kernel_raw(nu, u, v, zeta, xi):
     zeta -> zeta e^{i phi} with (u, v) -> (u e^{i phi}, v e^{-i phi}), so
     K_{u,v}(zeta e^{i phi}; xi) = K_{u e^{-i phi}, v e^{i phi}}(zeta; xi).
     The orbit sums of `verify._singular_values_quadrature` and
-    `verify._adjoint_pairing` rest on it.
+    `verify._adjoint_pairing` rest on it.  The exponent also gives
+    conj K_{u,v}(zeta; xi) = K_{conj u, conj v}(conj zeta; conj xi) and
+    K_{v,u}(conj zeta; conj xi) = K_{u,v}(zeta; xi), by which
+    `_singular_values_quadrature` folds its orbit sum further.
     """
     zeta = np.asarray(zeta, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
@@ -180,14 +183,19 @@ def bergman_kernel(alpha, beta, a, b):
 
     for a = (u, v), b = (z, w).  Principal-branch powers; the bases have
     positive real part on D x D so no branch cut can be crossed.
+
+    It is the product of one kernel per disk, and is formed so: the factor
+    (alpha+1)(beta+1) / (pi^2 (1 - u conj(z))^{alpha+2}) at the broadcast
+    shape of (u, z), the factor 1 / (1 - v conj(w))^{beta+2} at that of
+    (v, w), then one multiplication at the full broadcast shape.  On a
+    column x row grid (u, z varying along one axis, v, w along the other)
+    the output is the only full-size array.
     """
     _check_weights(alpha, beta)
     u, v = (np.asarray(c, dtype=complex) for c in a)
     z, w = (np.asarray(c, dtype=complex) for c in b)
     _check_disk("bergman_kernel arguments", u, v, z, w)
-    out = (alpha + 1.0) * (beta + 1.0) / (
-        math.pi**2
-        * (1.0 - u * np.conj(z)) ** (alpha + 2.0)
-        * (1.0 - v * np.conj(w)) ** (beta + 2.0)
-    )
+    first = (alpha + 1.0) * (beta + 1.0) / (math.pi**2 * (1.0 - u * np.conj(z)) ** (alpha + 2.0))
+    second = 1.0 / (1.0 - v * np.conj(w)) ** (beta + 2.0)
+    out = first * second
     return complex(out) if np.ndim(out) == 0 else out

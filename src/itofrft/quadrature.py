@@ -16,6 +16,11 @@ passes them as an (nx, 1) column and a (1, ny) row, so f sees the whole grid
 by broadcasting and computes a factor of one variable (u^m, v^n, a kernel
 power) once per axis.
 
+The Gauss-Laguerre rule in t = nu r^2 of `plane_rule`, which
+`transforms.hankel_apply` also uses, is built once per node count by
+`_laguerre` and shared write-protected: a run that makes many plane rules or
+Hankel transforms of one size builds it once.
+
 Domain: the bi-disk and quadrant measures are finite exactly when alpha,
 beta > -1, and the plane measure needs a finite nu > 0.
 `_check_weights` is the one home of the alpha, beta rule for the package
@@ -24,6 +29,7 @@ that a rule was built for the kind and parameters a transform uses.  NaN
 and inf fail both.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,6 +83,17 @@ def _check_rule(rule, kind, **params):
             )
 
 
+@functools.cache
+def _laguerre(n):
+    """The n-node Gauss-Laguerre rule (t, wt) for int_0^inf g(t) e^{-t} dt,
+    built on its first use and write-protected, since every caller shares
+    it: `plane_rule` and `transforms.hankel_apply`."""
+    rule = scipy_special().roots_genlaguerre(n, 0.0)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _unit_jacobi(alpha, n):
     # n-node rule for int_0^1 g(s) (1-s)^alpha ds: Gauss-Jacobi mapped to [0, 1]
     x, wj = scipy_special().roots_jacobi(n, alpha, 0.0)
@@ -102,13 +119,16 @@ def _tensor(kind, x, wx, y, wy, params):
 def plane_rule(nu, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
     """Polar product rule for the Gaussian plane measure e^{-nu |z|^2} dA.
 
-    Gauss-Laguerre in t = nu r^2 times the uniform angular rule; integrates
+    Gauss-Laguerre in t = nu r^2, radii sqrt(t / nu) from the shared rule
+    `_laguerre(n_radial)`, times the uniform angular rule; integrates
     z^a conj(z)^b exactly whenever a + b <= 2 n_radial - 1 and |a-b| < n_angular.
+    The angles 2 pi k / n_angular start at 0, so the rule is symmetric under
+    conjugation: z -> conj(z) permutes its nodes and keeps every weight.
     """
     _check_nu(nu)
     if n_radial < 1 or n_angular < 1:
         raise ValueError("rule sizes must be >= 1")
-    t, wt = scipy_special().roots_genlaguerre(n_radial, 0.0)
+    t, wt = _laguerre(n_radial)
     r = np.sqrt(t / nu)
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
     nodes = r[:, None] * np.exp(1j * theta)[None, :]

@@ -8,19 +8,35 @@ on every later one, so `import itofrft` and the calls that need only numpy
 (psi tables, kernels, the eigen-route transforms) never load scipy.  A
 function that uses scipy binds the names it needs once per call, as in
 `gammaln = scipy_special().gammaln`, never per element or loop step.
+The first call records how long its import took in
+`scipy_special.import_s`, so that a timed stage can tell that one-time cost
+from its own work.
 
 Polynomial degrees are capped at `DEGREE_CAP` = 200; every caller in this
 package stays far below that.
 """
 
 import functools
+import sys
+import time
 
 DEGREE_CAP = 200
 
 
 @functools.cache
 def scipy_special():
-    """The `scipy.special` module, imported on the first call."""
+    """The `scipy.special` module, imported on the first call.
+
+    That call sets `scipy_special.import_s` to the seconds the import took,
+    0.0 if `scipy.special` was already loaded; before it, the attribute is
+    None.
+    """
+    loaded = "scipy.special" in sys.modules
+    start = time.perf_counter()
     import scipy.special
 
+    scipy_special.import_s = 0.0 if loaded else time.perf_counter() - start
     return scipy.special
+
+
+scipy_special.import_s = None

@@ -13,7 +13,6 @@ exact route.
 """
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -23,7 +22,7 @@ import numpy as np
 from .specfun import scipy_special
 from .ito_hermite import _check_index, _check_nu, _check_point, psi_table
 from .kernels import _check_disk, _contract, frft_kernel_raw
-from .quadrature import _check_rule, _samples, integrate
+from .quadrature import _check_rule, _laguerre, _samples, integrate
 from .spectral import gamma_norm
 
 __all__ = [
@@ -227,16 +226,6 @@ def bergman_norm(coeffs, alpha, beta):
     return math.sqrt(total)
 
 
-@functools.cache
-def _hankel_rule():
-    """The `HANKEL_NODES`-node Gauss-Laguerre rule (t, wt) of `hankel_apply`,
-    built on first use and write-protected, since every call shares it."""
-    rule = scipy_special().roots_genlaguerre(HANKEL_NODES, 0.0)
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
-
-
 def hankel_apply(nu, order, u, v, psi_profile, y):
     """Fractional Hankel transform of the radial profile Psi at y >= 0:
 
@@ -244,7 +233,8 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
           * integral_0^inf x Psi(x) I_order(2 nu sqrt(uv) x y / (1-uv))
                            e^{-nu (x^2 + uv y^2) / (1-uv)} dx
 
-    via a `HANKEL_NODES`-node Gauss-Laguerre rule in t = nu x^2 / (1-uv).
+    via a `HANKEL_NODES`-node Gauss-Laguerre rule in t = nu x^2 / (1-uv),
+    the cached rule that `plane_rule` shares (`quadrature._laguerre`).
     The rule is accurate when the integrand is smooth in t, as for the
     profile of an angular mode k at order k, so `order` is one of the
     paper's modes: a non-negative integer (an integral float such as 2.0 is
@@ -270,7 +260,7 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     if not math.isfinite(ell * u * v * hi * hi):
         raise OverflowError("hankel_apply at y=%g overflows double precision" % hi)
     shift = ell * u * v * y * y
-    t, wt = _hankel_rule()
+    t, wt = _laguerre(HANKEL_NODES)
     x = np.sqrt(t / ell)
     samples = np.asarray(psi_profile(x), dtype=complex)
     samples = np.broadcast_to(samples, x.shape)

@@ -41,6 +41,9 @@ class CheckResult:
     detail: str = ""
     side_conditions: bool = True  # the check's conditions besides the tolerance
     wall_s: float = 0.0  # wall time of the check, set by `run_checks`
+    # seconds of the one scipy.special import, if this check made it; set by
+    # `run_checks`, which leaves them out of wall_s
+    scipy_import_s: float = 0.0
 
     @property
     def passed(self):
@@ -203,6 +206,7 @@ def check_kernel_autocorrelation():
 
 
 _ORBIT = 16  # angular nodes per disk of the bi-disk rule of `singular_values`
+_RADII = 8  # radial nodes per disk of that rule
 
 
 def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, rule):
@@ -216,15 +220,50 @@ def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, rule):
     is constant on the orbit (phi_u + phi, phi_v - phi) of the bi-disk grid.
     The u-nodes at angle 0, paired with every v-node, meet each orbit once,
     and 16 times their tensor weight makes the orbit sum equal the full sum
-    to rounding.  This is algebra on the kernel, not the closed formula, so
-    the check stays an independent quadrature.  It needs 16 to divide the
-    angular count of `rule`, as it does for the default 64.
+    to rounding.  It needs 16 to divide the angular count of `rule`, as it
+    does for the default 64.
+
+    Two folds of the orbit sum follow from the kernel's symmetries
+    conj K_{u,v}(zeta; xi) = K_{conj u, conj v}(conj zeta; conj xi) and
+    K_{v,u}(conj zeta; conj xi) = K_{u,v}(zeta; xi).  Both need the plane
+    rule to be symmetric under conjugation, as every `plane_rule` is, and
+    use conj psi_{m,n}(z) = psi_{m,n}(conj z) = psi_{n,m}(z).  With I_{m,n}
+    the image at the orbit of (u-radius a, v-radius b, v-angle k):
+
+    - at a real w, |I_{m,n}| is the same at v-angles k and 16 - k, so the
+      sum keeps the angles 0..8 and weights the 7 conjugate pairs twice;
+    - when alpha = beta, the two disks carry one radial rule, and
+      |I_{m,n}(b, a, k)| = |I_{n,m}(a, b, -k)| at any w, so the sum keeps
+      the radius pairs a <= b and adds, for a < b, the (m, n)-transposed
+      term.  The box is squared to max(max_m, max_n) for it.
+
+    Each fold is chosen from w and (alpha, beta) alone.  At w = 1 and
+    alpha = beta the sum forms 324 of the 1024 orbit columns.  All of this
+    is algebra on the kernel, not the closed formula, so the check stays an
+    independent quadrature.
     """
-    brule = bidisk_rule(alpha, beta, 8, _ORBIT)
-    u, v = brule.axes  # radius-major: u[::16] is the angle-0 node of each radius
-    weights = _ORBIT * brule.weights.reshape(len(u), len(v))[::_ORBIT]
-    images = _psi_images(nu, rule, max_m, max_n, u[::_ORBIT, None], v[None, :], w)
-    return np.sqrt((images.real**2 + images.imag**2) @ weights.ravel())
+    brule = bidisk_rule(alpha, beta, _RADII, _ORBIT)
+    x, y = brule.axes  # radius-major: x[::16] is the angle-0 node of each radius
+    # the orbit of (u-radius a at angle 0, v-radius b at angle k), as [a, b, k]
+    weights = _ORBIT * brule.weights.reshape(_RADII, _ORBIT, _RADII, _ORBIT)[:, 0]
+    u, v = np.broadcast_arrays(x[::_ORBIT, None, None], y.reshape(1, _RADII, _ORBIT))
+    if complex(w).imag == 0:
+        half = _ORBIT // 2
+        weights = weights[..., : half + 1] * np.r_[1.0, np.full(half - 1, 2.0), 1.0]
+        u, v = u[..., : half + 1], v[..., : half + 1]
+    box = max_m, max_n
+    swap = alpha == beta
+    if swap:
+        a, b = np.triu_indices(_RADII)
+        weights, u, v = weights[a, b], u[a, b], v[a, b]
+        transposed = weights * (a < b)[:, None]
+        box = (max(box),) * 2  # the transposed term needs the square box
+    images = _psi_images(nu, rule, *box, u, v, w)
+    squares = images.real**2 + images.imag**2
+    total = squares @ weights.ravel()
+    if swap:
+        total += (squares @ transposed.ravel()).T
+    return np.sqrt(total[: max_m + 1, : max_n + 1])
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-7)
@@ -648,14 +687,20 @@ def run_checks(tolerances=None, names=None):
     at, which leaves the check's other conditions in force; `names` restricts
     the run to the listed checks.  A check's name is the one it reports, its
     function name without `check_`.  Each result records the check's wall
-    time in `wall_s`.  The whole config is validated first: see `_plan` for
-    what raises ValueError.  A ValueError from a running check propagates as
-    it is.
+    time in `wall_s`.  The check that first needs scipy pays its one-time
+    import (`specfun.scipy_special`); that time is recorded in its
+    `scipy_import_s` and left out of its `wall_s`.  The whole config is
+    validated first: see `_plan` for what raises ValueError.  A ValueError
+    from a running check propagates as it is.
     """
     results = []
     for fn, tolerance in _plan({} if tolerances is None else tolerances, names):
+        cold = scipy_special.import_s is None
         start = time.perf_counter()
         result = fn(tolerance)
         result.wall_s = time.perf_counter() - start
+        if cold and scipy_special.import_s is not None:
+            result.scipy_import_s = scipy_special.import_s
+            result.wall_s -= result.scipy_import_s
         results.append(result)
     return results

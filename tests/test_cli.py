@@ -605,6 +605,35 @@ class TestVerifyCommand:
         assert report["passed"] is False
         assert report["checks"][0]["status"] == "fail"
 
+    def test_scipy_import_timed_apart(self, tmp_path, schemas):
+        # in a fresh interpreter the first check that needs scipy makes its
+        # one import; the report gives that time apart from the check's wall_s
+        cfg = self._config(tmp_path, {
+            "checks": ["mehler_classical", "hankel_fixed_point", "bessel_monotone"],
+            "out_dir": str(tmp_path),
+        })
+        res = run_cli_process("verify", "--config", cfg)
+        assert res.returncode == 0, res.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        jsonschema.validate(report, schemas["report"])
+        assert report["scipy_import_s"] > 0
+        walls = {c["name"]: c["wall_s"] for c in report["checks"]}
+        assert walls["hankel_fixed_point"] < report["scipy_import_s"]
+        # the schema requires the field
+        del report["scipy_import_s"]
+        with pytest.raises(jsonschema.ValidationError, match="scipy_import_s"):
+            jsonschema.validate(report, schemas["report"])
+
+    def test_scipy_loaded_reports_no_import(self, tmp_path, schemas):
+        from itofrft.specfun import scipy_special
+
+        scipy_special()  # loaded before the run: no check imports it
+        cfg = self._config(tmp_path, {"checks": ["hankel_fixed_point"], "out_dir": str(tmp_path)})
+        assert run_cli("verify", "--config", cfg).returncode == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        jsonschema.validate(report, schemas["report"])
+        assert report["scipy_import_s"] == 0.0
+
     def test_missing_config(self, tmp_path):
         res = run_cli("verify", "--config", str(tmp_path / "absent.json"))
         assert res.returncode == 2

@@ -117,3 +117,30 @@ def test_adjoint_apply_starts_no_thread(monkeypatch):
     assert np.all(np.isfinite(out))
     assert ran_on == {threading.main_thread().name}  # every block ran on the caller
     assert threading.active_count() == before
+
+
+# prints scipy_special.import_s before and after the first call, with
+# scipy.special imported beforehand if the argument says so
+IMPORT_TIME = """
+import sys
+if sys.argv[1] == "preloaded":
+    import scipy.special
+from itofrft.specfun import scipy_special
+before = scipy_special.import_s
+scipy_special()
+print(before, scipy_special.import_s)
+"""
+
+
+@pytest.mark.parametrize("state", ["cold", "preloaded"])
+def test_scipy_import_is_timed_once(state):
+    res = subprocess.run(
+        [sys.executable, "-c", IMPORT_TIME, state], capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    before, after = res.stdout.split()
+    assert before == "None"
+    if state == "cold":
+        assert float(after) > 0
+    else:
+        assert float(after) == 0.0

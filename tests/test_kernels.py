@@ -174,6 +174,37 @@ class TestBergmanKernel:
         with pytest.raises(ValueError):
             bergman_kernel(0.0, 0.0, (1.0, 0.0), (0.0, 0.0))
 
+    @staticmethod
+    def closed(alpha, beta, u, v, z, w):
+        # the whole formula at the broadcast shape, one division
+        return (alpha + 1) * (beta + 1) / (
+            math.pi**2 * (1 - u * np.conj(z)) ** (alpha + 2) * (1 - v * np.conj(w)) ** (beta + 2)
+        )
+
+    def test_per_disk_factors_on_a_grid(self):
+        # the column x row grid that check_bergman_reproducing integrates on
+        x, y = bidisk_rule(1.0, 0.5, 32, 32).axes
+        u, v = x[:, None], y[None, :]
+        for b in ((0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)):
+            got = bergman_kernel(1.0, 0.5, (u, v), b)
+            assert got.shape == (1024, 1024)
+            want = self.closed(1.0, 0.5, u, v, *b)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    def test_per_disk_factors_elementwise_and_scalar(self):
+        rng = np.random.default_rng(5)
+        pts = [np.sqrt(rng.uniform(0, 0.95, 200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+               for _ in range(4)]
+        got = bergman_kernel(2.0, 0.5, pts[:2], pts[2:])
+        want = self.closed(2.0, 0.5, *pts)
+        assert got.shape == (200,)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+        for k in range(0, 200, 40):
+            a, b = (pts[0][k], pts[1][k]), (pts[2][k], pts[3][k])
+            val = bergman_kernel(2.0, 0.5, a, b)
+            assert type(val) is complex
+            assert abs(val - want[k]) <= 1e-14 * abs(want[k])
+
 
 def block_slices(count, nodes):
     """The slices of range(count) over which `kernels._contract` forms the

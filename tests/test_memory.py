@@ -1,11 +1,12 @@
-"""Traced peak memory of the blocked kernel paths and of the dual transform
-on a grid.
+"""Traced peak memory of the blocked kernel paths, of the dual transform
+on a grid and of the Bergman kernel on a grid.
 
 Each kernel path contracts a kernel matrix that, built whole, would need well
 over 130 MB.  `kernels._contract` splits it into blocks of at most
 `BLOCK_ENTRIES` entries, contracted one at a time, so the peak stays far
 below 64 MB.  The dual transform on a column x row grid is one matrix
-product that writes its output once.  numpy's array buffers are allocated
+product that writes its output once, and the Bergman kernel multiplies
+its two per-disk factors once.  numpy's array buffers are allocated
 through the traced allocator, so the blocks are counted.
 """
 
@@ -13,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 
+from itofrft.kernels import bergman_kernel
 from itofrft.quadrature import bidisk_rule, plane_rule
 from itofrft.transforms import CoeffFunction, adjoint_apply, dual_apply_coeff
 from itofrft.verify import _singular_values_quadrature, check_adjoint_identity
@@ -42,11 +44,12 @@ def test_adjoint_apply_memory():
 
 
 def test_singular_values_quadrature_memory():
-    # 144 x 64 plane nodes x 1024 bi-disk orbit nodes: 151 MB for the whole matrix
+    # 144 x 64 plane nodes x 1024 bi-disk orbit nodes: 151 MB for the whole
+    # matrix; at complex w and alpha != beta no fold cuts the orbit columns
     rule = plane_rule(1.0, 144, 64)
     assert 144 * 64 * 1024 * 16 > 130 * 2**20
     out, peak = traced_peak(
-        lambda: _singular_values_quadrature(1.0, 1.0, 1.0, 1.0 + 0j, 4, 4, rule)
+        lambda: _singular_values_quadrature(1.0, 2.0, 0.5, 0.6 + 0.5j, 4, 4, rule)
     )
     assert out.shape == (5, 5) and np.all(np.isfinite(out))
     assert peak <= LIMIT, "peak %.1f MB" % (peak / 2**20)
@@ -57,6 +60,16 @@ def test_adjoint_identity_memory():
     res, peak = traced_peak(check_adjoint_identity)
     assert res.passed
     assert peak <= 16 * 2**20, "peak %.1f MB" % (peak / 2**20)
+
+
+def test_bergman_kernel_grid_memory():
+    # one factor per disk: the 1024 x 1024 output is the only full-size array
+    x, y = bidisk_rule(1.0, 0.5, 32, 32).axes
+    out, peak = traced_peak(
+        lambda: bergman_kernel(1.0, 0.5, (x[:, None], y[None, :]), (0.4 + 0.2j, -0.3 + 0.35j))
+    )
+    assert out.shape == (1024, 1024)
+    assert peak <= 1.25 * out.nbytes, "peak %.2f x the output" % (peak / out.nbytes)
 
 
 def test_dual_grid_memory():

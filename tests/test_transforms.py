@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gamma as gamma_fn
 
-from itofrft import kernels, transforms
+from itofrft import kernels, quadrature, transforms
 from itofrft.ito_hermite import psi
 from itofrft.kernels import TransformParams, frft_kernel, frft_kernel_raw
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
@@ -429,18 +429,26 @@ class TestHankel:
             hankel_apply(1.0, order, 0.3, 0.3, lambda x: x**0.5, 1.0)
 
     def test_rule_built_once(self, monkeypatch):
-        # every call shares one Gauss-Laguerre rule, built on first use
+        # plane rules and Hankel transforms share one Gauss-Laguerre rule per
+        # node count, built on first use; sharing it leaves the values as
+        # they were with a rule of the transform's own
+        prof = lambda x: np.exp(-x)
+        ys = (0.0, 0.5, 1.0, 2.0)
+        quadrature._laguerre.cache_clear()
+        alone = [hankel_apply(1.0, 1, 0.3, 0.4, prof, y) for y in ys]
         sp = scipy_special()
         build, built = sp.roots_genlaguerre, []
         monkeypatch.setattr(sp, "roots_genlaguerre", lambda *args: built.append(args) or build(*args))
-        transforms._hankel_rule.cache_clear()
+        quadrature._laguerre.cache_clear()
         try:
-            for y in (0.0, 0.5, 1.0, 2.0):
-                hankel_apply(1.0, 0, 0.3, 0.3, lambda x: np.ones_like(x), y)
-            t, wt = transforms._hankel_rule()
+            plane_rule(0.5)
+            plane_rule(2.0)
+            shared = [hankel_apply(1.0, 1, 0.3, 0.4, prof, y) for y in ys]
+            t, wt = quadrature._laguerre(HANKEL_NODES)
         finally:
-            transforms._hankel_rule.cache_clear()
+            quadrature._laguerre.cache_clear()
         assert built == [(HANKEL_NODES, 0.0)]
+        assert shared == alone
         with pytest.raises(ValueError):
             t[0] = 0.0
         with pytest.raises(ValueError):

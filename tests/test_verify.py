@@ -77,21 +77,41 @@ def test_override_keeps_zero_circle_condition(monkeypatch):
     assert not res.passed
 
 
-@pytest.mark.parametrize("w", [1.0 + 0.0j, 0.6 + 0.5j])
-def test_singular_values_orbit_sum_matches_full_sum(w):
-    # one kernel column per rotation orbit gives the full 16-angle bi-disk sum
+@pytest.mark.parametrize(
+    "alpha,beta,w",
+    [
+        pytest.param(1.0, 1.0, 1.0 + 0.0j, id="(1+0j)"),  # both folds
+        pytest.param(1.0, 1.0, 0.6 + 0.5j, id="(0.6+0.5j)"),  # the swap fold alone
+        pytest.param(2.0, 0.5, 1.0 + 0.0j, id="unequal-(1+0j)"),  # the conjugation fold alone
+        pytest.param(2.0, 0.5, 0.6 + 0.5j, id="unequal-(0.6+0.5j)"),  # neither
+    ],
+)
+def test_singular_values_orbit_sum_matches_full_sum(alpha, beta, w):
+    # one kernel column per rotation orbit, folded by conjugation at a real w
+    # and by the (u, v) swap at alpha = beta, gives the full 16-angle bi-disk sum
     rule = plane_rule(1.0, 16, 16)
-    brule = bidisk_rule(1.0, 1.0, 8, 16)
+    brule = bidisk_rule(alpha, beta, 8, 16)
     x, y = brule.axes
     u, v = np.repeat(x, len(y)), np.tile(y, len(x))  # every node, in weight order
     images = verify._psi_images(1.0, rule, 4, 4, u, v, w)
     full = np.sqrt((images.real**2 + images.imag**2) @ brule.weights)
-    orbit = verify._singular_values_quadrature(1.0, 1.0, 1.0, w, 4, 4, rule)
+    orbit = verify._singular_values_quadrature(1.0, alpha, beta, w, 4, 4, rule)
     assert np.max(np.abs(orbit - full)) <= 1e-13
 
 
+def test_singular_values_swap_fold_on_an_oblong_box():
+    # the swap fold squares the box for its transposed term, then cuts it back
+    rule = plane_rule(1.0, 16, 16)
+    square = verify._singular_values_quadrature(1.0, 1.0, 1.0, 1.0, 5, 5, rule)
+    for max_m, max_n in ((2, 5), (5, 3)):
+        got = verify._singular_values_quadrature(1.0, 1.0, 1.0, 1.0, max_m, max_n, rule)
+        assert np.array_equal(got, square[: max_m + 1, : max_n + 1])
+
+
 def test_singular_values_kernel_work(monkeypatch):
-    # 4096 plane nodes against one (u, v) node per orbit, at each of two w
+    # 4096 plane nodes against one (u, v) node per orbit: at alpha = beta the
+    # swap fold leaves 576 of the 1024 orbit columns, and at w = 1 the
+    # conjugation fold leaves 324 of those; a lost fold breaks the bound
     raw, entries = verify.frft_kernel_raw, []
 
     def counted(*args):
@@ -102,7 +122,7 @@ def test_singular_values_kernel_work(monkeypatch):
     monkeypatch.setattr(verify, "frft_kernel_raw", counted)
     (res,) = run_checks(names=["singular_values"])
     assert res.passed
-    assert 0 < sum(entries) <= 2 * 4096 * 1024
+    assert 0 < sum(entries) <= 4096 * (324 + 576)
 
 
 def _adjoint_pair():
