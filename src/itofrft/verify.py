@@ -40,10 +40,7 @@ class CheckResult:
     tolerance: float
     detail: str = ""
     side_conditions: bool = True  # the check's conditions besides the tolerance
-    wall_s: float = 0.0  # wall time of the check, set by `run_checks`
-    # seconds of the one scipy.special import, if this check made it; set by
-    # `run_checks`, which leaves them out of wall_s
-    scipy_import_s: float = 0.0
+    wall_s: float = 0.0  # wall time of the check, set by `_run`
 
     @property
     def passed(self):
@@ -221,7 +218,7 @@ def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, rule):
     The u-nodes at angle 0, paired with every v-node, meet each orbit once,
     and 16 times their tensor weight makes the orbit sum equal the full sum
     to rounding.  It needs 16 to divide the angular count of `rule`, as it
-    does for the default 64.
+    does for the default 64, and raises ValueError otherwise.
 
     Two folds of the orbit sum follow from the kernel's symmetries
     conj K_{u,v}(zeta; xi) = K_{conj u, conj v}(conj zeta; conj xi) and
@@ -242,6 +239,8 @@ def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, rule):
     is algebra on the kernel, not the closed formula, so the check stays an
     independent quadrature.
     """
+    if rule.params["n_angular"] % _ORBIT:
+        raise ValueError("the bi-disk angular count %d must divide the plane's" % _ORBIT)
     brule = bidisk_rule(alpha, beta, _RADII, _ORBIT)
     x, y = brule.axes  # radius-major: x[::16] is the angle-0 node of each radius
     # the orbit of (u-radius a at angle 0, v-radius b at angle k), as [a, b, k]
@@ -410,8 +409,9 @@ def check_null_space():
 
 @_check(ACCEPTANCE_CHECKS, 1e-3)
 def check_compactness_tail():
-    """Finite-rank tail decreases monotonically and falls below 1e-3 of its
-    (2, 2) value by cutoff (20, 20), for alpha = beta = 1."""
+    """The corner sum `finite_rank_tail` (no distance to the truncation)
+    decreases monotonically and falls below 1e-3 of its (2, 2) value by
+    cutoff (20, 20), for alpha = beta = 1."""
     nu, alpha, beta, w = 1.0, 1.0, 1.0, 1.0
     tails = [finite_rank_tail(nu, alpha, beta, w, p, p) for p in range(2, 21)]
     monotone = all(b < a for a, b in zip(tails, tails[1:]))
@@ -653,14 +653,26 @@ def check_quadrature_selfconvergence():
     return float(_rel(a, b))
 
 
-def _plan(tolerances, names):
-    """The checks a run selects, in list order, each with the tolerance it is
-    judged at (None for its default).
+def _plan(config):
+    """Validate a RunConfig, as `verify --config` reads it or `run_checks`
+    builds it, and return (checks, out_dir): the checks it selects, in list
+    order, each with its tolerance (None for its default), and its out_dir.
 
-    Raises ValueError, before any check runs, on a tolerance whose key names
-    no check or whose value is not a number > 0, and on a name that names no
-    check.
+    Raises ValueError, before any check runs, on a config that is not an
+    object, has a key other than `tolerances`, `checks` and `out_dir`, or
+    has an `out_dir` that is not a string, a tolerance that names no check
+    or is not a number > 0, or a name that names no check.
     """
+    keys = ("tolerances", "checks", "out_dir")
+    if not isinstance(config, dict):
+        raise ValueError("expected a JSON object, got %s" % type(config).__name__)
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ValueError("unknown keys %s (allowed: %s)" % (unknown, ", ".join(keys)))
+    out_dir = config.get("out_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ValueError("'out_dir' must be a string")
+    tolerances, names = config.get("tolerances", {}), config.get("checks")
     every = ACCEPTANCE_CHECKS + INVARIANT_CHECKS
     known = {_name(fn) for fn in every}
     if not isinstance(tolerances, dict):
@@ -676,7 +688,22 @@ def _plan(tolerances, names):
         if set(names) - known:
             raise ValueError("unknown check names: %s" % sorted(set(names) - known))
         every = [fn for fn in every if _name(fn) in names]
-    return [(fn, tolerances.get(_name(fn))) for fn in every]
+    return [(fn, tolerances.get(_name(fn))) for fn in every], out_dir
+
+
+def _run(checks):
+    """Run the checks of a `_plan` and return their CheckResults, each with
+    its wall time in `wall_s`.  scipy is loaded before the first check, so
+    no `wall_s` holds its one-time import.  A ValueError from a running
+    check propagates as it is."""
+    scipy_special()
+    results = []
+    for fn, tolerance in checks:
+        start = time.perf_counter()
+        result = fn(tolerance)
+        result.wall_s = time.perf_counter() - start
+        results.append(result)
+    return results
 
 
 def run_checks(tolerances=None, names=None):
@@ -686,21 +713,8 @@ def run_checks(tolerances=None, names=None):
     set for.  `tolerances` maps a check name to the tolerance it is judged
     at, which leaves the check's other conditions in force; `names` restricts
     the run to the listed checks.  A check's name is the one it reports, its
-    function name without `check_`.  Each result records the check's wall
-    time in `wall_s`.  The check that first needs scipy pays its one-time
-    import (`specfun.scipy_special`); that time is recorded in its
-    `scipy_import_s` and left out of its `wall_s`.  The whole config is
-    validated first: see `_plan` for what raises ValueError.  A ValueError
-    from a running check propagates as it is.
+    function name without `check_`.  Both are validated first, as `_plan`
+    validates a RunConfig, and the checks run as `_run` runs them.
     """
-    results = []
-    for fn, tolerance in _plan({} if tolerances is None else tolerances, names):
-        cold = scipy_special.import_s is None
-        start = time.perf_counter()
-        result = fn(tolerance)
-        result.wall_s = time.perf_counter() - start
-        if cold and scipy_special.import_s is not None:
-            result.scipy_import_s = scipy_special.import_s
-            result.wall_s -= result.scipy_import_s
-        results.append(result)
-    return results
+    checks, _ = _plan({"tolerances": {} if tolerances is None else tolerances, "checks": names})
+    return _run(checks)

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from itofrft import cli
+from itofrft import cli, verify
 from itofrft.cli import load_coeff_file
 from itofrft.ito_hermite import psi
 from itofrft.kernels import TransformParams
@@ -683,6 +683,20 @@ class TestVerifyCommand:
         assert res.returncode == 2, res.stderr
         assert len(res.stderr.strip().splitlines()) == 1, res.stderr
         assert "Traceback" not in res.stderr
+        assert not (tmp_path / "report.json").exists()
+        # the library's one validator rejects the same document
+        with pytest.raises(ValueError):
+            verify._plan(doc)
+
+    def test_config_not_utf8(self, tmp_path, monkeypatch):
+        # a read or decode error is a config error too
+        monkeypatch.setenv("ITOFRFT_OUT_DIR", str(tmp_path))
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff")
+        res = run_cli("verify", "--config", str(cfg))
+        assert res.returncode == 2, res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert res.stderr.startswith("invalid config: ")
         assert not (tmp_path / "report.json").exists()
 
     def test_unknown_check_name(self, tmp_path):

@@ -3,6 +3,8 @@ and traced.  The acceptance checks are run by test_acceptance.py."""
 
 import functools
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +152,12 @@ def test_adjoint_pairing_needs_dividing_angles():
         verify._adjoint_pairing(1.0, 0.8, f, g, plane_rule(1.0, 8, 12), bidisk_rule(1.0, 1.0, 4, 5))
 
 
+def test_singular_values_needs_dividing_angles():
+    # 16, the bi-disk angular count, does not divide the plane rule's 24
+    with pytest.raises(ValueError, match="divide"):
+        verify._singular_values_quadrature(1.0, 2.0, 0.5, 0.6 + 0.5j, 4, 4, plane_rule(1.0, 16, 24))
+
+
 def test_adjoint_identity_kernel_work(monkeypatch):
     # 96 base plane nodes, each against the 12 x 12 per-disk bi-disk grid
     raw, entries = transforms.frft_kernel_raw, []
@@ -170,8 +178,11 @@ def test_adjoint_identity_kernel_work(monkeypatch):
     "config",
     [
         {"names": ["hankel_fixed_point"], "tolerances": {"hankel_fixed_pont": 1e-30}},
+        {"names": ["hankel_fixed_point"], "tolerances": {"hankel_fixed_point": "1e-9"}},
+        {"names": ["hankel_fixed_point", "no_such_check"]},
+        {"names": "hankel_fixed_point"},
     ],
-    ids=["unknown_tolerance"],
+    ids=["unknown_tolerance", "tolerance_as_string", "unknown_check_name", "names_not_a_list"],
 )
 def test_malformed_config_rejected_before_any_check(config, monkeypatch):
     ran = []
@@ -184,6 +195,24 @@ def test_malformed_config_rejected_before_any_check(config, monkeypatch):
     with pytest.raises(ValueError):
         run_checks(**config)
     assert ran == []
+
+
+# in a fresh interpreter, prints the one scipy import's seconds and the
+# wall_s of each check of a run that starts with a check needing no scipy
+FRESH_RUN = """
+from itofrft.specfun import scipy_special
+from itofrft.verify import run_checks
+results = run_checks(names=["mehler_classical", "hankel_fixed_point"])
+print(scipy_special.import_s, *(r.wall_s for r in results))
+"""
+
+
+def test_scipy_loaded_before_the_first_check():
+    res = subprocess.run([sys.executable, "-c", FRESH_RUN], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    import_s, *walls = map(float, res.stdout.split())
+    assert len(walls) == 2
+    assert import_s > max(walls)
 
 
 def test_tracer_sees_each_check():
