@@ -22,7 +22,6 @@ from .specfun import DEGREE_CAP, scipy_special
 __all__ = [
     "ZeroSet",
     "hermite_ito",
-    "psi",
     "psi_table",
     "zero_radii",
     "null_index_set",
@@ -86,18 +85,13 @@ def psi_table(nu, z, max_m, max_n):
     zc = np.conj(z)
     P = np.empty((max_m + 1, max_n + 1) + z.shape, dtype=complex)
     P[0, 0] = math.sqrt(nu / math.pi)
-    # the real factor sqrt(n/(m+1)) scales (re, im) pairs: the values of the
-    # complex product at half the work
-    pairs = P[..., None].view(float)
-    n = np.arange(1, max_n + 1).reshape((-1,) + (1,) * (z.ndim + 1))
-    term = np.empty_like(pairs[0, 1:])  # sqrt(n/(m+1)) psi_{m,n-1}, one row
+    n = np.arange(1, max_n + 1).reshape((-1,) + (1,) * z.ndim)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_n + 1):
             P[0, k] = math.sqrt(nu / k) * zc * P[0, k - 1]
         for m in range(max_m):
             np.multiply(math.sqrt(nu / (m + 1)) * z, P[m], out=P[m + 1])
-            np.multiply(np.sqrt(n / (m + 1)), pairs[m, :-1], out=term)
-            np.subtract(pairs[m + 1, 1:], term, out=pairs[m + 1, 1:])
+            P[m + 1, 1:] -= np.sqrt(n / (m + 1)) * P[m, :-1]
     # a non-finite entry makes the z psi_{m,n} term of every entry below it
     # non-finite too, so the last row shows any overflow in the table
     _require_finite(P[max_m], "psi table up to index (%d, %d) at nu=%g" % (max_m, max_n, nu))
@@ -122,17 +116,6 @@ def hermite_ito(nu, m, n, z):
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.where(P[m, n] == 0, 0j, P[m, n] * np.exp(log_scale))
     out = _require_finite(out, "H^nu_(%d,%d) at nu=%g" % (m, n, nu))
-    return complex(out) if out.ndim == 0 else out
-
-
-def psi(nu, m, n, z):
-    """Normalized Ito-Hermite polynomial psi^nu_{m,n}(z).
-
-    Equals (nu / (pi nu^{m+n} m! n!))^{1/2} H^nu_{m,n}(z, conj(z)); the
-    psi_{m,n} form an orthonormal basis of L^2 against e^{-nu |z|^2} d(area).
-    """
-    table = psi_table(nu, z, m, n)
-    out = table[m, n]
     return complex(out) if out.ndim == 0 else out
 
 

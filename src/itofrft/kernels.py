@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ito_hermite import _check_nu, _check_point, psi_table
+from .ito_hermite import _check_nu, _check_point, _require_finite, psi_table
 from .quadrature import _check_weights
 
 __all__ = [
@@ -189,13 +189,17 @@ def bergman_kernel(alpha, beta, a, b):
     shape of (u, z), the factor 1 / (1 - v conj(w))^{beta+2} at that of
     (v, w), then one multiplication at the full broadcast shape.  On a
     column x row grid (u, z varying along one axis, v, w along the other)
-    the output is the only full-size array.
+    the output is the only full-size array.  Raises OverflowError where a
+    factor or the value overflows double precision, as for large weights.
     """
     _check_weights(alpha, beta)
     u, v = (np.asarray(c, dtype=complex) for c in a)
     z, w = (np.asarray(c, dtype=complex) for c in b)
     _check_disk("bergman_kernel arguments", u, v, z, w)
-    first = (alpha + 1.0) * (beta + 1.0) / (math.pi**2 * (1.0 - u * np.conj(z)) ** (alpha + 2.0))
-    second = 1.0 / (1.0 - v * np.conj(w)) ** (beta + 2.0)
-    out = first * second
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        first = (alpha + 1.0) * (beta + 1.0) / (
+            math.pi**2 * (1.0 - u * np.conj(z)) ** (alpha + 2.0))
+        second = 1.0 / (1.0 - v * np.conj(w)) ** (beta + 2.0)
+        out = first * second
+    out = _require_finite(out, "bergman_kernel at alpha=%r, beta=%r" % (alpha, beta))
     return complex(out) if np.ndim(out) == 0 else out

@@ -100,13 +100,18 @@ def _unit_jacobi(alpha, n):
     return 0.5 * (x + 1.0), wj * 2.0 ** (-alpha - 1.0)
 
 
+def _polar(radii, radial_weights, scale, n_angular):
+    """Radius-major polar grid: the nodes r e^{2 pi i k / n_angular} of each
+    radius r, every one weighted by its radial weight times `scale`."""
+    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
+    nodes = radii[:, None] * np.exp(1j * theta)[None, :]
+    return nodes.ravel(), np.repeat(radial_weights * scale, n_angular)
+
+
 def _disk_polar(alpha, n_radial, n_angular):
     s, ws = _unit_jacobi(alpha, n_radial)
-    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
     # dA = (ds/2) dtheta with s = r^2
-    nodes = np.sqrt(s)[:, None] * np.exp(1j * theta)[None, :]
-    weights = ws[:, None] * (math.pi / n_angular) * np.ones(n_angular)[None, :]
-    return nodes.ravel(), weights.ravel()
+    return _polar(np.sqrt(s), ws, math.pi / n_angular, n_angular)
 
 
 def _tensor(kind, x, wx, y, wy, params):
@@ -129,15 +134,10 @@ def plane_rule(nu, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
     if n_radial < 1 or n_angular < 1:
         raise ValueError("rule sizes must be >= 1")
     t, wt = _laguerre(n_radial)
-    r = np.sqrt(t / nu)
-    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    nodes = r[:, None] * np.exp(1j * theta)[None, :]
-    weights = wt[:, None] * (math.pi / (nu * n_angular)) * np.ones(n_angular)[None, :]
     return QuadratureRule(
-        kind="plane",
-        nodes=nodes.ravel(),
-        weights=weights.ravel(),
-        params={"nu": float(nu), "n_radial": n_radial, "n_angular": n_angular},
+        "plane",
+        *_polar(np.sqrt(t / nu), wt, math.pi / (nu * n_angular), n_angular),
+        {"nu": float(nu), "n_radial": n_radial, "n_angular": n_angular},
     )
 
 
@@ -152,12 +152,7 @@ def bidisk_rule(alpha, beta, n_radial, n_angular):
         "bidisk",
         *_disk_polar(alpha, n_radial, n_angular),
         *_disk_polar(beta, n_radial, n_angular),
-        {
-            "alpha": float(alpha),
-            "beta": float(beta),
-            "n_radial": n_radial,
-            "n_angular": n_angular,
-        },
+        {"alpha": float(alpha), "beta": float(beta), "n_radial": n_radial, "n_angular": n_angular},
     )
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ito_hermite import _check_nu, _check_point, psi_table
+from .ito_hermite import _check_nu, _check_point, _require_finite, psi_table
+from .kernels import _EXP_GUARD
 from .quadrature import _check_weights, _unit_jacobi
 from .specfun import scipy_special
 
@@ -109,6 +110,16 @@ def schatten_partial(spec, p):
     return total
 
 
+def _growth(nu, w, what):
+    # e^{nu |w|^2}; below the kernels' exponent guard on nu |w|^2 every
+    # k_w integrand sample fits double precision, at any alpha, beta > 0
+    x = nu * abs(complex(w)) ** 2
+    if x > _EXP_GUARD:
+        raise OverflowError("%s at nu=%r, w=%r is out of range: nu |w|^2 = %g exceeds %g"
+                            % (what, nu, complex(w), x, _EXP_GUARD))
+    return math.exp(x)
+
+
 @dataclass(frozen=True)
 class KwBracket:
     value: float
@@ -126,11 +137,13 @@ def kw_constant(nu, alpha, beta, w):
     together with the analytic bracket
     [nu pi / ((alpha+1)(beta+1)),  nu pi e^{nu |w|^2} / (alpha beta)].
     k_w^{1/2} bounds the operator norm of the dual transform, so it
-    dominates every singular value.
+    dominates every singular value.  Past nu |w|^2 = 700, or where a value
+    overflows double precision, it raises OverflowError naming the point.
     """
     _check_nu(nu)
     _check_bounded(alpha, beta)
     _check_point("kw_constant point w", w)
+    growth = _growth(nu, w, "kw_constant")
     w2 = abs(complex(w)) ** 2
     s, ws = _unit_jacobi(alpha, KW_DEFAULT_NODES)
     t, wt = _unit_jacobi(beta, KW_DEFAULT_NODES)
@@ -139,7 +152,8 @@ def kw_constant(nu, alpha, beta, w):
     integrand /= 1.0 - st
     value = nu * math.pi * float(ws @ integrand @ wt)
     lower = nu * math.pi / ((alpha + 1.0) * (beta + 1.0))
-    upper = nu * math.pi * math.exp(nu * w2) / (alpha * beta)
+    upper = nu * math.pi * growth / (alpha * beta)
+    _require_finite((value, upper), "kw_constant at nu=%r, w=%r" % (nu, complex(w)))
     return KwBracket(value=value, lower=lower, upper=upper)
 
 
@@ -153,7 +167,7 @@ def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
     Each axis sum telescopes: sum_{m>p} m!/Gamma(m+alpha+2)
     = Gamma(p+2) / (alpha Gamma(p+alpha+2)), which is (p+alpha+2)/alpha times
     its first term.  Decreasing in both cuts; its decay to zero is the
-    compactness diagnostic.
+    compactness diagnostic.  Past nu |w|^2 = 700 it raises OverflowError.
     """
     _check_nu(nu)
     _check_bounded(alpha, beta)
@@ -162,4 +176,4 @@ def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
         raise ValueError("cuts must be non-negative")
     first = gamma_norm(alpha, beta, p_cut + 1, q_cut + 1)
     axes = (p_cut + alpha + 2.0) * (q_cut + beta + 2.0) / (alpha * beta)
-    return float(math.exp(nu * abs(complex(w)) ** 2) * first * axes)
+    return float(_growth(nu, w, "finite_rank_tail") * first * axes)

@@ -32,8 +32,7 @@ __all__ = ["CheckResult", "ACCEPTANCE_CHECKS", "INVARIANT_CHECKS", "run_checks"]
 
 @dataclass
 class CheckResult:
-    """A check passes when `observed <= tolerance` and its other conditions
-    hold; a tolerance override changes only `tolerance`."""
+    """Passes when `observed <= tolerance` and its other conditions hold."""
 
     name: str
     observed: float
@@ -65,21 +64,21 @@ def _name(check):
     return check.__name__.removeprefix("check_")
 
 
-def _check(group, default):
+def _check(group, tolerance):
     """Declare the check defined below: it reports under its function name
-    without `check_`, is judged at tolerance `default` unless called with
-    another, and joins `group`.  Its body takes no argument and returns the
-    observed value, or (observed, detail, side conditions)."""
+    without `check_`, is judged at its stated `tolerance`, and joins
+    `group`.  Its body takes no argument and returns the observed value, or
+    (observed, detail, side conditions)."""
 
     def declare(body):
         name = _name(body)
 
         @functools.wraps(body)
-        def check(tolerance=None):
+        def check():
             out = body()
             observed, detail, side_conditions = out if isinstance(out, tuple) else (out, "", True)
-            tol = default if tolerance is None else tolerance
-            return CheckResult(name, float(observed), float(tol), detail, bool(side_conditions))
+            return CheckResult(name, float(observed), float(tolerance), detail,
+                               bool(side_conditions))
 
         group.append(check)
         return check
@@ -299,9 +298,9 @@ def check_schatten_bound():
 @_check(ACCEPTANCE_CHECKS, 1e-10)
 def check_boundedness_bracket():
     """k_w bracket containment plus empirical Rayleigh quotients below
-    k_w^{1/2}, over the full parameter battery."""
+    k_w^{1/2}, over the full parameter battery; observed is the largest margin."""
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    worst, ratio = -math.inf, 0.0
     for nu in (0.5, 1.0, 2.0):
         for alpha, beta in ((1.0, 1.0), (2.0, 0.5)):
             brule = bidisk_rule(alpha, beta, 16, 16)
@@ -310,6 +309,8 @@ def check_boundedness_bracket():
                 worst = max(worst, kw.lower - kw.value, kw.value - kw.upper)
                 for _ in range(5):
                     idx = rng.integers(0, 7, size=(4, 2))
+                    if w == 0:  # psi_{m,n}(0) = 0 unless m = n: draw diagonal modes
+                        idx[:, 1] = idx[:, 0]
                     amp = rng.standard_normal((4, 2))
                     modes = {
                         (int(m), int(n)): complex(a, b)
@@ -322,7 +323,8 @@ def check_boundedness_bracket():
                     )
                     quotient = math.sqrt(img2.real) / f.norm
                     worst = max(worst, quotient - math.sqrt(kw.value))
-    return worst
+                    ratio = max(ratio, quotient / math.sqrt(kw.value))
+    return worst, "largest Rayleigh quotient / k_w^(1/2) = %.3f" % ratio, True
 
 
 @_check(ACCEPTANCE_CHECKS, 1e-7)
@@ -656,14 +658,13 @@ def check_quadrature_selfconvergence():
 def _plan(config):
     """Validate a RunConfig, as `verify --config` reads it or `run_checks`
     builds it, and return (checks, out_dir): the checks it selects, in list
-    order, each with its tolerance (None for its default), and its out_dir.
+    order, and its out_dir.
 
     Raises ValueError, before any check runs, on a config that is not an
-    object, has a key other than `tolerances`, `checks` and `out_dir`, or
-    has an `out_dir` that is not a string, a tolerance that names no check
-    or is not a number > 0, or a name that names no check.
+    object, has a key other than `checks` and `out_dir`, or has an
+    `out_dir` that is not a string or a name that names no check.
     """
-    keys = ("tolerances", "checks", "out_dir")
+    keys = ("checks", "out_dir")
     if not isinstance(config, dict):
         raise ValueError("expected a JSON object, got %s" % type(config).__name__)
     unknown = sorted(set(config) - set(keys))
@@ -672,23 +673,15 @@ def _plan(config):
     out_dir = config.get("out_dir", ".")
     if not isinstance(out_dir, str):
         raise ValueError("'out_dir' must be a string")
-    tolerances, names = config.get("tolerances", {}), config.get("checks")
-    every = ACCEPTANCE_CHECKS + INVARIANT_CHECKS
-    known = {_name(fn) for fn in every}
-    if not isinstance(tolerances, dict):
-        raise ValueError("'tolerances' must be an object")
-    for key, val in tolerances.items():
-        if key not in known:
-            raise ValueError("tolerance %r names no check" % (key,))
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
-            raise ValueError("tolerance %r must be a number > 0, got %r" % (key, val))
+    names, every = config.get("checks"), ACCEPTANCE_CHECKS + INVARIANT_CHECKS
     if names is not None:
         if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
             raise ValueError("'checks' must be a list of check names")
-        if set(names) - known:
-            raise ValueError("unknown check names: %s" % sorted(set(names) - known))
+        unknown = set(names) - {_name(fn) for fn in every}
+        if unknown:
+            raise ValueError("unknown check names: %s" % sorted(unknown))
         every = [fn for fn in every if _name(fn) in names]
-    return [(fn, tolerances.get(_name(fn))) for fn in every], out_dir
+    return every, out_dir
 
 
 def _run(checks):
@@ -698,23 +691,19 @@ def _run(checks):
     check propagates as it is."""
     scipy_special()
     results = []
-    for fn, tolerance in checks:
+    for fn in checks:
         start = time.perf_counter()
-        result = fn(tolerance)
+        result = fn()
         result.wall_s = time.perf_counter() - start
         results.append(result)
     return results
 
 
-def run_checks(tolerances=None, names=None):
-    """Run the acceptance and invariant checks and return their CheckResults.
-
-    Each check builds its quadrature rules at the one size its tolerance was
-    set for.  `tolerances` maps a check name to the tolerance it is judged
-    at, which leaves the check's other conditions in force; `names` restricts
-    the run to the listed checks.  A check's name is the one it reports, its
-    function name without `check_`.  Both are validated first, as `_plan`
-    validates a RunConfig, and the checks run as `_run` runs them.
-    """
-    checks, _ = _plan({"tolerances": {} if tolerances is None else tolerances, "checks": names})
+def run_checks(names=None):
+    """Run the acceptance and invariant checks and return their CheckResults,
+    each judged at its stated tolerance on rules of the one size that
+    tolerance was set for.  `names` restricts the run to the checks it lists
+    by the names they report (function names without `check_`); it is
+    validated first, as `_plan` validates a RunConfig."""
+    checks, _ = _plan({"checks": names})
     return _run(checks)

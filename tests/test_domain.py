@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from itofrft import cli, ito_hermite, kernels, quadrature, spectral
-from itofrft.ito_hermite import hermite_ito, null_index_set, psi, psi_table, zero_radii
+from itofrft.ito_hermite import hermite_ito, null_index_set, psi_table, zero_radii
 from itofrft.kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
 from itofrft.spectral import finite_rank_tail, gamma_norm, kw_constant, schatten_partial, spectrum
@@ -102,7 +102,7 @@ BAD_CALLS = [
     # evaluation points: finite
     case("psi_table-z-nan", lambda: psi_table(1.0, NAN, 2, 2)),
     case("psi_table-z-inf", lambda: psi_table(1.0, np.array([0.5, complex(0.1, INF)]), 2, 2)),
-    case("psi-z-nan", lambda: psi(1.0, 1, 1, NAN)),
+    case("psi-z-nan", lambda: psi_table(1.0, NAN, 1, 1)[1, 1]),
     case("hermite_ito-z-inf", lambda: hermite_ito(1.0, 1, 0, INF)),
     case("null_index_set-w-nan", lambda: null_index_set(1.0, NAN, 2, 2, 1e-10)),
     case("spectrum-w-nan", lambda: spectrum(1.0, 1.0, 1.0, NAN, 2, 2)),
@@ -128,6 +128,32 @@ BAD_CALLS = [
 def test_rejects_bad_value(call):
     with pytest.raises(ValueError):
         call()
+
+
+# values beyond double precision: a named OverflowError, with no RuntimeWarning
+# (an error under this suite) and never an inf or NaN result
+OVERFLOWS = [
+    case("bergman_kernel-alpha-2e4", lambda: bergman_kernel(2e4, 1.0, (0.3, 0.0), (0.2, 0.0))),
+    case("kw_constant-w-27", lambda: kw_constant(1.0, 1.0, 1.0, 27.0)),
+    case("kw_constant-w-30", lambda: kw_constant(1.0, 1.0, 1.0, 30.0)),
+    case("kw_constant-upper", lambda: kw_constant(1.0, 1e-9, 1e-9, 26.4)),
+    case("finite_rank_tail-w-30", lambda: finite_rank_tail(1.0, 1.0, 1.0, 30.0, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("call", OVERFLOWS)
+def test_overflow_is_named(call):
+    with pytest.raises(OverflowError, match=r"^(bergman_kernel|kw_constant|finite_rank_tail) at "):
+        call()
+
+
+def test_overflow_names_the_point():
+    with pytest.raises(OverflowError, match=r"at nu=1\.0, w=\(27\+0j\) is out of range"):
+        kw_constant(1.0, 1.0, 1.0, 27.0)
+    with pytest.raises(OverflowError, match=r"at nu=2\.0, w=20j is out of range: nu \|w\|\^2 = 800"):
+        finite_rank_tail(2.0, 1.0, 1.0, 20j, 2, 2)
+    # a large weight whose kernel still fits double precision is a value
+    assert abs(bergman_kernel(1e4, 1.0, (0.3, 0.0), (0.2, 0.0))) == pytest.approx(1.2077637e272)
 
 
 def test_hankel_accepts_real_complex():
@@ -205,6 +231,11 @@ HOMES = {
         lambda _: mehler_closed(P, 0.5, 0.1),
         lambda _: hankel_apply(1.0, 0, 0.3, 0.3, one, 0.5),
         lambda _: frft_apply(P, one, 0.5, PLANE),
+    ],
+    (ito_hermite, "_require_finite"): [
+        lambda _: psi_table(1.0, 0.5, 2, 2),
+        lambda _: bergman_kernel(1.0, 1.0, (0.1, 0.2), (0.3, 0.1)),
+        lambda _: kw_constant(1.0, 1.0, 1.0, 0.5),
     ],
     (quadrature, "_check_rule"): [
         lambda _: frft_apply(TransformParams(1.0, 0.2, 0.3), F, 0.5, PLANE),

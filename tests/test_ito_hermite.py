@@ -9,7 +9,6 @@ from itofrft.ito_hermite import (
     ZeroSet,
     hermite_ito,
     null_index_set,
-    psi,
     psi_table,
     zero_radii,
 )
@@ -105,14 +104,14 @@ class TestHermiteIto:
 
 class TestPsi:
     def test_ground_state(self):
-        assert psi(1.0, 0, 0, 5.0 + 5.0j) == pytest.approx(1.0 / math.sqrt(math.pi))
-        assert psi(math.pi, 0, 0, 1.0j) == pytest.approx(1.0)
+        assert psi_table(1.0, 5.0 + 5.0j, 0, 0)[0, 0] == pytest.approx(1.0 / math.sqrt(math.pi))
+        assert psi_table(math.pi, 1.0j, 0, 0)[0, 0] == pytest.approx(1.0)
 
     def test_normalization_constant(self):
         # psi = (nu / (pi nu^{m+n} m! n!))^{1/2} H
         nu, m, n, z = 1.6, 3, 2, 0.7 - 0.4j
         c = math.sqrt(nu / (math.pi * nu ** (m + n) * math.factorial(m) * math.factorial(n)))
-        assert psi(nu, m, n, z) == pytest.approx(c * hermite_ito(nu, m, n, z), rel=1e-12)
+        assert psi_table(nu, z, m, n)[m, n] == pytest.approx(c * hermite_ito(nu, m, n, z), rel=1e-12)
 
     def test_no_overflow_at_cap(self):
         vals = psi_table(1.0, 1.5 + 0.5j, DEGREE_CAP, 0)

@@ -9,6 +9,8 @@ import pytest
 
 from itofrft import cli
 
+from helpers import strict_json
+
 README = Path(__file__).parents[1] / "README.md"
 
 
@@ -28,4 +30,11 @@ def test_readme_line_runs(line, tmp_path, monkeypatch, capsys):
     f = {"nu": 1.0, "coeffs": [{"m": 1, "n": 0, "re": 1.0, "im": 0.0}]}
     (tmp_path / "f.json").write_text(json.dumps(f))
     (tmp_path / "config.json").write_text(json.dumps({"checks": ["hankel_fixed_point"]}))
-    assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+    code = cli.main(shlex.split(line)[1:])
+    printed = capsys.readouterr()
+    assert code == 0, printed.err
+    # verify prints a table; every other subcommand prints one JSON document
+    if not line.startswith("itofrft verify"):
+        strict_json(printed.out)
+    for path in (tmp_path / "out").glob("*.json"):
+        strict_json(path.read_text())

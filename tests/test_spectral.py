@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from itofrft.ito_hermite import psi
+from itofrft.ito_hermite import psi_table
 from itofrft.quadrature import bidisk_rule, integrate
 from itofrft.spectral import (
     KwBracket,
@@ -69,7 +69,7 @@ class TestSpectrum:
         assert spec.values.shape == (5, 4)
         for m in range(5):
             for n in range(4):
-                want = abs(psi(1.0, m, n, 0.7 + 0.2j)) * math.sqrt(gamma_norm(1.0, 0.5, m, n))
+                want = abs(psi_table(1.0, 0.7 + 0.2j, m, n)[m, n]) * math.sqrt(gamma_norm(1.0, 0.5, m, n))
                 assert spec[m, n] == pytest.approx(want, rel=1e-12)
 
     def test_box_independence(self):

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import eval_genlaguerre, gamma as gamma_fn
 
 from itofrft import kernels, quadrature, transforms
-from itofrft.ito_hermite import psi
+from itofrft.ito_hermite import psi_table
 from itofrft.kernels import TransformParams, frft_kernel, frft_kernel_raw
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
 from itofrft.specfun import scipy_special
@@ -34,7 +34,7 @@ class TestCoeffFunction:
     def test_evaluation(self):
         f = CoeffFunction(nu=1.0, coeffs={(0, 0): 2.0, (1, 0): 1.0j})
         z = 0.4 - 0.3j
-        assert f(z) == pytest.approx(2.0 * psi(1.0, 0, 0, z) + 1.0j * psi(1.0, 1, 0, z))
+        assert f(z) == pytest.approx(2.0 * psi_table(1.0, z, 0, 0)[0, 0] + 1.0j * psi_table(1.0, z, 1, 0)[1, 0])
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, complex(0.0, -math.inf), complex(1.0, math.nan)])
     def test_nonfinite_coefficient_rejected(self, a):
@@ -72,14 +72,14 @@ class TestFrft:
         for m, n in [(0, 0), (1, 0), (2, 3)]:
             f = CoeffFunction(nu=1.0, coeffs={(m, n): 1.0})
             for xi in (0.0, 0.7 - 0.2j):
-                want = p.u**m * p.v**n * psi(1.0, m, n, xi)
+                want = p.u**m * p.v**n * psi_table(1.0, xi, m, n)[m, n]
                 assert frft_apply(p, f, xi, rule) == pytest.approx(want, abs=1e-11)
 
     def test_linearity(self, rule):
         p = TransformParams(1.0, 0.3, 0.2)
         f = CoeffFunction(nu=1.0, coeffs={(1, 0): 2.0, (0, 2): -1.0j})
         xi = 0.5 + 0.1j
-        want = 2.0 * p.u * psi(1.0, 1, 0, xi) - 1.0j * p.v**2 * psi(1.0, 0, 2, xi)
+        want = 2.0 * p.u * psi_table(1.0, xi, 1, 0)[1, 0] - 1.0j * p.v**2 * psi_table(1.0, xi, 0, 2)[0, 2]
         assert frft_apply(p, f, xi, rule) == pytest.approx(want, abs=1e-11)
 
     def test_rule_mismatch_rejected(self, rule):
@@ -94,7 +94,7 @@ class TestFrft:
     def test_far_field_eigenrelation(self, xi, u):
         # plane quadrature missed these by 2e-4, 0.18 and 1.2e-3 relative
         f = CoeffFunction(nu=1.0, coeffs={(2, 1): 1.0})
-        want = u**3 * psi(1.0, 2, 1, xi)  # u^2 v with v = u
+        want = u**3 * psi_table(1.0, xi, 2, 1)[2, 1]  # u^2 v with v = u
         got = frft_apply(TransformParams(1.0, u, u), f, xi)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -126,7 +126,7 @@ class TestFrft:
         f = CoeffFunction(nu=1.0, coeffs={(1, 2): 1.0, (0, 0): -0.5})
         p = TransformParams(1.0, 0.4, 0.3j)
         xi = 0.7 + 0.1j
-        want = 0.4 * (0.3j) ** 2 * psi(1.0, 1, 2, xi) - 0.5 * psi(1.0, 0, 0, xi)
+        want = 0.4 * (0.3j) ** 2 * psi_table(1.0, xi, 1, 2)[1, 2] - 0.5 * psi_table(1.0, xi, 0, 0)[0, 0]
         assert frft_apply(p, f, xi) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("route,rtol", [("exact", 1e-15), ("quadrature", 1e-14)])
@@ -180,14 +180,14 @@ class TestDual:
     def test_coeff_route(self):
         f = CoeffFunction(nu=1.0, coeffs={(2, 1): 3.0})
         w, u, v = 1.0 - 0.5j, 0.3, 0.6j
-        want = 3.0 * psi(1.0, 2, 1, w) * u**2 * v
+        want = 3.0 * psi_table(1.0, w, 2, 1)[2, 1] * u**2 * v
         assert dual_apply_coeff(1.0, w, f, (u, v)) == pytest.approx(want, rel=1e-13)
 
     def test_coeff_route_broadcasts(self):
         f = CoeffFunction(nu=1.0, coeffs={(1, 0): 1.0})
         us = np.linspace(-0.5, 0.5, 5)
         out = dual_apply_coeff(1.0, 2.0, f, (us, 0.0))
-        np.testing.assert_allclose(out, psi(1.0, 1, 0, 2.0) * us, rtol=1e-13)
+        np.testing.assert_allclose(out, psi_table(1.0, 2.0, 1, 0)[1, 0] * us, rtol=1e-13)
 
     AGREE_RTOL = 1e-14  # relative to the largest entry of the reference
 
@@ -197,7 +197,7 @@ class TestDual:
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         out = np.zeros(shape, dtype=complex)
         for (m, n), a in f.coeffs.items():
-            out += a * psi(nu, m, n, w) * np.asarray(u) ** m * np.asarray(v) ** n
+            out += a * psi_table(nu, w, m, n)[m, n] * np.asarray(u) ** m * np.asarray(v) ** n
         return out
 
     @pytest.mark.parametrize(
@@ -317,12 +317,12 @@ class TestAdjoint:
         # the quadrature converges slowly there; 1e-4 is what a 16x32 rule buys
         nu, alpha, beta, m, n, w = 1.0, 1.0, 1.0, 1, 0, 0.5 + 0.2j
         brule = bidisk_rule(alpha, beta, 16, 32)
-        g = lambda u, v: psi(nu, m, n, w) * u**m * v**n
+        g = lambda u, v: psi_table(nu, w, m, n)[m, n] * u**m * v**n
         z = 0.3 - 0.2j
         want = (
             gamma_norm(alpha, beta, m, n)
-            * abs(psi(nu, m, n, w)) ** 2
-            * psi(nu, m, n, z)
+            * abs(psi_table(nu, w, m, n)[m, n]) ** 2
+            * psi_table(nu, z, m, n)[m, n]
         )
         got = adjoint_apply(nu, w, alpha, beta, g, z, brule)
         assert got == pytest.approx(want, rel=1e-4)
