@@ -45,10 +45,12 @@ def _check_bounded(alpha, beta):
         )
 
 
-def _log_ratio(gammaln, a, k):
-    # log of Gamma(a+1) k! / Gamma(a+k+2), one axis of gamma_norm
-    k = np.asarray(k, dtype=float)
-    return gammaln(a + 1.0) + gammaln(k + 1.0) - gammaln(a + k + 2.0)
+def _log_ratio(betaln, a, k):
+    # log of Gamma(a+1) k! / Gamma(a+k+2), one axis of gamma_norm: it is the
+    # Beta function B(a+1, k+1), so one `betaln` call, which keeps its digits
+    # at any weight a; a difference of `gammaln` values of about a log a
+    # would lose them as a grows
+    return betaln(a + 1.0, np.asarray(k, dtype=float) + 1.0)
 
 
 def gamma_norm(alpha, beta, m, n):
@@ -58,9 +60,9 @@ def gamma_norm(alpha, beta, m, n):
     `m` and `n` may be integer arrays; the result broadcasts over them.
     """
     _check_weights(alpha, beta)
-    gammaln = scipy_special().gammaln
+    betaln = scipy_special().betaln
     return np.exp(
-        2.0 * math.log(math.pi) + _log_ratio(gammaln, alpha, m) + _log_ratio(gammaln, beta, n)
+        2.0 * math.log(math.pi) + _log_ratio(betaln, alpha, m) + _log_ratio(betaln, beta, n)
     )
 
 
@@ -152,7 +154,8 @@ def kw_constant(nu, alpha, beta, w):
     integrand /= 1.0 - st
     value = nu * math.pi * float(ws @ integrand @ wt)
     lower = nu * math.pi / ((alpha + 1.0) * (beta + 1.0))
-    upper = nu * math.pi * growth / (alpha * beta)
+    # one weight at a time: where alpha beta underflows, the bound overflows to inf
+    upper = nu * math.pi * growth / alpha / beta
     _require_finite((value, upper), "kw_constant at nu=%r, w=%r" % (nu, complex(w)))
     return KwBracket(value=value, lower=lower, upper=upper)
 
@@ -167,7 +170,9 @@ def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
     Each axis sum telescopes: sum_{m>p} m!/Gamma(m+alpha+2)
     = Gamma(p+2) / (alpha Gamma(p+alpha+2)), which is (p+alpha+2)/alpha times
     its first term.  Decreasing in both cuts; its decay to zero is the
-    compactness diagnostic.  Past nu |w|^2 = 700 it raises OverflowError.
+    compactness diagnostic.  Past nu |w|^2 = 700, or where the value
+    overflows double precision (as where alpha beta underflows), it raises
+    OverflowError.
     """
     _check_nu(nu)
     _check_bounded(alpha, beta)
@@ -175,5 +180,6 @@ def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
     if not (p_cut >= 0 and q_cut >= 0):
         raise ValueError("cuts must be non-negative")
     first = gamma_norm(alpha, beta, p_cut + 1, q_cut + 1)
-    axes = (p_cut + alpha + 2.0) * (q_cut + beta + 2.0) / (alpha * beta)
-    return float(_growth(nu, w, "finite_rank_tail") * first * axes)
+    axes = (p_cut + alpha + 2.0) / alpha * (q_cut + beta + 2.0) / beta
+    tail = float(_growth(nu, w, "finite_rank_tail") * first * axes)
+    return _require_finite(tail, "finite_rank_tail at nu=%r, w=%r" % (nu, complex(w)))

@@ -15,7 +15,7 @@ from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
 from .kernels import (
     TransformParams, _contract, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
 )
-from .quadrature import _samples, bidisk_rule, integrate, plane_rule, quadrant_rule
+from .quadrature import _disk_polar, _samples, bidisk_rule, integrate, plane_rule, quadrant_rule
 from .spectral import finite_rank_tail, gamma_norm, kw_constant, spectrum
 from .transforms import (
     CoeffFunction,
@@ -295,35 +295,70 @@ def check_schatten_bound():
     return float(np.max(spec.values - bound))
 
 
+_BRACKET_WEIGHTS = ((1.0, 1.0), (2.0, 0.5))  # (alpha, beta) of `boundedness_bracket`
+_BRACKET_DEGREE = 6  # its random modes have m, n <= 6
+
+
+def _bracket_battery():
+    """The parameter battery of `boundedness_bracket`, in its order:
+    (nu, alpha, beta, w, fs), fs being the five seeded random expansions of
+    four modes with m, n <= 6 whose Rayleigh quotients it takes at that
+    point.  At w = 0, psi_{m,n}(0) = 0 unless m = n, so the modes drawn
+    there are diagonal and no expansion has a zero image."""
+    rng = np.random.default_rng(2024)
+    for nu in (0.5, 1.0, 2.0):
+        for alpha, beta in _BRACKET_WEIGHTS:
+            for w in (0.0, 1.0, 1.0 + 1.0j):
+                fs = []
+                for _ in range(5):
+                    idx = rng.integers(0, _BRACKET_DEGREE + 1, size=(4, 2))
+                    if w == 0:
+                        idx[:, 1] = idx[:, 0]
+                    amp = rng.standard_normal((4, 2))
+                    modes = {(int(m), int(n)): complex(a, b) for (m, n), (a, b) in zip(idx, amp)}
+                    fs.append(CoeffFunction(nu=nu, coeffs=modes))
+                yield nu, alpha, beta, w, fs
+
+
+def _disk_gram(alpha):
+    """Gram matrix G[m, p] = sum_i w_i x_i^m conj(x_i)^p of the monomials of
+    degree <= 6 under the 16 x 16 one-disk rule with weight
+    (1 - |x|^2)^alpha, the rule of one disk of `bidisk_rule(., ., 16, 16)`."""
+    x, wx = _disk_polar(alpha, 16, 16)
+    X = np.vander(x, _BRACKET_DEGREE + 1, increasing=True)
+    return (X.T * wx) @ X.conj()
+
+
+def _image_norm2(P, f, gram_u, gram_v):
+    """Squared bi-disk norm of the dual image sum B_{m,n} u^m v^n of f, with
+    B = a psi(w) from the table P = psi_table(nu, w, 6, 6), on the tensor of
+    the one-disk rules of the Gram matrices: the tensor sum of
+    |sum B_{m,n} u^m v^n|^2 is sum B_{m,n} conj(B_{p,q}) G_u[m, p] G_v[n, q]."""
+    B = np.zeros_like(P)
+    for (m, n), a in f.coeffs.items():
+        B[m, n] = a * P[m, n]
+    return float(np.sum(B * (gram_u @ B.conj() @ gram_v.T)).real)
+
+
 @_check(ACCEPTANCE_CHECKS, 1e-10)
 def check_boundedness_bracket():
     """k_w bracket containment plus empirical Rayleigh quotients below
-    k_w^{1/2}, over the full parameter battery; observed is the largest margin."""
-    rng = np.random.default_rng(2024)
+    k_w^{1/2}, over the full parameter battery; observed is the largest margin.
+
+    Each quotient's squared image norm is a 16 x 16 bi-disk tensor sum of a
+    polynomial, taken as a quadratic form in two 7 x 7 one-disk Gram
+    matrices (`_image_norm2`), not through the closed norms gamma;
+    `parseval_dual_norm` checks `dual_apply_coeff` on the full tensor grid."""
+    grams = {a: _disk_gram(a) for a in set().union(*_BRACKET_WEIGHTS)}
     worst, ratio = -math.inf, 0.0
-    for nu in (0.5, 1.0, 2.0):
-        for alpha, beta in ((1.0, 1.0), (2.0, 0.5)):
-            brule = bidisk_rule(alpha, beta, 16, 16)
-            for w in (0.0, 1.0, 1.0 + 1.0j):
-                kw = kw_constant(nu, alpha, beta, w)
-                worst = max(worst, kw.lower - kw.value, kw.value - kw.upper)
-                for _ in range(5):
-                    idx = rng.integers(0, 7, size=(4, 2))
-                    if w == 0:  # psi_{m,n}(0) = 0 unless m = n: draw diagonal modes
-                        idx[:, 1] = idx[:, 0]
-                    amp = rng.standard_normal((4, 2))
-                    modes = {
-                        (int(m), int(n)): complex(a, b)
-                        for (m, n), (a, b) in zip(idx, amp)
-                    }
-                    f = CoeffFunction(nu=nu, coeffs=modes)
-                    img2 = integrate(
-                        brule,
-                        lambda u, v: np.abs(dual_apply_coeff(nu, w, f, (u, v))) ** 2,
-                    )
-                    quotient = math.sqrt(img2.real) / f.norm
-                    worst = max(worst, quotient - math.sqrt(kw.value))
-                    ratio = max(ratio, quotient / math.sqrt(kw.value))
+    for nu, alpha, beta, w, fs in _bracket_battery():
+        kw = kw_constant(nu, alpha, beta, w)
+        worst = max(worst, kw.lower - kw.value, kw.value - kw.upper)
+        P = psi_table(nu, complex(w), _BRACKET_DEGREE, _BRACKET_DEGREE)
+        for f in fs:
+            quotient = math.sqrt(_image_norm2(P, f, grams[alpha], grams[beta])) / f.norm
+            worst = max(worst, quotient - math.sqrt(kw.value))
+            ratio = max(ratio, quotient / math.sqrt(kw.value))
     return worst, "largest Rayleigh quotient / k_w^(1/2) = %.3f" % ratio, True
 
 
@@ -359,22 +394,49 @@ def check_hankel_fixed_point():
     return worst
 
 
+def _reproduced_monomial(alpha, beta, b):
+    """The integral of u^2 v^3 conj K(u, v; b) on `bidisk_rule(alpha, beta,
+    32, 32)`, the tensor of two one-disk rules (`quadrature._disk_polar`),
+    summed as a product of one-disk sums.  The kernel is one factor per
+    disk, K(u, v; b) = g(u) h(v) with g(u) = K(u, 0; b) and
+    h(v) = K(0, v; b) / K(0, 0; b), so the tensor sum is
+    (sum_i wx_i x_i^2 conj g_i) (sum_j wy_j y_j^3 conj h_j).  Each factor is
+    one `bergman_kernel` call over its disk's nodes."""
+    x, wx = _disk_polar(alpha, 32, 32)
+    y, wy = _disk_polar(beta, 32, 32)
+    g = bergman_kernel(alpha, beta, (x, 0.0), b)
+    h = bergman_kernel(alpha, beta, (0.0, y), b) / bergman_kernel(alpha, beta, (0.0, 0.0), b)
+    return complex(np.dot(wx, x**2 * np.conj(g)) * np.dot(wy, y**3 * np.conj(h)))
+
+
+# off-grid points (u, v) of the separability side condition of `bergman_reproducing`
+_SEPARABILITY_POINTS = (
+    np.array([0.3 + 0.1j, -0.55j, 0.8, -0.2 - 0.6j])[:, None],
+    np.array([0.45, 0.1 - 0.7j, -0.35 + 0.35j, 0.9j])[None, :],
+)
+
+
 @_check(ACCEPTANCE_CHECKS, 1e-8)
 def check_bergman_reproducing():
     """Kernel quadrature reproduces the monomial z^2 w^3 at interior points;
-    the closed kernel matches its 40x40 basis partial sum at |coords| <= 0.5."""
-    worst = 0.0
+    the closed kernel matches its 40x40 basis partial sum at |coords| <= 0.5.
+
+    The quadrature is a product of one-disk sums (`_reproduced_monomial`).
+    Its side condition is the separability it rests on,
+    K(u, v; b) K(0, 0; b) = K(u, 0; b) K(0, v; b) to 1e-14 relative, at
+    4 x 4 off-grid points (u, v)."""
+    worst, separability = 0.0, 0.0
     bs = [(0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)]
+    u, v = _SEPARABILITY_POINTS
     for alpha, beta in ((0.0, 0.0), (1.0, 0.5)):
-        rule = bidisk_rule(alpha, beta, 32, 32)
         for b in bs:
-            got = integrate(
-                rule,
-                lambda u, v: u**2 * v**3
-                * np.conj(bergman_kernel(alpha, beta, (u, v), b)),
-            )
+            got = _reproduced_monomial(alpha, beta, b)
             want = b[0] ** 2 * b[1] ** 3
             worst = max(worst, float(_rel(got, want)))
+            kernel = functools.partial(bergman_kernel, alpha, beta, b=b)
+            split = kernel((u, 0.0)) * kernel((0.0, v))
+            whole = kernel((u, v)) * kernel((0.0, 0.0))
+            separability = max(separability, float(np.max(_rel(split, whole))))
         # partial-sum cross-check of the closed kernel
         ms = np.arange(41)
         inv_gamma = 1.0 / gamma_norm(alpha, beta, ms[:, None], ms)
@@ -383,7 +445,8 @@ def check_bergman_reproducing():
         powers_v = (a[1] * np.conj(b[1])) ** ms
         partial = np.einsum("m,n,mn->", powers_u, powers_v, inv_gamma)
         worst = max(worst, float(_rel(partial, bergman_kernel(alpha, beta, a, b))))
-    return worst
+    detail = "kernel separability = %.1e (must be <= 1e-14)" % separability
+    return worst, detail, separability <= 1e-14
 
 
 @_check(ACCEPTANCE_CHECKS, 0.0)

@@ -566,6 +566,19 @@ class TestSpectrumCommand:
         ]
         assert not out.exists()
 
+    def test_underflowing_weights(self, tmp_path):
+        # alpha beta = 1e-400 underflows to 0: a named overflow of the k_w
+        # bound in one line, not a ZeroDivisionError traceback
+        out = tmp_path / "out"
+        res = run_cli_process("spectrum", "--alpha", "1e-200", "--beta", "1e-200", "--max-m", "2",
+                              "--max-n", "2", "--w-re", "0.5", "--out-dir", str(out))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.strip().splitlines() == [
+            "kw_constant at nu=1.0, w=(0.5+0j) overflows double precision"
+        ]
+        assert not out.exists()
+
     def test_failure_leaves_earlier_files(self, tmp_path, monkeypatch):
         # a run that fails after the table is computed writes neither file,
         # so an earlier run's csv and summary stay a matching pair

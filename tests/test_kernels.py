@@ -182,7 +182,7 @@ class TestBergmanKernel:
         )
 
     def test_per_disk_factors_on_a_grid(self):
-        # the column x row grid that check_bergman_reproducing integrates on
+        # a column x row grid: the per-axis nodes of a 32 x 32 bi-disk rule
         x, y = bidisk_rule(1.0, 0.5, 32, 32).axes
         u, v = x[:, None], y[None, :]
         for b in ((0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)):

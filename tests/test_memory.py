@@ -1,13 +1,17 @@
 """Traced peak memory of the blocked kernel paths, of the dual transform
-on a grid and of the Bergman kernel on a grid.
+on a grid, of the Bergman kernel on a grid, and of the verify checks that
+sum a bi-disk tensor rule as one-disk sums.
 
 Each kernel path contracts a kernel matrix that, built whole, would need well
 over 130 MB.  `kernels._contract` splits it into blocks of at most
 `BLOCK_ENTRIES` entries, contracted one at a time, so the peak stays far
 below 64 MB.  The dual transform on a column x row grid is one matrix
 product that writes its output once, and the Bergman kernel multiplies
-its two per-disk factors once.  numpy's array buffers are allocated
-through the traced allocator, so the blocks are counted.
+its two per-disk factors once.  `bergman_reproducing` and
+`boundedness_bracket` sum their tensor rules as products of one-disk
+sums, so neither forms an array over the whole bi-disk grid.  numpy's
+array buffers are allocated through the traced allocator, so the blocks
+are counted.
 """
 
 import tracemalloc
@@ -17,7 +21,12 @@ import numpy as np
 from itofrft.kernels import bergman_kernel
 from itofrft.quadrature import bidisk_rule, plane_rule
 from itofrft.transforms import CoeffFunction, adjoint_apply, dual_apply_coeff
-from itofrft.verify import _singular_values_quadrature, check_adjoint_identity
+from itofrft.verify import (
+    _singular_values_quadrature,
+    check_adjoint_identity,
+    check_bergman_reproducing,
+    check_boundedness_bracket,
+)
 
 LIMIT = 64 * 2**20
 
@@ -80,3 +89,12 @@ def test_dual_grid_memory():
     out, peak = traced_peak(lambda: dual_apply_coeff(1.0, 0.7 - 0.2j, f, (disk[:, None], disk)))
     assert out.shape == (384, 384)
     assert peak <= 1.25 * out.nbytes, "peak %.2f x the output" % (peak / out.nbytes)
+
+
+def test_one_disk_sum_checks_memory():
+    # the 1024 x 1024 grid of bergman_reproducing took 8 MB per array, and
+    # its weights alone 8 MB; both checks now stay within a few one-disk rules
+    for check in (check_bergman_reproducing, check_boundedness_bracket):
+        res, peak = traced_peak(check)
+        assert res.passed
+        assert peak <= 4 * 2**20, "%s: peak %.2f MB" % (res.name, peak / 2**20)

@@ -8,8 +8,10 @@ from scipy.integrate import dblquad
 
 from itofrft.ito_hermite import psi_table
 from itofrft.quadrature import bidisk_rule, integrate
+from itofrft.specfun import scipy_special
 from itofrft.spectral import (
     KwBracket,
+    _log_ratio,
     finite_rank_tail,
     gamma_norm,
     kw_constant,
@@ -39,6 +41,24 @@ class TestGammaNorm:
             gamma_norm(-1.0, 0.0, 0, 0)
         with pytest.raises(ValueError, match="alpha"):
             gamma_norm(0.0, -1.0, 0, 0)
+
+    @pytest.mark.parametrize("a", [1e15, 1e100, 1e300])
+    @pytest.mark.parametrize("k", [0, 2, 150])
+    def test_log_ratio_at_large_weights(self, a, k):
+        # log Gamma(a+1) k! / Gamma(a+k+2) against 400-digit mpmath: a
+        # difference of gammaln values loses 1e-3 to all of it here
+        with mpmath.workdps(400):
+            a_mp = mpmath.mpf(a)
+            want = (mpmath.loggamma(a_mp + 1) + mpmath.loggamma(k + 1)
+                    - mpmath.loggamma(a_mp + k + 2))
+            got = _log_ratio(scipy_special().betaln, a, k)
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_singular_value_at_a_large_weight(self):
+        # s_00 = |psi_00(0.5)| (pi^2 / ((1e300 + 1) 2))^{1/2}
+        want = math.exp(-0.125) / math.sqrt(math.pi) * math.pi / math.sqrt(2e300)
+        assert spectrum(1.0, 1e300, 1.0, 0.5, 2, 2)[0, 0] == pytest.approx(want, rel=1e-13)
+        assert want == pytest.approx(1.25e-150, rel=3e-3)
 
     def test_broadcasts_over_indices(self):
         ms, ns = np.arange(5)[:, None], np.arange(3)
@@ -159,6 +179,11 @@ class TestKwConstant:
         with pytest.raises(ValueError):
             kw_constant(1.0, 0.0, 1.0, 0.0)
 
+    def test_underflowing_weights_overflow_by_name(self):
+        # alpha beta underflows to 0; the upper bound overflows to inf instead
+        with pytest.raises(OverflowError, match="kw_constant"):
+            kw_constant(1.0, 1e-200, 1e-200, 1.0)
+
 
 class TestOperatorNormBound:
     def test_dominates_singular_values(self):
@@ -209,3 +234,7 @@ class TestFiniteRankTail:
             finite_rank_tail(1.0, 0.0, 1.0, 0.0, 2, 2)
         with pytest.raises(ValueError):
             finite_rank_tail(1.0, 1.0, 1.0, 0.0, -1, 2)
+
+    def test_underflowing_weights_overflow_by_name(self):
+        with pytest.raises(OverflowError, match="finite_rank_tail"):
+            finite_rank_tail(1.0, 1e-200, 1e-200, 1.0, 2, 2)

@@ -13,7 +13,9 @@ import pytest
 import itofrft
 import itofrft.verify as verify
 from itofrft import transforms
-from itofrft.quadrature import bidisk_rule, plane_rule
+from itofrft.ito_hermite import psi_table
+from itofrft.kernels import bergman_kernel
+from itofrft.quadrature import bidisk_rule, integrate, plane_rule
 from itofrft.verify import INVARIANT_CHECKS, run_checks
 
 INVARIANTS = [fn.__name__.removeprefix("check_") for fn in INVARIANT_CHECKS]
@@ -120,6 +122,58 @@ def test_singular_values_kernel_work(monkeypatch):
     (res,) = run_checks(names=["singular_values"])
     assert res.passed
     assert 0 < sum(entries) <= 4096 * (324 + 576)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5)])
+@pytest.mark.parametrize("b", [(0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)])
+def test_bergman_product_form_matches_tensor_sum(alpha, beta, b):
+    # the product of two one-disk sums is the sum over all 1024 x 1024 nodes
+    full = integrate(
+        bidisk_rule(alpha, beta, 32, 32),
+        lambda u, v: u**2 * v**3 * np.conj(bergman_kernel(alpha, beta, (u, v), b)),
+    )
+    got = verify._reproduced_monomial(alpha, beta, b)
+    assert abs(got - full) <= 1e-14 * abs(full)
+
+
+def test_bergman_reproducing_needs_separability(monkeypatch):
+    # a kernel that no longer splits off-grid fails the side condition, though
+    # it leaves the one-disk factors (u = 0 or v = 0) and the tolerance alone
+    def coupled(alpha, beta, a, b):
+        u, v = (np.asarray(c, dtype=complex) for c in a)
+        return bergman_kernel(alpha, beta, a, b) * (1.0 + 1e-12 * u * v)
+
+    monkeypatch.setattr(verify, "bergman_kernel", coupled)
+    (res,) = run_checks(names=["bergman_reproducing"])
+    assert res.observed <= res.tolerance
+    assert res.detail.startswith("kernel separability = ")
+    assert not res.passed
+
+
+def test_one_disk_sum_checks_sample_no_tensor_grid(monkeypatch):
+    # neither check hands a bi-disk tensor rule to `integrate` any more
+    calls = []
+    monkeypatch.setattr(verify, "integrate", lambda rule, f: calls.append(rule))
+    results = run_checks(names=["bergman_reproducing", "boundedness_bracket"])
+    assert all(res.passed for res in results)
+    assert calls == []
+
+
+def test_boundedness_gram_quotients_match_tensor_sums():
+    # every Rayleigh quotient's Gram form is the 256 x 256 tensor sum of
+    # |R_w f|^2, with the dual image from `dual_apply_coeff`
+    count = 0
+    for nu, alpha, beta, w, fs in verify._bracket_battery():
+        brule = bidisk_rule(alpha, beta, 16, 16)
+        grams = verify._disk_gram(alpha), verify._disk_gram(beta)
+        P = psi_table(nu, complex(w), 6, 6)
+        for f in fs:
+            full = integrate(
+                brule, lambda u, v: np.abs(transforms.dual_apply_coeff(nu, w, f, (u, v))) ** 2
+            ).real
+            assert abs(verify._image_norm2(P, f, *grams) - full) <= 1e-13 * full
+            count += 1
+    assert count == 90
 
 
 def _adjoint_pair():
