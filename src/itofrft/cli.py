@@ -134,16 +134,6 @@ def _axis(center, half, count):
         return np.linspace(center - half, center + half, count)
 
 
-def _hankel_order(f):
-    """The Hankel order of f: the angular mode m - n >= 0 that every
-    coefficient shares, 0 for the empty expansion."""
-    modes = {m - n for m, n in f.coeffs} or {0}
-    if len(modes) > 1 or min(modes) < 0:
-        raise ValueError("--kind hankel needs one mode m - n >= 0 in every coefficient, got %s"
-                         % sorted(modes))
-    return modes.pop()
-
-
 def cmd_transform(args):
     f = load_coeff_file(args.input)
     u, v = _complex(args, "u"), _complex(args, "v")
@@ -162,12 +152,21 @@ def cmd_transform(args):
     elif args.kind == "dual":
         vals = dual_apply_coeff(f.nu, _complex(args, "w"), f, (xs[:, None], ys))
         points = [{"u": uu, "v": vv} for uu in xs for vv in ys]
-    else:  # hankel
-        vals = hankel_apply(f.nu, _hankel_order(f), u, v, f, xs)
+    else:  # hankel, at the order of f's one angular mode; hankel_apply rejects any other
+        order = max((abs(m - n) for m, n in f.coeffs), default=0)
+        vals = hankel_apply(f.nu, order, u, v, f, xs)
         points = [{"y": y} for y in xs]
     records = [{"point": pt, "value": _cnum(val)} for pt, val in zip(points, vals.ravel())]
     print(json.dumps(records))
     return 0
+
+
+def _out_dir(args):
+    """The output directory, created if missing: $ITOFRFT_OUT_DIR where it is
+    set, else --out-dir."""
+    out_dir = os.environ.get(OUT_DIR_ENV, args.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
 def cmd_spectrum(args):
@@ -195,8 +194,7 @@ def cmd_spectrum(args):
         "schatten_p": args.schatten,
         "kw": {"value": kw.value, "lower": kw.lower, "upper": kw.upper},
     }
-    out_dir = os.environ.get(OUT_DIR_ENV, args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args)
     csv_path = os.path.join(out_dir, "spectrum.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -214,21 +212,9 @@ def cmd_spectrum(args):
 def cmd_verify(args):
     from . import verify  # loaded by this subcommand only
 
-    config = {}
-    try:
-        if args.config is not None:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        checks, out_dir = verify._plan(config)
-    except (OSError, ValueError) as exc:
-        # a missing file, bytes that are not UTF-8, bad JSON or a bad RunConfig
-        print("invalid config: %s" % exc, file=sys.stderr)
-        return 2
-    out_dir = os.environ.get(OUT_DIR_ENV, out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _out_dir(args)
     cold = scipy_special.import_s is None
-    # the config is valid: a ValueError from a check is a program fault (exit 1)
-    results = verify._run(checks)
+    results = verify.run_checks(args.check)
     report = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "checks": [r.to_dict() for r in results],
@@ -264,6 +250,12 @@ def _flag(convert, ok, rule):
 _INDEX = _flag(int, lambda n: n >= 0, ">= 0")
 _FINITE_POSITIVE = _flag(float, lambda x: 0 < x < math.inf, "finite and > 0")
 _FINITE_NONNEGATIVE = _flag(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
+
+
+def _is_check(name):
+    from . import verify  # only the verify subcommand has this flag
+
+    return name in {verify._name(fn) for fn in verify.ACCEPTANCE_CHECKS + verify.INVARIANT_CHECKS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,7 +319,9 @@ def build_parser():
     ps.set_defaults(fn=cmd_spectrum)
 
     pv = sub.add_parser("verify", help="run the self-verification suite")
-    pv.add_argument("--config", default=None, help="RunConfig JSON path")
+    pv.add_argument("--check", type=_flag(str, _is_check, "the name of a check"), action="append",
+                    help="run only this check (repeatable); default: every check")
+    pv.add_argument("--out-dir", default=".")
     pv.set_defaults(fn=cmd_verify)
 
     return parser

@@ -125,7 +125,9 @@ def zero_radii(nu, m, n):
     For m >= n the polynomial factors as
         H^nu_{m,n} = (-1)^n n! nu^m z^{m-n} L_n^{(m-n)}(nu |z|^2),
     so the radii are sqrt(x_j / nu) over the roots x_j of L_q^{(|m-n|)} with
-    q = min(m, n); the origin is a zero exactly when m != n.
+    q = min(m, n); the origin is a zero exactly when m != n.  Where a radius
+    exceeds double precision, as at a subnormal nu, the call raises
+    OverflowError.
     """
     _check_nu(nu)
     _check_index(m, n)
@@ -134,7 +136,10 @@ def zero_radii(nu, m, n):
         radii = ()
     else:
         roots, _ = scipy_special().roots_genlaguerre(q, abs(m - n))
-        radii = tuple(sorted(math.sqrt(x / nu) for x in roots))
+        with np.errstate(over="ignore"):  # x / nu overflows at a subnormal nu
+            radii = np.sqrt(np.sort(roots) / nu)
+        _require_finite(radii, "zero_radii at nu=%r, index (%d, %d)" % (nu, m, n))
+        radii = tuple(map(float, radii))
     return ZeroSet(index=(m, n), radii=radii, includes_origin=(m != n))
 
 

@@ -238,7 +238,10 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     The rule is accurate when the integrand is smooth in t, as for the
     profile of an angular mode k at order k, so `order` is one of the
     paper's modes: a non-negative integer (an integral float such as 2.0 is
-    accepted).  Parameters are restricted to real u, v in (0, 1) so that
+    accepted).  A `CoeffFunction` f, whose every coefficient must have
+    m - n = order, is instead transformed exactly, as `frft_apply` at
+    xi = y: its profile is f on the positive real axis.  Parameters are
+    restricted to real u, v in (0, 1) so that
     every fractional power is principal and positive; a complex u or v with
     a nonzero imaginary part raises ValueError.  An array y gives an array of
     its shape, a scalar y a complex number.  Every y is finite; where y^2
@@ -259,6 +262,13 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     ell = nu / (1.0 - u * v)
     if not math.isfinite(ell * u * v * hi * hi):
         raise OverflowError("hankel_apply at y=%g overflows double precision" % hi)
+    if isinstance(psi_profile, CoeffFunction):
+        # exact: the transform of the mode-`order` expansion f at xi = y
+        modes = {m - n for m, n in psi_profile.coeffs}
+        if modes - {order}:
+            raise ValueError("hankel_apply of f needs m - n = order = %r in every coefficient, "
+                             "got modes %s" % (order, sorted(modes)))
+        return _eigen_sum(nu, psi_profile, y, (u, v))
     shift = ell * u * v * y * y
     t, wt = _laguerre(HANKEL_NODES)
     x = np.sqrt(t / ell)

@@ -39,7 +39,7 @@ class CheckResult:
     tolerance: float
     detail: str = ""
     side_conditions: bool = True  # the check's conditions besides the tolerance
-    wall_s: float = 0.0  # wall time of the check, set by `_run`
+    wall_s: float = 0.0  # wall time of the check, set by `run_checks`
 
     @property
     def passed(self):
@@ -718,40 +718,26 @@ def check_quadrature_selfconvergence():
     return float(_rel(a, b))
 
 
-def _plan(config):
-    """Validate a RunConfig, as `verify --config` reads it or `run_checks`
-    builds it, and return (checks, out_dir): the checks it selects, in list
-    order, and its out_dir.
+def run_checks(names=None):
+    """Run the acceptance and invariant checks and return their CheckResults,
+    each judged at its stated tolerance on rules of the one size that
+    tolerance was set for, with its wall time in `wall_s`.
 
-    Raises ValueError, before any check runs, on a config that is not an
-    object, has a key other than `checks` and `out_dir`, or has an
-    `out_dir` that is not a string or a name that names no check.
-    """
-    keys = ("checks", "out_dir")
-    if not isinstance(config, dict):
-        raise ValueError("expected a JSON object, got %s" % type(config).__name__)
-    unknown = sorted(set(config) - set(keys))
-    if unknown:
-        raise ValueError("unknown keys %s (allowed: %s)" % (unknown, ", ".join(keys)))
-    out_dir = config.get("out_dir", ".")
-    if not isinstance(out_dir, str):
-        raise ValueError("'out_dir' must be a string")
-    names, every = config.get("checks"), ACCEPTANCE_CHECKS + INVARIANT_CHECKS
+    `names` restricts the run to the checks it lists by the names they
+    report (function names without `check_`); the checks run in declaration
+    order, called through `ACCEPTANCE_CHECKS` and `INVARIANT_CHECKS`.  A
+    `names` that is not a list of check names raises ValueError before any
+    check runs; a ValueError from a running check propagates as it is.
+    scipy is loaded before the first check, so no `wall_s` holds its
+    one-time import."""
+    checks = ACCEPTANCE_CHECKS + INVARIANT_CHECKS
     if names is not None:
         if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
-            raise ValueError("'checks' must be a list of check names")
-        unknown = set(names) - {_name(fn) for fn in every}
+            raise ValueError("names must be a list of check names, got %r" % (names,))
+        unknown = set(names) - {_name(fn) for fn in checks}
         if unknown:
             raise ValueError("unknown check names: %s" % sorted(unknown))
-        every = [fn for fn in every if _name(fn) in names]
-    return every, out_dir
-
-
-def _run(checks):
-    """Run the checks of a `_plan` and return their CheckResults, each with
-    its wall time in `wall_s`.  scipy is loaded before the first check, so
-    no `wall_s` holds its one-time import.  A ValueError from a running
-    check propagates as it is."""
+        checks = [fn for fn in checks if _name(fn) in names]
     scipy_special()
     results = []
     for fn in checks:
@@ -760,13 +746,3 @@ def _run(checks):
         result.wall_s = time.perf_counter() - start
         results.append(result)
     return results
-
-
-def run_checks(names=None):
-    """Run the acceptance and invariant checks and return their CheckResults,
-    each judged at its stated tolerance on rules of the one size that
-    tolerance was set for.  `names` restricts the run to the checks it lists
-    by the names they report (function names without `check_`); it is
-    validated first, as `_plan` validates a RunConfig."""
-    checks, _ = _plan({"checks": names})
-    return _run(checks)

@@ -40,5 +40,5 @@ def test_acceptance(criterion, results, capsys):
 
 @pytest.mark.parametrize("criterion", CRITERIA)
 def test_reported_name(criterion, results):
-    # run_checks and `verify --config` select a check by the name it reports
+    # run_checks and `verify --check` select a check by the name it reports
     assert results[criterion].name == criterion

@@ -66,6 +66,16 @@ class TestHermiteCommand:
         assert doc["radii"] == pytest.approx([1.0])
         assert doc["origin"] is False
 
+    def test_zeros_overflow(self):
+        # at a subnormal nu the radii exceed double precision: one line, not
+        # Infinity in the output and a numpy warning
+        res = run_cli_process("hermite", "zeros", "--nu", "1e-320", "--m", "3", "--n", "2")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.strip().splitlines() == [
+            "zero_radii at nu=1e-320, index (3, 2) overflows double precision"
+        ]
+
     def test_nullset(self, schemas):
         res = run_cli("hermite", "nullset", "--max-m", "2", "--max-n", "2")
         assert res.returncode == 0
@@ -255,6 +265,23 @@ class TestTransformCommand:
                 if r["point"]["im"] == 0.0]
         assert [r["point"]["y"] for r in strict_json(hankel.stdout)] == [0.5, 0.75, 1.0]
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_hankel_matches_frft_far_out(self, tmp_path):
+        # an input expansion is transformed exactly, so the radial transform
+        # equals the 2D one at xi = y out to y = 100, where quadrature failed
+        path = write_coeffs(tmp_path / "f.json", 1.0, {(1, 0): 1.0, (3, 2): 0.5})
+        grid = ("--u-re", "0.5", "--v-re", "0.3", "--grid-center-re", "50",
+                "--grid-half", "50", "--grid-count", "5")
+        hankel = run_cli("transform", "--kind", "hankel", "--input", path, *grid)
+        assert hankel.returncode == 0, hankel.stderr
+        frft = run_cli("transform", "--kind", "frft", "--input", path, *grid)
+        assert frft.returncode == 0, frft.stderr
+        got = [complex(r["value"]["re"], r["value"]["im"]) for r in strict_json(hankel.stdout)]
+        want = [complex(r["value"]["re"], r["value"]["im"]) for r in strict_json(frft.stdout)
+                if r["point"]["im"] == 0.0]
+        assert [r["point"]["y"] for r in strict_json(hankel.stdout)] == [0, 25, 50, 75, 100]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert got[-1].real == pytest.approx(9.16e6, rel=1e-3)
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -598,43 +625,31 @@ class TestSpectrumCommand:
 
 
 class TestVerifyCommand:
-    def _config(self, tmp_path, doc):
-        p = tmp_path / "config.json"
-        p.write_text(json.dumps(doc))
-        return str(p)
-
     def test_passing_subset(self, tmp_path, schemas):
-        cfg = self._config(tmp_path, {
-            "checks": ["hankel_fixed_point", "bessel_monotone"],
-            "out_dir": str(tmp_path),
-        })
-        res = run_cli("verify", "--config", cfg)
+        res = run_cli("verify", "--check", "hankel_fixed_point", "--check", "bessel_monotone",
+                      "--out-dir", str(tmp_path))
         assert res.returncode == 0, res.stderr
         assert "hankel_fixed_point" in res.stdout and "PASS" in res.stdout
         report = strict_json((tmp_path / "report.json").read_text())
         jsonschema.validate(report, schemas["report"])
         assert report["passed"] is True
-        assert len(report["checks"]) == 2
+        assert [c["name"] for c in report["checks"]] == ["hankel_fixed_point", "bessel_monotone"]
 
     def test_select_by_reported_name(self, tmp_path, schemas):
-        cfg = self._config(tmp_path, {
-            "checks": ["frft_eigenrelation"],
-            "out_dir": str(tmp_path),
-        })
-        res = run_cli("verify", "--config", cfg)
+        # the checks run in declaration order, whatever the order of the flags
+        res = run_cli("verify", "--check", "bessel_monotone", "--check", "frft_eigenrelation",
+                      "--out-dir", str(tmp_path))
         assert res.returncode == 0, res.stderr
         report = strict_json((tmp_path / "report.json").read_text())
         jsonschema.validate(report, schemas["report"])
-        assert [c["name"] for c in report["checks"]] == ["frft_eigenrelation"]
+        assert [c["name"] for c in report["checks"]] == ["frft_eigenrelation", "bessel_monotone"]
 
     def test_scipy_import_timed_apart(self, tmp_path, schemas):
         # in a fresh interpreter the first check that needs scipy makes its
         # one import; the report gives that time apart from the check's wall_s
-        cfg = self._config(tmp_path, {
-            "checks": ["mehler_classical", "hankel_fixed_point", "bessel_monotone"],
-            "out_dir": str(tmp_path),
-        })
-        res = run_cli_process("verify", "--config", cfg)
+        res = run_cli_process("verify", "--check", "mehler_classical", "--check",
+                              "hankel_fixed_point", "--check", "bessel_monotone",
+                              "--out-dir", str(tmp_path))
         assert res.returncode == 0, res.stderr
         report = strict_json((tmp_path / "report.json").read_text())
         jsonschema.validate(report, schemas["report"])
@@ -650,92 +665,58 @@ class TestVerifyCommand:
         from itofrft.specfun import scipy_special
 
         scipy_special()  # loaded before the run: no check imports it
-        cfg = self._config(tmp_path, {"checks": ["hankel_fixed_point"], "out_dir": str(tmp_path)})
-        assert run_cli("verify", "--config", cfg).returncode == 0
+        res = run_cli("verify", "--check", "hankel_fixed_point", "--out-dir", str(tmp_path))
+        assert res.returncode == 0
         report = strict_json((tmp_path / "report.json").read_text())
         jsonschema.validate(report, schemas["report"])
         assert report["scipy_import_s"] == 0.0
 
-    def test_missing_config(self, tmp_path):
-        res = run_cli("verify", "--config", str(tmp_path / "absent.json"))
+    @pytest.mark.parametrize(
+        "flags",
+        [("--check", "no_such_check"), ("--check", "hankel_fixed_point", "--check", ""),
+         ("--config", "config.json")],
+        ids=["unknown_name", "empty_name", "config_file"],
+    )
+    def test_usage_error_runs_nothing(self, tmp_path, monkeypatch, flags):
+        # argparse's one line and exit 2 before any check runs; the verify
+        # config file is gone, so --config is an unknown flag
+        ran = []
+        monkeypatch.setattr(verify, "run_checks", lambda *args: ran.append(args))
+        res = run_cli("verify", "--out-dir", str(tmp_path / "out"), *flags)
         assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert ran == []
+        assert not (tmp_path / "out").exists()
 
-    def test_bad_sizes(self, tmp_path, monkeypatch):
-        # every check runs at its one stated size: a sizes key is unknown
-        monkeypatch.setenv("ITOFRFT_OUT_DIR", str(tmp_path))
-        cfg = self._config(tmp_path, {"sizes": {"n_radial": 64}})
-        res = run_cli("verify", "--config", cfg)
+    def test_unknown_check_name(self, tmp_path):
+        res = run_cli_process("verify", "--check", "no_such_check", "--out-dir", str(tmp_path))
         assert res.returncode == 2
         assert res.stderr.strip().splitlines() == [
-            "invalid config: unknown keys ['sizes'] (allowed: checks, out_dir)"
+            "itofrft verify: error: argument --check: must be the name of a check, "
+            "got 'no_such_check'"
         ]
         assert not (tmp_path / "report.json").exists()
 
-    def test_bad_tolerances(self, tmp_path):
-        cfg = self._config(tmp_path, {"tolerances": {"orthonormality": 0.0}})
-        assert run_cli("verify", "--config", cfg).returncode == 2
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"sizes": {"n_radial": "64"}},
-            {"tolerances": {"orthonormality": "1e-9"}},
-            [{"sizes": {"n_radial": 64}}],
-            {"sizes": {"n_radail": 64}},
-            {"sizes": {"n_radial": True}},
-            {"size": {"n_radial": 64}},
-            {"out_dir": 3},
-            {"checks": ["hankel_fixed_point"], "tolerances": {"hankel_fixed_pont": 1e-30}},
-        ],
-        ids=[
-            "size_as_string",
-            "tolerance_as_string",
-            "top_level_list",
-            "misspelled_size",
-            "size_as_bool",
-            "unknown_top_level_key",
-            "out_dir_not_string",
-            "misspelled_tolerance",
-        ],
-    )
-    def test_malformed_config(self, tmp_path, doc, monkeypatch):
-        # one line on stderr and exit 2, never a traceback or a default run
-        monkeypatch.setenv("ITOFRFT_OUT_DIR", str(tmp_path))
-        res = run_cli("verify", "--config", self._config(tmp_path, doc))
-        assert res.returncode == 2, res.stderr
-        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
-        assert "Traceback" not in res.stderr
-        assert not (tmp_path / "report.json").exists()
-        # the library's one validator rejects the same document
-        with pytest.raises(ValueError):
-            verify._plan(doc)
-
-    def test_config_not_utf8(self, tmp_path, monkeypatch):
-        # a read or decode error is a config error too
-        monkeypatch.setenv("ITOFRFT_OUT_DIR", str(tmp_path))
-        cfg = tmp_path / "config.json"
-        cfg.write_bytes(b"\xff")
-        res = run_cli("verify", "--config", str(cfg))
-        assert res.returncode == 2, res.stderr
-        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
-        assert res.stderr.startswith("invalid config: ")
-        assert not (tmp_path / "report.json").exists()
-
-    def test_unknown_check_name(self, tmp_path):
-        cfg = self._config(tmp_path, {"checks": ["no_such_check"]})
-        res = run_cli("verify", "--config", cfg)
-        assert res.returncode == 2
-        assert "no_such_check" in res.stderr
+    def test_out_dir(self, tmp_path, monkeypatch):
+        # --out-dir is created if missing, and ITOFRFT_OUT_DIR overrides it
+        flag_dir, env_dir = tmp_path / "flag" / "nested", tmp_path / "env"
+        args = ("verify", "--check", "bessel_monotone", "--out-dir", str(flag_dir))
+        assert run_cli(*args).returncode == 0
+        assert [p.name for p in flag_dir.iterdir()] == ["report.json"]
+        (flag_dir / "report.json").unlink()
+        monkeypatch.setenv("ITOFRFT_OUT_DIR", str(env_dir))
+        assert run_cli(*args).returncode == 0
+        assert [p.name for p in env_dir.iterdir()] == ["report.json"]
+        assert list(flag_dir.iterdir()) == []
 
     def test_fault_in_a_check_exits_1(self, tmp_path, monkeypatch):
-        # a ValueError while a check runs is a program fault, not a config problem
-        from itofrft import verify
-
+        # a ValueError while a check runs is a program fault, not a usage error
         def broken(*args):
             raise ValueError("hankel_apply failed")
 
         monkeypatch.setattr(verify, "hankel_apply", broken)
-        cfg = self._config(tmp_path, {"checks": ["hankel_fixed_point"], "out_dir": str(tmp_path)})
-        res = run_cli("verify", "--config", cfg)
+        res = run_cli("verify", "--check", "hankel_fixed_point", "--out-dir", str(tmp_path))
         assert res.returncode == 1
         assert res.stderr.strip() == "hankel_apply failed"
+        assert not (tmp_path / "report.json").exists()

@@ -138,12 +138,13 @@ OVERFLOWS = [
     case("kw_constant-w-30", lambda: kw_constant(1.0, 1.0, 1.0, 30.0)),
     case("kw_constant-upper", lambda: kw_constant(1.0, 1e-9, 1e-9, 26.4)),
     case("finite_rank_tail-w-30", lambda: finite_rank_tail(1.0, 1.0, 1.0, 30.0, 2, 2)),
+    case("zero_radii-nu-subnormal", lambda: zero_radii(1e-320, 3, 2)),
 ]
 
 
 @pytest.mark.parametrize("call", OVERFLOWS)
 def test_overflow_is_named(call):
-    with pytest.raises(OverflowError, match=r"^(bergman_kernel|kw_constant|finite_rank_tail) at "):
+    with pytest.raises(OverflowError, match=r"^(bergman_kernel|kw_constant|finite_rank_tail|zero_radii) at "):
         call()
 
 
@@ -234,6 +235,7 @@ HOMES = {
     ],
     (ito_hermite, "_require_finite"): [
         lambda _: psi_table(1.0, 0.5, 2, 2),
+        lambda _: zero_radii(1.0, 3, 2),
         lambda _: bergman_kernel(1.0, 1.0, (0.1, 0.2), (0.3, 0.1)),
         lambda _: kw_constant(1.0, 1.0, 1.0, 0.5),
     ],

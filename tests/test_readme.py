@@ -29,7 +29,6 @@ def test_readme_line_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ITOFRFT_OUT_DIR", str(tmp_path / "out"))
     f = {"nu": 1.0, "coeffs": [{"m": 1, "n": 0, "re": 1.0, "im": 0.0}]}
     (tmp_path / "f.json").write_text(json.dumps(f))
-    (tmp_path / "config.json").write_text(json.dumps({"checks": ["hankel_fixed_point"]}))
     code = cli.main(shlex.split(line)[1:])
     printed = capsys.readouterr()
     assert code == 0, printed.err

@@ -386,11 +386,33 @@ class TestHankel:
     def test_array_y_matches_pointwise(self):
         nu, u, v = 1.0, 0.4, 0.3
         f = CoeffFunction(nu=nu, coeffs={(2, 1): 1.0, (3, 2): 0.5j})  # one mode, k = 1
+        prof = RadialFunction.from_coeff(f)  # the quadrature route, not the exact one
         ys = np.linspace(0.0, 3.0, 21).reshape(3, 7)
-        got = hankel_apply(nu, 1, u, v, f, ys)
+        got = hankel_apply(nu, 1, u, v, prof, ys)
         assert got.shape == ys.shape
-        want = np.array([hankel_apply(nu, 1, u, v, f, y) for y in ys.ravel()]).reshape(ys.shape)
+        want = np.array([hankel_apply(nu, 1, u, v, prof, y) for y in ys.ravel()]).reshape(ys.shape)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
+
+    def test_coeff_function_is_exact(self):
+        # a finite expansion goes by the eigenrelation, as the 2D transform
+        # at xi = y, where the Laguerre rule lost the value (2449.3 against
+        # 93471.4 at y = 40, 7e-306 against 9.16e6 at y = 100)
+        nu, u, v = 1.0, 0.5, 0.3
+        f = CoeffFunction(nu=nu, coeffs={(1, 0): 1.0, (3, 2): 0.5})  # one mode, k = 1
+        ys = np.array([0.5, 40.0, 100.0])
+        got = hankel_apply(nu, 1, u, v, f, ys)
+        np.testing.assert_array_equal(got, frft_apply(TransformParams(nu, u, v), f, ys + 0j))
+        assert got[1] == pytest.approx(93471.39213959182, rel=1e-14)
+        # near the origin the quadrature route agrees
+        assert got[0] == pytest.approx(hankel_apply(nu, 1, u, v, RadialFunction.from_coeff(f), 0.5),
+                                       rel=1e-12)
+        assert type(hankel_apply(nu, 1, u, v, f, 0.5)) is complex
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_coeff_function_needs_the_order_mode(self, order):
+        f = CoeffFunction(nu=1.0, coeffs={(1, 0): 1.0, (3, 2): 0.5})  # mode k = 1
+        with pytest.raises(ValueError, match="m - n = order"):
+            hankel_apply(1.0, order, 0.3, 0.3, f, 1.0)
 
     def test_scalar_y_returns_complex(self):
         assert type(hankel_apply(1.0, 0, 0.3, 0.3, lambda x: np.ones_like(x), 0.5)) is complex
