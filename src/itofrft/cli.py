@@ -332,7 +332,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OverflowError, RuntimeError) as exc:
+    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

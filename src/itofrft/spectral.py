@@ -161,11 +161,12 @@ def kw_constant(nu, alpha, beta, w):
 
 
 def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
-    """e^{nu |w|^2} * sum_{m>p_cut} sum_{n>q_cut} gamma_{m,n}: the envelope of
-    s_{m,n}^2 (`verify.check_schatten_bound`) summed over the corner beyond
-    both cuts.  It leaves out the two strips beyond one cut alone, so it
-    bounds no distance to the finite-rank truncation: at nu = 1,
-    alpha = beta = 6, w = 2.5, p = q = 10 it is 9.27e-7, below s_{0,11}^2 = 2.87e-5.
+    """e^{nu |w|^2} * sum_{m>p_cut} sum_{n>q_cut} gamma_{m,n}: pi/nu times the
+    envelope (nu/pi) e^{nu |w|^2} gamma_{m,n} of s_{m,n}^2 summed over the
+    corner beyond both cuts (`verify.check_schatten_bound`).  It leaves out
+    the two strips beyond one cut alone, so it bounds no distance to the
+    finite-rank truncation: at nu = 1, alpha = beta = 6, w = 2.5,
+    p = q = 10 it is 9.27e-7, below s_{0,11}^2 = 2.87e-5.
 
     Each axis sum telescopes: sum_{m>p} m!/Gamma(m+alpha+2)
     = Gamma(p+2) / (alpha Gamma(p+alpha+2)), which is (p+alpha+2)/alpha times

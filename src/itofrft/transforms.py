@@ -245,7 +245,8 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     every fractional power is principal and positive; a complex u or v with
     a nonzero imaginary part raises ValueError.  An array y gives an array of
     its shape, a scalar y a complex number.  Every y is finite; where y^2
-    overflows double precision the call raises OverflowError.
+    overflows double precision, or a callable's Bessel factor leaves its
+    range (y = 1e8 at u = v = 0.5), the call raises OverflowError.
     """
     _check_nu(nu)
     if not (order >= 0 and math.isfinite(order) and float(order).is_integer()):
@@ -281,6 +282,8 @@ def hankel_apply(nu, order, u, v, psi_profile, y):
     bx = (2.0 * ell * math.sqrt(u * v) * y)[..., None] * x
     factor = scipy_special().ive(order, bx) * np.exp(bx - shift[..., None])
     out = (u / v) ** (order / 2.0) * (samples * factor).dot(wt)
+    if not np.isfinite(out).all():  # scipy's ive is NaN past arguments of about 1e10
+        raise OverflowError("hankel_apply at y=%g overflows its Bessel factor" % hi)
     return complex(out) if y.ndim == 0 else out
 
 

@@ -15,7 +15,7 @@ from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
 from .kernels import (
     TransformParams, _contract, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
 )
-from .quadrature import _disk_polar, _samples, bidisk_rule, integrate, plane_rule, quadrant_rule
+from .quadrature import _samples, bidisk_rule, integrate, plane_rule, quadrant_rule
 from .spectral import finite_rank_tail, gamma_norm, kw_constant, spectrum
 from .transforms import (
     CoeffFunction,
@@ -285,13 +285,17 @@ def check_singular_values():
 
 @_check(ACCEPTANCE_CHECKS, 0.0)
 def check_schatten_bound():
-    """Every tabulated singular value obeys the Gamma-ratio envelope
-    pi e^{nu|w|^2/2} (m! n! G(a+1) G(b+1) / (G(m+a+2) G(n+b+2)))^{1/2}."""
+    """Every tabulated singular value obeys the envelope
+    (nu/pi)^{1/2} e^{nu|w|^2/2} gamma_{m,n}^{1/2} (`gamma_norm`), since
+    (pi/nu) e^{-nu|w|^2} |psi_{m,n}(w)|^2, the squared modulus of a matrix
+    coefficient of a unitary displacement operator, is <= 1, with equality
+    for s_{0,0} at w = 0."""
     nu, alpha, beta = 1.0, 1.0, 1.0
     w = 1.0 + 0.5j
     spec = spectrum(nu, alpha, beta, w, 40, 40)
     ms = np.arange(41)
-    bound = math.exp(nu * abs(w) ** 2 / 2.0) * np.sqrt(gamma_norm(alpha, beta, ms[:, None], ms))
+    growth = math.sqrt(nu / math.pi) * math.exp(nu * abs(w) ** 2 / 2.0)
+    bound = growth * np.sqrt(gamma_norm(alpha, beta, ms[:, None], ms))
     return float(np.max(spec.values - bound))
 
 
@@ -320,43 +324,27 @@ def _bracket_battery():
                 yield nu, alpha, beta, w, fs
 
 
-def _disk_gram(alpha):
-    """Gram matrix G[m, p] = sum_i w_i x_i^m conj(x_i)^p of the monomials of
-    degree <= 6 under the 16 x 16 one-disk rule with weight
-    (1 - |x|^2)^alpha, the rule of one disk of `bidisk_rule(., ., 16, 16)`."""
-    x, wx = _disk_polar(alpha, 16, 16)
-    X = np.vander(x, _BRACKET_DEGREE + 1, increasing=True)
-    return (X.T * wx) @ X.conj()
-
-
-def _image_norm2(P, f, gram_u, gram_v):
-    """Squared bi-disk norm of the dual image sum B_{m,n} u^m v^n of f, with
-    B = a psi(w) from the table P = psi_table(nu, w, 6, 6), on the tensor of
-    the one-disk rules of the Gram matrices: the tensor sum of
-    |sum B_{m,n} u^m v^n|^2 is sum B_{m,n} conj(B_{p,q}) G_u[m, p] G_v[n, q]."""
-    B = np.zeros_like(P)
-    for (m, n), a in f.coeffs.items():
-        B[m, n] = a * P[m, n]
-    return float(np.sum(B * (gram_u @ B.conj() @ gram_v.T)).real)
-
-
 @_check(ACCEPTANCE_CHECKS, 1e-10)
 def check_boundedness_bracket():
     """k_w bracket containment plus empirical Rayleigh quotients below
     k_w^{1/2}, over the full parameter battery; observed is the largest margin.
 
-    Each quotient's squared image norm is a 16 x 16 bi-disk tensor sum of a
-    polynomial, taken as a quadratic form in two 7 x 7 one-disk Gram
-    matrices (`_image_norm2`), not through the closed norms gamma;
-    `parseval_dual_norm` checks `dual_apply_coeff` on the full tensor grid."""
-    grams = {a: _disk_gram(a) for a in set().union(*_BRACKET_WEIGHTS)}
+    Each quotient integrates |R_w f|^2, the image from `dual_apply_coeff`,
+    on `bidisk_rule(alpha, beta, 4, 7)`, not through the closed norms gamma.
+    The rule is exact: per disk the image has degree <= 6, so the 7 angles
+    cancel every u^m conj(u)^p with 0 < |m - p| <= 6, as the exact integral
+    does, and the 4 Gauss-Jacobi nodes in |u|^2 integrate the rest, of
+    degree <= 6 in |u|^2."""
+    rules = {ab: bidisk_rule(*ab, 4, _BRACKET_DEGREE + 1) for ab in _BRACKET_WEIGHTS}
     worst, ratio = -math.inf, 0.0
     for nu, alpha, beta, w, fs in _bracket_battery():
         kw = kw_constant(nu, alpha, beta, w)
         worst = max(worst, kw.lower - kw.value, kw.value - kw.upper)
-        P = psi_table(nu, complex(w), _BRACKET_DEGREE, _BRACKET_DEGREE)
         for f in fs:
-            quotient = math.sqrt(_image_norm2(P, f, grams[alpha], grams[beta])) / f.norm
+            norm2 = integrate(
+                rules[alpha, beta], lambda u, v: np.abs(dual_apply_coeff(nu, w, f, (u, v))) ** 2
+            ).real
+            quotient = math.sqrt(norm2) / f.norm
             worst = max(worst, quotient - math.sqrt(kw.value))
             ratio = max(ratio, quotient / math.sqrt(kw.value))
     return worst, "largest Rayleigh quotient / k_w^(1/2) = %.3f" % ratio, True
@@ -394,49 +382,25 @@ def check_hankel_fixed_point():
     return worst
 
 
-def _reproduced_monomial(alpha, beta, b):
-    """The integral of u^2 v^3 conj K(u, v; b) on `bidisk_rule(alpha, beta,
-    32, 32)`, the tensor of two one-disk rules (`quadrature._disk_polar`),
-    summed as a product of one-disk sums.  The kernel is one factor per
-    disk, K(u, v; b) = g(u) h(v) with g(u) = K(u, 0; b) and
-    h(v) = K(0, v; b) / K(0, 0; b), so the tensor sum is
-    (sum_i wx_i x_i^2 conj g_i) (sum_j wy_j y_j^3 conj h_j).  Each factor is
-    one `bergman_kernel` call over its disk's nodes."""
-    x, wx = _disk_polar(alpha, 32, 32)
-    y, wy = _disk_polar(beta, 32, 32)
-    g = bergman_kernel(alpha, beta, (x, 0.0), b)
-    h = bergman_kernel(alpha, beta, (0.0, y), b) / bergman_kernel(alpha, beta, (0.0, 0.0), b)
-    return complex(np.dot(wx, x**2 * np.conj(g)) * np.dot(wy, y**3 * np.conj(h)))
-
-
-# off-grid points (u, v) of the separability side condition of `bergman_reproducing`
-_SEPARABILITY_POINTS = (
-    np.array([0.3 + 0.1j, -0.55j, 0.8, -0.2 - 0.6j])[:, None],
-    np.array([0.45, 0.1 - 0.7j, -0.35 + 0.35j, 0.9j])[None, :],
-)
-
-
 @_check(ACCEPTANCE_CHECKS, 1e-8)
 def check_bergman_reproducing():
     """Kernel quadrature reproduces the monomial z^2 w^3 at interior points;
     the closed kernel matches its 40x40 basis partial sum at |coords| <= 0.5.
 
-    The quadrature is a product of one-disk sums (`_reproduced_monomial`).
-    Its side condition is the separability it rests on,
-    K(u, v; b) K(0, 0; b) = K(u, 0; b) K(0, v; b) to 1e-14 relative, at
-    4 x 4 off-grid points (u, v)."""
-    worst, separability = 0.0, 0.0
-    bs = [(0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)]
-    u, v = _SEPARABILITY_POINTS
+    The quadrature integrates u^2 v^3 conj K(u, v; b) on the full 96 x 96
+    grid of `bidisk_rule(alpha, beta, 2, 48)`.  Of the powers
+    (conj(u) b_1)^j (conj(v) b_2)^k of conj K, the 48 angles per disk keep
+    the reproducing j = 2, k = 3, whose radial part (degree 2 in |u|^2, 3 in
+    |v|^2) 2 Gauss-Jacobi nodes integrate exactly, and alias only powers 48
+    higher, weighted by |b_1|^48 or |b_2|^48 <= 0.5^48 = 3.6e-15."""
+    worst = 0.0
     for alpha, beta in ((0.0, 0.0), (1.0, 0.5)):
-        for b in bs:
-            got = _reproduced_monomial(alpha, beta, b)
-            want = b[0] ** 2 * b[1] ** 3
-            worst = max(worst, float(_rel(got, want)))
-            kernel = functools.partial(bergman_kernel, alpha, beta, b=b)
-            split = kernel((u, 0.0)) * kernel((0.0, v))
-            whole = kernel((u, v)) * kernel((0.0, 0.0))
-            separability = max(separability, float(np.max(_rel(split, whole))))
+        rule = bidisk_rule(alpha, beta, 2, 48)
+        for b in ((0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)):
+            got = integrate(
+                rule, lambda u, v: u**2 * v**3 * np.conj(bergman_kernel(alpha, beta, (u, v), b))
+            )
+            worst = max(worst, float(_rel(got, b[0] ** 2 * b[1] ** 3)))
         # partial-sum cross-check of the closed kernel
         ms = np.arange(41)
         inv_gamma = 1.0 / gamma_norm(alpha, beta, ms[:, None], ms)
@@ -445,8 +409,7 @@ def check_bergman_reproducing():
         powers_v = (a[1] * np.conj(b[1])) ** ms
         partial = np.einsum("m,n,mn->", powers_u, powers_v, inv_gamma)
         worst = max(worst, float(_rel(partial, bergman_kernel(alpha, beta, a, b))))
-    detail = "kernel separability = %.1e (must be <= 1e-14)" % separability
-    return worst, detail, separability <= 1e-14
+    return worst
 
 
 @_check(ACCEPTANCE_CHECKS, 0.0)

@@ -548,6 +548,16 @@ class TestSpectrumCommand:
         assert (tmp_path / "envdir" / "spectrum.csv").exists()
         assert not (tmp_path / "flagdir").exists()
 
+    def test_unwritable_out_dir(self, tmp_path):
+        # an --out-dir below a plain file: exit 1 with one line, no traceback
+        (tmp_path / "file").write_text("")
+        res = run_cli_process("spectrum", "--alpha", "1", "--beta", "1",
+                              "--out-dir", str(tmp_path / "file" / "sub"))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_unbounded_regime(self):
         res = run_cli("spectrum", "--alpha", "0", "--beta", "1")
         assert res.returncode == 1
@@ -709,6 +719,16 @@ class TestVerifyCommand:
         assert run_cli(*args).returncode == 0
         assert [p.name for p in env_dir.iterdir()] == ["report.json"]
         assert list(flag_dir.iterdir()) == []
+
+    def test_unwritable_out_dir(self, tmp_path):
+        # an --out-dir below a plain file: exit 1 with one line, no traceback
+        (tmp_path / "file").write_text("")
+        res = run_cli_process("verify", "--check", "bessel_monotone",
+                              "--out-dir", str(tmp_path / "file" / "sub"))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_fault_in_a_check_exits_1(self, tmp_path, monkeypatch):
         # a ValueError while a check runs is a program fault, not a usage error

@@ -1,6 +1,6 @@
 """Traced peak memory of the blocked kernel paths, of the dual transform
 on a grid, of the Bergman kernel on a grid, and of the verify checks that
-sum a bi-disk tensor rule as one-disk sums.
+integrate on small bi-disk rules.
 
 Each kernel path contracts a kernel matrix that, built whole, would need well
 over 130 MB.  `kernels._contract` splits it into blocks of at most
@@ -8,8 +8,8 @@ over 130 MB.  `kernels._contract` splits it into blocks of at most
 below 64 MB.  The dual transform on a column x row grid is one matrix
 product that writes its output once, and the Bergman kernel multiplies
 its two per-disk factors once.  `bergman_reproducing` and
-`boundedness_bracket` sum their tensor rules as products of one-disk
-sums, so neither forms an array over the whole bi-disk grid.  numpy's
+`boundedness_bracket` integrate on bi-disk rules of at most 96 nodes per
+disk, so no array of theirs is larger than 96 x 96.  numpy's
 array buffers are allocated through the traced allocator, so the blocks
 are counted.
 """
@@ -92,8 +92,8 @@ def test_dual_grid_memory():
 
 
 def test_one_disk_sum_checks_memory():
-    # the 1024 x 1024 grid of bergman_reproducing took 8 MB per array, and
-    # its weights alone 8 MB; both checks now stay within a few one-disk rules
+    # a 1024 x 1024 grid for bergman_reproducing took 8 MB per array, and
+    # its weights alone 8 MB; its 96 x 96 grid takes 147 kB per array
     for check in (check_bergman_reproducing, check_boundedness_bracket):
         res, peak = traced_peak(check)
         assert res.passed

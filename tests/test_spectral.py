@@ -193,6 +193,20 @@ class TestOperatorNormBound:
         spec = spectrum(nu, alpha, beta, w, 12, 12)
         assert float(np.max(spec.values)) <= bound
 
+    def test_schatten_envelope(self):
+        # s_{m,n} <= (nu/pi)^{1/2} e^{nu|w|^2/2} gamma^{1/2}, the envelope of
+        # `schatten_bound`, which s_{0,0} meets at w = 0; without (nu/pi)^{1/2}
+        # it fails for nu > pi
+        ms = np.arange(41)
+        root_gamma = np.sqrt(gamma_norm(1.0, 1.0, ms[:, None], ms))
+        for nu in (0.5, 2.0, 4.0):
+            for w in (0.0, 0.3, 1.0 + 0.5j):
+                spec = spectrum(nu, 1.0, 1.0, w, 40, 40).values
+                old = math.exp(nu * abs(w) ** 2 / 2.0) * root_gamma
+                assert np.all(spec <= (1.0 + 1e-12) * math.sqrt(nu / math.pi) * old)
+                if nu == 4.0 and w == 0.0:
+                    assert spec[0, 0] > old[0, 0]
+
 
 class TestFiniteRankTail:
     def test_telescoping_value(self):

@@ -13,7 +13,6 @@ import pytest
 import itofrft
 import itofrft.verify as verify
 from itofrft import transforms
-from itofrft.ito_hermite import psi_table
 from itofrft.kernels import bergman_kernel
 from itofrft.quadrature import bidisk_rule, integrate, plane_rule
 from itofrft.verify import INVARIANT_CHECKS, run_checks
@@ -48,7 +47,7 @@ def test_mehler_check_sums_through_mehler_series(monkeypatch):
 # A compound check fails when its other condition fails, even where the
 # observed value is within its stated tolerance.
 
-def test_override_keeps_monotone_condition(monkeypatch):
+def test_failed_monotone_condition_fails_the_check(monkeypatch):
     # a tail that falls below 1e-3 of its first value, but not monotonically
     tails = iter([1.0, 2.0] + [1e-4] * 17)
     monkeypatch.setattr(verify, "finite_rank_tail", lambda *args: next(tails))
@@ -59,7 +58,7 @@ def test_override_keeps_monotone_condition(monkeypatch):
     assert res.to_dict()["status"] == "fail"
 
 
-def test_override_keeps_zero_circle_condition(monkeypatch):
+def test_failed_zero_circle_condition_fails_the_check(monkeypatch):
     spectrum = verify.spectrum
 
     def lifted(*args):
@@ -124,54 +123,50 @@ def test_singular_values_kernel_work(monkeypatch):
     assert 0 < sum(entries) <= 4096 * (324 + 576)
 
 
-@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5)])
-@pytest.mark.parametrize("b", [(0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)])
-def test_bergman_product_form_matches_tensor_sum(alpha, beta, b):
-    # the product of two one-disk sums is the sum over all 1024 x 1024 nodes
-    full = integrate(
-        bidisk_rule(alpha, beta, 32, 32),
-        lambda u, v: u**2 * v**3 * np.conj(bergman_kernel(alpha, beta, (u, v), b)),
-    )
-    got = verify._reproduced_monomial(alpha, beta, b)
-    assert abs(got - full) <= 1e-14 * abs(full)
+def test_bergman_reproducing_holds_on_larger_rules():
+    # the check's 2 x 48 per-disk rule reproduces u^2 v^3 to 1e-14, as rules
+    # with more radii and angles do
+    for alpha, beta in ((0.0, 0.0), (1.0, 0.5)):
+        for b in ((0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)):
+            def integrand(u, v):
+                return u**2 * v**3 * np.conj(bergman_kernel(alpha, beta, (u, v), b))
+
+            want = b[0] ** 2 * b[1] ** 3
+            for sizes in ((2, 48), (4, 64), (8, 96)):
+                got = integrate(bidisk_rule(alpha, beta, *sizes), integrand)
+                assert abs(got - want) <= 1e-14 * abs(want), (alpha, beta, b, sizes)
 
 
-def test_bergman_reproducing_needs_separability(monkeypatch):
-    # a kernel that no longer splits off-grid fails the side condition, though
-    # it leaves the one-disk factors (u = 0 or v = 0) and the tolerance alone
-    def coupled(alpha, beta, a, b):
-        u, v = (np.asarray(c, dtype=complex) for c in a)
-        return bergman_kernel(alpha, beta, a, b) * (1.0 + 1e-12 * u * v)
+def test_bi_disk_checks_use_right_sized_rules(monkeypatch):
+    # every integral of both checks is on a bi-disk rule of at most 96 nodes per disk
+    rules = []
 
-    monkeypatch.setattr(verify, "bergman_kernel", coupled)
-    (res,) = run_checks(names=["bergman_reproducing"])
-    assert res.observed <= res.tolerance
-    assert res.detail.startswith("kernel separability = ")
-    assert not res.passed
+    def spy(rule, f):
+        rules.append(rule)
+        return integrate(rule, f)
 
-
-def test_one_disk_sum_checks_sample_no_tensor_grid(monkeypatch):
-    # neither check hands a bi-disk tensor rule to `integrate` any more
-    calls = []
-    monkeypatch.setattr(verify, "integrate", lambda rule, f: calls.append(rule))
+    monkeypatch.setattr(verify, "integrate", spy)
     results = run_checks(names=["bergman_reproducing", "boundedness_bracket"])
     assert all(res.passed for res in results)
-    assert calls == []
+    assert len(rules) == 4 + 90  # four reproduced monomials, 90 Rayleigh quotients
+    assert all(rule.kind == "bidisk" for rule in rules)
+    assert max(len(axis) for rule in rules for axis in rule.axes) <= 96
 
 
-def test_boundedness_gram_quotients_match_tensor_sums():
-    # every Rayleigh quotient's Gram form is the 256 x 256 tensor sum of
-    # |R_w f|^2, with the dual image from `dual_apply_coeff`
+def test_boundedness_rule_matches_tensor_sums():
+    # for every Rayleigh quotient, the (4, 7) rule integrates |R_w f|^2, the
+    # image from `dual_apply_coeff`, as the 256 x 256 tensor sum does
     count = 0
     for nu, alpha, beta, w, fs in verify._bracket_battery():
-        brule = bidisk_rule(alpha, beta, 16, 16)
-        grams = verify._disk_gram(alpha), verify._disk_gram(beta)
-        P = psi_table(nu, complex(w), 6, 6)
+        rules = bidisk_rule(alpha, beta, 4, 7), bidisk_rule(alpha, beta, 16, 16)
         for f in fs:
-            full = integrate(
-                brule, lambda u, v: np.abs(transforms.dual_apply_coeff(nu, w, f, (u, v))) ** 2
-            ).real
-            assert abs(verify._image_norm2(P, f, *grams) - full) <= 1e-13 * full
+            got, full = (
+                integrate(
+                    rule, lambda u, v: np.abs(transforms.dual_apply_coeff(nu, w, f, (u, v))) ** 2
+                ).real
+                for rule in rules
+            )
+            assert abs(got - full) <= 1e-13 * full
             count += 1
     assert count == 90
 
@@ -224,14 +219,14 @@ def test_adjoint_identity_kernel_work(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "kwargs",
     [
         {"names": ["hankel_fixed_point", "no_such_check"]},
         {"names": "hankel_fixed_point"},
     ],
     ids=["unknown_check_name", "names_not_a_list"],
 )
-def test_malformed_config_rejected_before_any_check(config, monkeypatch):
+def test_malformed_names_rejected_before_any_check(kwargs, monkeypatch):
     ran = []
     for group in ("ACCEPTANCE_CHECKS", "INVARIANT_CHECKS"):
         spies = [
@@ -240,7 +235,7 @@ def test_malformed_config_rejected_before_any_check(config, monkeypatch):
         ]
         monkeypatch.setattr(verify, group, spies)
     with pytest.raises(ValueError):
-        run_checks(**config)
+        run_checks(**kwargs)
     assert ran == []
 
 
