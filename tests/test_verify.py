@@ -123,18 +123,18 @@ def test_singular_values_kernel_work(monkeypatch):
     assert 0 < sum(entries) <= 4096 * (324 + 576)
 
 
-def test_bergman_reproducing_holds_on_larger_rules():
-    # the check's 2 x 48 per-disk rule reproduces u^2 v^3 to 1e-14, as rules
-    # with more radii and angles do
-    for alpha, beta in ((0.0, 0.0), (1.0, 0.5)):
-        for b in ((0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)):
-            def integrand(u, v):
-                return u**2 * v**3 * np.conj(bergman_kernel(alpha, beta, (u, v), b))
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5)])
+@pytest.mark.parametrize("b", [(0.4 + 0.2j, -0.3 + 0.35j), (0.25, 0.5j)])
+def test_bergman_product_form_matches_tensor_sum(alpha, beta, b):
+    # the 96 x 96 tensor sum of the check's 2 x 48 per-disk rule reproduces
+    # u^2 v^3 to 1e-14, as tensor sums of rules with more radii and angles do
+    def integrand(u, v):
+        return u**2 * v**3 * np.conj(bergman_kernel(alpha, beta, (u, v), b))
 
-            want = b[0] ** 2 * b[1] ** 3
-            for sizes in ((2, 48), (4, 64), (8, 96)):
-                got = integrate(bidisk_rule(alpha, beta, *sizes), integrand)
-                assert abs(got - want) <= 1e-14 * abs(want), (alpha, beta, b, sizes)
+    want = b[0] ** 2 * b[1] ** 3
+    for sizes in ((2, 48), (4, 64), (8, 96)):
+        got = integrate(bidisk_rule(alpha, beta, *sizes), integrand)
+        assert abs(got - want) <= 1e-14 * abs(want), sizes
 
 
 def test_bi_disk_checks_use_right_sized_rules(monkeypatch):
