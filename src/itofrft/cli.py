@@ -170,11 +170,17 @@ def _out_dir(args):
 
 
 def cmd_spectrum(args):
-    # every computation comes before the first file is written
+    # every computation comes before the first file is written; one table
+    # covers the box and the Schatten cuts, and each is a slice of it
     w = _complex(args, "w")
     point = (args.nu, args.alpha, args.beta, w)
-    spec = spectral.spectrum(*point, args.max_m, args.max_n)
     kw = spectral.kw_constant(*point)
+    table = spectral.spectrum(*point, max(args.max_m, 40), max(args.max_n, 40))
+
+    def box(max_m, max_n):
+        return spectral.Spectrum(table.params, table.values[: max_m + 1, : max_n + 1])
+
+    spec = box(args.max_m, args.max_n)
     summary = {
         "params": {
             "nu": args.nu,
@@ -188,7 +194,7 @@ def cmd_spectrum(args):
             {"m": m, "n": n, "s": s} for (m, n), s in spec.sorted_values()[:10]
         ],
         "schatten_partial": {
-            str(cut): spectral.schatten_partial(spectral.spectrum(*point, cut, cut), args.schatten)
+            str(cut): spectral.schatten_partial(box(cut, cut), args.schatten)
             for cut in (10, 20, 40)
         },
         "schatten_p": args.schatten,
@@ -199,9 +205,9 @@ def cmd_spectrum(args):
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "n", "s"])
-        for m in range(args.max_m + 1):
-            for n in range(args.max_n + 1):
-                writer.writerow([m, n, repr(spec[m, n])])
+        writer.writerows(
+            [m, n, repr(s)] for m, row in enumerate(spec.values.tolist()) for n, s in enumerate(row)
+        )
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

@@ -135,11 +135,7 @@ def frft_kernel_raw(nu, u, v, zeta, xi):
     Rotation covariance: uv and the exponent are unchanged by
     zeta -> zeta e^{i phi} with (u, v) -> (u e^{i phi}, v e^{-i phi}), so
     K_{u,v}(zeta e^{i phi}; xi) = K_{u e^{-i phi}, v e^{i phi}}(zeta; xi).
-    The orbit sums of `verify._singular_values_quadrature` and
-    `verify._adjoint_pairing` rest on it.  The exponent also gives
-    conj K_{u,v}(zeta; xi) = K_{conj u, conj v}(conj zeta; conj xi) and
-    K_{v,u}(conj zeta; conj xi) = K_{u,v}(zeta; xi), by which
-    `_singular_values_quadrature` folds its orbit sum further.
+    The orbit sum of `verify._adjoint_pairing` rests on it.
     """
     zeta = np.asarray(zeta, dtype=complex)
     xi = np.asarray(xi, dtype=complex)

@@ -127,8 +127,6 @@ def plane_rule(nu, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
     Gauss-Laguerre in t = nu r^2, radii sqrt(t / nu) from the shared rule
     `_laguerre(n_radial)`, times the uniform angular rule; integrates
     z^a conj(z)^b exactly whenever a + b <= 2 n_radial - 1 and |a-b| < n_angular.
-    The angles 2 pi k / n_angular start at 0, so the rule is symmetric under
-    conjugation: z -> conj(z) permutes its nodes and keeps every weight.
     """
     _check_nu(nu)
     if n_radial < 1 or n_angular < 1:

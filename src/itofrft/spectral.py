@@ -83,7 +83,7 @@ class Spectrum:
         """List of ((m, n), s) sorted by decreasing singular value."""
         order = np.argsort(self.values, axis=None)[::-1]
         mm, nn = np.unravel_index(order, self.values.shape)
-        return [((int(m), int(n)), float(self.values[m, n])) for m, n in zip(mm, nn)]
+        return list(zip(zip(mm.tolist(), nn.tolist()), self.values.ravel()[order].tolist()))
 
 
 def spectrum(nu, alpha, beta, w, max_m, max_n):

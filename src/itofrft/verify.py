@@ -201,81 +201,27 @@ def check_kernel_autocorrelation():
     return worst
 
 
-_ORBIT = 16  # angular nodes per disk of the bi-disk rule of `singular_values`
-_RADII = 8  # radial nodes per disk of that rule
-
-
-def _singular_values_quadrature(nu, alpha, beta, w, max_m, max_n, rule):
-    """Norm of each basis image R_w psi_{m,n} over the bi-disk, by the plane
-    quadrature `rule` in z and `bidisk_rule(alpha, beta, 8, 16)` in (u, v).
-
-    The sum runs over one node per rotation orbit.  By the kernel's rotation
-    covariance (`kernels.frft_kernel_raw`), rotating (u, v) to
-    (u e^{i phi}, v e^{-i phi}) with phi = 2 pi k / 16 permutes the plane
-    nodes, so each image only gains the phase e^{i(m-n) phi} and its modulus
-    is constant on the orbit (phi_u + phi, phi_v - phi) of the bi-disk grid.
-    The u-nodes at angle 0, paired with every v-node, meet each orbit once,
-    and 16 times their tensor weight makes the orbit sum equal the full sum
-    to rounding.  It needs 16 to divide the angular count of `rule`, as it
-    does for the default 64, and raises ValueError otherwise.
-
-    Two folds of the orbit sum follow from the kernel's symmetries
-    conj K_{u,v}(zeta; xi) = K_{conj u, conj v}(conj zeta; conj xi) and
-    K_{v,u}(conj zeta; conj xi) = K_{u,v}(zeta; xi).  Both need the plane
-    rule to be symmetric under conjugation, as every `plane_rule` is, and
-    use conj psi_{m,n}(z) = psi_{m,n}(conj z) = psi_{n,m}(z).  With I_{m,n}
-    the image at the orbit of (u-radius a, v-radius b, v-angle k):
-
-    - at a real w, |I_{m,n}| is the same at v-angles k and 16 - k, so the
-      sum keeps the angles 0..8 and weights the 7 conjugate pairs twice;
-    - when alpha = beta, the two disks carry one radial rule, and
-      |I_{m,n}(b, a, k)| = |I_{n,m}(a, b, -k)| at any w, so the sum keeps
-      the radius pairs a <= b and adds, for a < b, the (m, n)-transposed
-      term.  The box is squared to max(max_m, max_n) for it.
-
-    Each fold is chosen from w and (alpha, beta) alone.  At w = 1 and
-    alpha = beta the sum forms 324 of the 1024 orbit columns.  All of this
-    is algebra on the kernel, not the closed formula, so the check stays an
-    independent quadrature.
-    """
-    if rule.params["n_angular"] % _ORBIT:
-        raise ValueError("the bi-disk angular count %d must divide the plane's" % _ORBIT)
-    brule = bidisk_rule(alpha, beta, _RADII, _ORBIT)
-    x, y = brule.axes  # radius-major: x[::16] is the angle-0 node of each radius
-    # the orbit of (u-radius a at angle 0, v-radius b at angle k), as [a, b, k]
-    weights = _ORBIT * brule.weights.reshape(_RADII, _ORBIT, _RADII, _ORBIT)[:, 0]
-    u, v = np.broadcast_arrays(x[::_ORBIT, None, None], y.reshape(1, _RADII, _ORBIT))
-    if complex(w).imag == 0:
-        half = _ORBIT // 2
-        weights = weights[..., : half + 1] * np.r_[1.0, np.full(half - 1, 2.0), 1.0]
-        u, v = u[..., : half + 1], v[..., : half + 1]
-    box = max_m, max_n
-    swap = alpha == beta
-    if swap:
-        a, b = np.triu_indices(_RADII)
-        weights, u, v = weights[a, b], u[a, b], v[a, b]
-        transposed = weights * (a < b)[:, None]
-        box = (max(box),) * 2  # the transposed term needs the square box
-    images = _psi_images(nu, rule, *box, u, v, w)
-    squares = images.real**2 + images.imag**2
-    total = squares @ weights.ravel()
-    if swap:
-        total += (squares @ transposed.ravel()).T
-    return np.sqrt(total[: max_m + 1, : max_n + 1])
-
-
 @_check(ACCEPTANCE_CHECKS, 1e-7)
 def check_singular_values():
     """Closed singular-value formula against the double-quadrature norm of the
     dual image, at w = 1 on the (1,1) zero circle |w| = 1, where s_(1,1) must
-    vanish, and at the generic point w = 0.6+0.5i off it.  The bi-disk sum
-    runs over rotation orbits (`_singular_values_quadrature`)."""
+    vanish, and at the generic point w = 0.6+0.5i off it.
+
+    Each image is formed by plane quadrature at every node of
+    `bidisk_rule(1, 1, 3, 3)`, and its squared modulus summed on that rule.
+    The rule is exact: the image of psi_{m,n} is psi_{m,n}(w) u^m v^n, so its
+    squared modulus has no angular part and degree <= 4 in |u|^2 and in
+    |v|^2, which 3 Gauss-Jacobi nodes integrate exactly (2 do not).  The 3
+    angles keep complex (u, v) in the check."""
     nu, alpha, beta = 1.0, 1.0, 1.0
     rule = plane_rule(nu)
+    brule = bidisk_rule(alpha, beta, 3, 3)
+    x, y = brule.axes
     worst = 0.0
     for w in (1.0 + 0.0j, 0.6 + 0.5j):
         closed = spectrum(nu, alpha, beta, w, 4, 4).values
-        quad = _singular_values_quadrature(nu, alpha, beta, w, 4, 4, rule)
+        images = _psi_images(nu, rule, 4, 4, x[:, None], y, w)
+        quad = np.sqrt((images.real**2 + images.imag**2) @ brule.weights)
         worst = max(worst, float(np.max(np.abs(closed - quad))))
         if w == 1.0:
             s11_circle = float(closed[1, 1])

@@ -121,11 +121,11 @@ def test_adjoint_apply_starts_no_thread(monkeypatch):
 
 
 # prints scipy_special.import_s before and after the first call, with
-# scipy.special imported beforehand if the argument says so
+# scipy.special and scipy.linalg imported beforehand if the argument says so
 IMPORT_TIME = """
 import sys
 if sys.argv[1] == "preloaded":
-    import scipy.special
+    import scipy.linalg, scipy.special
 from itofrft.specfun import scipy_special
 before = scipy_special.import_s
 scipy_special()

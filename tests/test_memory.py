@@ -2,16 +2,18 @@
 on a grid, of the Bergman kernel on a grid, and of the verify checks that
 integrate on small bi-disk rules.
 
-Each kernel path contracts a kernel matrix that, built whole, would need well
-over 130 MB.  `kernels._contract` splits it into blocks of at most
-`BLOCK_ENTRIES` entries, contracted one at a time, so the peak stays far
-below 64 MB.  The dual transform on a column x row grid is one matrix
-product that writes its output once, and the Bergman kernel multiplies
-its two per-disk factors once.  `bergman_reproducing` and
+Each kernel path of the transforms contracts a kernel matrix that, built
+whole, would need well over 130 MB.  `kernels._contract` splits it into
+blocks of at most `BLOCK_ENTRIES` entries, contracted one at a time, so the
+peak stays far below 64 MB; the kernel checks `singular_values` and
+`adjoint_identity` stay within 16 MB.  The dual transform on a column x row
+grid is one matrix product that writes its output once, and the Bergman
+kernel multiplies its two per-disk factors once.  `bergman_reproducing` and
 `boundedness_bracket` integrate on bi-disk rules of at most 96 nodes per
 disk, so no array of theirs is larger than 96 x 96.  numpy's
 array buffers are allocated through the traced allocator, so the blocks
-are counted.
+are counted.  scipy is imported before tracing starts, so that a test run
+alone traces the same peak as in the full suite.
 """
 
 import tracemalloc
@@ -19,19 +21,21 @@ import tracemalloc
 import numpy as np
 
 from itofrft.kernels import bergman_kernel
-from itofrft.quadrature import bidisk_rule, plane_rule
+from itofrft.quadrature import bidisk_rule
+from itofrft.specfun import scipy_special
 from itofrft.transforms import CoeffFunction, adjoint_apply, dual_apply_coeff
 from itofrft.verify import (
-    _singular_values_quadrature,
     check_adjoint_identity,
     check_bergman_reproducing,
     check_boundedness_bracket,
+    check_singular_values,
 )
 
 LIMIT = 64 * 2**20
 
 
 def traced_peak(fn):
+    scipy_special()  # so that its one-time import is in no peak
     tracemalloc.start()
     try:
         out = fn()
@@ -52,16 +56,11 @@ def test_adjoint_apply_memory():
     assert peak <= LIMIT, "peak %.1f MB" % (peak / 2**20)
 
 
-def test_singular_values_quadrature_memory():
-    # 144 x 64 plane nodes x 1024 bi-disk orbit nodes: 151 MB for the whole
-    # matrix; at complex w and alpha != beta no fold cuts the orbit columns
-    rule = plane_rule(1.0, 144, 64)
-    assert 144 * 64 * 1024 * 16 > 130 * 2**20
-    out, peak = traced_peak(
-        lambda: _singular_values_quadrature(1.0, 2.0, 0.5, 0.6 + 0.5j, 4, 4, rule)
-    )
-    assert out.shape == (5, 5) and np.all(np.isfinite(out))
-    assert peak <= LIMIT, "peak %.1f MB" % (peak / 2**20)
+def test_singular_values_memory():
+    # 4096 plane nodes x 81 bi-disk nodes per point w, in blocks of kernel rows
+    res, peak = traced_peak(check_singular_values)
+    assert res.passed
+    assert peak <= 16 * 2**20, "peak %.1f MB" % (peak / 2**20)
 
 
 def test_adjoint_identity_memory():

@@ -15,6 +15,7 @@ import itofrft.verify as verify
 from itofrft import transforms
 from itofrft.kernels import bergman_kernel
 from itofrft.quadrature import bidisk_rule, integrate, plane_rule
+from itofrft.spectral import gamma_norm
 from itofrft.verify import INVARIANT_CHECKS, run_checks
 
 INVARIANTS = [fn.__name__.removeprefix("check_") for fn in INVARIANT_CHECKS]
@@ -75,41 +76,27 @@ def test_failed_zero_circle_condition_fails_the_check(monkeypatch):
     assert not res.passed
 
 
-@pytest.mark.parametrize(
-    "alpha,beta,w",
-    [
-        pytest.param(1.0, 1.0, 1.0 + 0.0j, id="(1+0j)"),  # both folds
-        pytest.param(1.0, 1.0, 0.6 + 0.5j, id="(0.6+0.5j)"),  # the swap fold alone
-        pytest.param(2.0, 0.5, 1.0 + 0.0j, id="unequal-(1+0j)"),  # the conjugation fold alone
-        pytest.param(2.0, 0.5, 0.6 + 0.5j, id="unequal-(0.6+0.5j)"),  # neither
-    ],
-)
-def test_singular_values_orbit_sum_matches_full_sum(alpha, beta, w):
-    # one kernel column per rotation orbit, folded by conjugation at a real w
-    # and by the (u, v) swap at alpha = beta, gives the full 16-angle bi-disk sum
-    rule = plane_rule(1.0, 16, 16)
-    brule = bidisk_rule(alpha, beta, 8, 16)
-    x, y = brule.axes
-    u, v = np.repeat(x, len(y)), np.tile(y, len(x))  # every node, in weight order
-    images = verify._psi_images(1.0, rule, 4, 4, u, v, w)
-    full = np.sqrt((images.real**2 + images.imag**2) @ brule.weights)
-    orbit = verify._singular_values_quadrature(1.0, alpha, beta, w, 4, 4, rule)
-    assert np.max(np.abs(orbit - full)) <= 1e-13
+@pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, 0.5)])
+def test_singular_values_rule_is_exact(alpha, beta):
+    # |R_w psi_{m,n}|^2 = |psi_{m,n}(w)|^2 |u|^{2m} |v|^{2n}: the check's (3, 3)
+    # rule integrates |u|^{2m} |v|^{2n} exactly for m, n <= 4, a (2, 3) rule for m, n <= 3
+    ms = np.arange(5)
+    want = gamma_norm(alpha, beta, ms[:, None], ms)
 
+    def errors(n_radial):
+        rule = bidisk_rule(alpha, beta, n_radial, 3)
+        got = [[integrate(rule, lambda u, v: np.abs(u) ** (2 * m) * np.abs(v) ** (2 * n))
+                for n in ms] for m in ms]
+        return np.abs(np.real(got) - want) / want
 
-def test_singular_values_swap_fold_on_an_oblong_box():
-    # the swap fold squares the box for its transposed term, then cuts it back
-    rule = plane_rule(1.0, 16, 16)
-    square = verify._singular_values_quadrature(1.0, 1.0, 1.0, 1.0, 5, 5, rule)
-    for max_m, max_n in ((2, 5), (5, 3)):
-        got = verify._singular_values_quadrature(1.0, 1.0, 1.0, 1.0, max_m, max_n, rule)
-        assert np.array_equal(got, square[: max_m + 1, : max_n + 1])
+    assert np.max(errors(3)) <= 1e-14
+    small = errors(2)
+    assert np.max(small[:4, :4]) <= 1e-14
+    assert np.min(small[4]) > 1e-3 and np.min(small[:, 4]) > 1e-3
 
 
 def test_singular_values_kernel_work(monkeypatch):
-    # 4096 plane nodes against one (u, v) node per orbit: at alpha = beta the
-    # swap fold leaves 576 of the 1024 orbit columns, and at w = 1 the
-    # conjugation fold leaves 324 of those; a lost fold breaks the bound
+    # 4096 plane nodes against the 81 nodes of the (3, 3) bi-disk rule, at two points w
     raw, entries = verify.frft_kernel_raw, []
 
     def counted(*args):
@@ -120,7 +107,7 @@ def test_singular_values_kernel_work(monkeypatch):
     monkeypatch.setattr(verify, "frft_kernel_raw", counted)
     (res,) = run_checks(names=["singular_values"])
     assert res.passed
-    assert 0 < sum(entries) <= 4096 * (324 + 576)
+    assert sum(entries) == 2 * 81 * 4096
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5)])
@@ -196,12 +183,6 @@ def test_adjoint_pairing_needs_dividing_angles():
         verify._adjoint_pairing(1.0, 0.8, f, g, plane_rule(1.0, 8, 12), bidisk_rule(1.0, 1.0, 4, 5))
 
 
-def test_singular_values_needs_dividing_angles():
-    # 16, the bi-disk angular count, does not divide the plane rule's 24
-    with pytest.raises(ValueError, match="divide"):
-        verify._singular_values_quadrature(1.0, 2.0, 0.5, 0.6 + 0.5j, 4, 4, plane_rule(1.0, 16, 24))
-
-
 def test_adjoint_identity_kernel_work(monkeypatch):
     # 96 base plane nodes, each against the 12 x 12 per-disk bi-disk grid
     raw, entries = transforms.frft_kernel_raw, []
@@ -240,21 +221,31 @@ def test_malformed_names_rejected_before_any_check(kwargs, monkeypatch):
 
 
 # in a fresh interpreter, prints the one scipy import's seconds and the
-# wall_s of each check of a run that starts with a check needing no scipy
+# wall_s of each check of a run that starts with a check needing no scipy,
+# then whether scipy.linalg was loaded as each check started
 FRESH_RUN = """
+import functools, sys
+from itofrft import verify
 from itofrft.specfun import scipy_special
-from itofrft.verify import run_checks
-results = run_checks(names=["mehler_classical", "hankel_fixed_point"])
+loaded = []
+verify.ACCEPTANCE_CHECKS[:] = [
+    functools.wraps(fn)(lambda fn=fn: loaded.append("scipy.linalg" in sys.modules) or fn())
+    for fn in verify.ACCEPTANCE_CHECKS
+]
+results = verify.run_checks(names=["mehler_classical", "hankel_fixed_point"])
 print(scipy_special.import_s, *(r.wall_s for r in results))
+print(*loaded)
 """
 
 
 def test_scipy_loaded_before_the_first_check():
     res = subprocess.run([sys.executable, "-c", FRESH_RUN], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    import_s, *walls = map(float, res.stdout.split())
+    times, loaded = res.stdout.splitlines()
+    import_s, *walls = map(float, times.split())
     assert len(walls) == 2
     assert import_s > max(walls)
+    assert loaded.split() == ["True", "True"]  # scipy.linalg too, before the first check
 
 
 def test_tracer_sees_each_check():
