@@ -5,7 +5,8 @@ reproducing kernel.
 All exponentials are computed after assembling the full complex exponent; an
 overflow guard rejects exponents whose real part exceeds 700.  The exponent
 grows like 1/(1 - uv), so it is the guard, not a parameter range, that bounds
-the inputs: the bi-disk rules of `verify` reach |u|, |v| = 0.977-0.999.
+the inputs: the largest node radius of each bi-disk rule of `verify` lies
+between |u| = 0.843 and 0.946.
 
 Domain: the fractional parameters u, v and the points of the Bergman kernel
 have modulus below 1; `_check_disk` is the one home of that rule for the
@@ -131,11 +132,6 @@ def frft_kernel_raw(nu, u, v, zeta, xi):
 
     The full-size result is assembled, guarded, exponentiated and scaled by
     nu / (pi (1-uv)) in one buffer.
-
-    Rotation covariance: uv and the exponent are unchanged by
-    zeta -> zeta e^{i phi} with (u, v) -> (u e^{i phi}, v e^{-i phi}), so
-    K_{u,v}(zeta e^{i phi}; xi) = K_{u e^{-i phi}, v e^{i phi}}(zeta; xi).
-    The orbit sum of `verify._adjoint_pairing` rests on it.
     """
     zeta = np.asarray(zeta, dtype=complex)
     xi = np.asarray(xi, dtype=complex)

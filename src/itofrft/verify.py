@@ -15,7 +15,7 @@ from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
 from .kernels import (
     TransformParams, _contract, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
 )
-from .quadrature import _samples, bidisk_rule, integrate, plane_rule, quadrant_rule
+from .quadrature import bidisk_rule, integrate, plane_rule, quadrant_rule
 from .spectral import finite_rank_tail, gamma_norm, kw_constant, spectrum
 from .transforms import (
     CoeffFunction,
@@ -517,46 +517,23 @@ def check_pointwise_estimate():
     return worst
 
 
-def _adjoint_pairing(nu, w, f, g, prule, brule):
-    """<f, R* g>_{L2}: the sum over the nodes z of the plane rule `prule` of
-    weight(z) f(z) conj(R* g(z)), R* being `adjoint_apply` on `brule`.
-
-    It runs over one plane node per rotation orbit.  With n the angular count
-    of `brule`, which must divide that of `prule`, rotating by
-    phi_k = 2 pi k / n permutes the nodes of both rules, so the kernel's
-    rotation covariance (`kernels.frft_kernel_raw`) gives
-    R* g(zeta e^{i phi_k}) = R* g_k(zeta) with g_k(u, v) = g(u e^{i phi_k}, v e^{-i phi_k}).
-    The plane weights depend on the radius alone, so by linearity the sum is
-    sum_b weight(zeta_b) conj(R* G_b(zeta_b)) over the base nodes zeta_b at
-    the angles below 2 pi / n, with G_b = sum_k conj(f(zeta_b e^{i phi_k})) g_k.
-    """
-    n = brule.params["n_angular"]
-    per, rest = divmod(prule.params["n_angular"], n)  # base angles per radius
-    if rest:
-        raise ValueError("the bi-disk angular count must divide the plane's")
-    # plane node (radius i, angle a + per k) is zeta_(i, a) e^{i phi_k}
-    conj_f = np.conj(f(prule.nodes)).reshape(-1, n, per).transpose(0, 2, 1).reshape(-1, n)
-    base, weights = (a.reshape(-1, n, per)[:, 0].ravel() for a in (prule.nodes, prule.weights))
-    # g_k on the bi-disk grid: the angle index of u moves by +k, that of v by -k
-    u, v = brule.axes
-    samples = _samples(brule, g).reshape(-1, n, len(v) // n, n)
-    rotated = np.array([np.roll(samples, (-k, k), axis=(1, 3)) for k in range(n)])
-    rotated = rotated.reshape(n, len(u), len(v))
-    alpha, beta = brule.params["alpha"], brule.params["beta"]
-    # each G_b, sampled on the grid `adjoint_apply` samples, is formed when its call starts
-    rstar = [adjoint_apply(nu, w, alpha, beta, lambda u, v, G=np.tensordot(c, rotated, 1): G, zb, brule)
-             for c, zb in zip(conj_f, base)]
-    return complex(np.dot(weights, np.conj(rstar)))
-
-
 @_check(INVARIANT_CHECKS, 1e-8)
 def check_adjoint_identity():
-    """<R f, g>_{alpha,beta} = <f, R* g>_{L2} on low-degree pairs.  The
-    right-hand side runs over rotation orbits (`_adjoint_pairing`): 96 of
-    the 1152 plane nodes."""
+    """<R f, g>_{alpha,beta} = <f, R* g>_{L2} on low-degree pairs, both sides
+    on `bidisk_rule(alpha, beta, 3, 8)`.  The right-hand side is the sum over
+    the 1152 nodes z of `plane_rule(nu, 48, 24)` of weight(z) f(z)
+    conj(R* g(z)), with R* g from one `adjoint_apply` call at every node.
+
+    The left side is exact on that rule: R f has modes m <= 3 in u and
+    n <= 2 in v, so per disk its product with conj(g) has angular frequency
+    <= 3, which the 8 angles integrate exactly, and degree <= 2 in |u|^2 and
+    in |v|^2, which 3 Gauss-Jacobi nodes do.  Summed on the same rule, the
+    right side is the left side with R f by plane quadrature at the nodes,
+    |u|, |v| <= 0.8875, where each kernel's Gaussian of width
+    sqrt((1 - uv) / nu) is wide enough for the plane rule to resolve."""
     nu, w, alpha, beta = 1.0, 0.8, 1.0, 1.0
     prule = plane_rule(nu, 48, 24)
-    brule = bidisk_rule(alpha, beta, 12, 12)
+    brule = bidisk_rule(alpha, beta, 3, 8)
     f = CoeffFunction(nu=nu, coeffs={(0, 0): 1.0, (1, 2): 0.5 - 0.25j, (3, 0): 0.3j})
 
     def g(u, v):
@@ -566,16 +543,22 @@ def check_adjoint_identity():
         brule,
         lambda u, v: dual_apply_coeff(nu, w, f, (u, v)) * np.conj(g(u, v)),
     )
-    return abs(lhs - _adjoint_pairing(nu, w, f, g, prule, brule))
+    rstar = adjoint_apply(nu, w, alpha, beta, g, prule.nodes, brule)
+    return abs(lhs - np.dot(prule.weights, f(prule.nodes) * np.conj(rstar)))
 
 
 @_check(INVARIANT_CHECKS, 1e-8)
 def check_parseval_dual_norm():
     """Bi-disk quadrature norm of the dual image equals the weighted
     coefficient sum sum |a|^2 |psi(w)|^2 gamma, which is `bergman_norm` of
-    the image's monomial coefficients a_{m,n} psi_{m,n}(w)."""
+    the image's monomial coefficients a_{m,n} psi_{m,n}(w).
+
+    The quadrature is on `bidisk_rule(alpha, beta, 2, 4)`, which is exact:
+    the modes of f have m, n <= 3, so per disk |R f|^2 has angular frequency
+    <= 3, which the 4 angles integrate exactly, and degree <= 3 in |u|^2 and
+    in |v|^2, which 2 Gauss-Jacobi nodes do (1 does not)."""
     nu, w, alpha, beta = 1.0, 1.2 + 0.1j, 1.0, 0.5
-    brule = bidisk_rule(alpha, beta, 16, 16)
+    brule = bidisk_rule(alpha, beta, 2, 4)
     f = CoeffFunction(
         nu=nu, coeffs={(0, 1): 1.0, (2, 2): -0.5j, (1, 0): 0.75, (3, 3): 0.2}
     )

@@ -158,45 +158,81 @@ def test_boundedness_rule_matches_tensor_sums():
     assert count == 90
 
 
-def _adjoint_pair():
-    f = transforms.CoeffFunction(nu=1.0, coeffs={(0, 0): 1.0, (1, 2): 0.5 - 0.25j, (3, 0): 0.3j})
+def _adjoint_sides(alpha, beta, rule_sizes=(3, 8)):
+    # both sides of `adjoint_identity` at (alpha, beta): the left on a bi-disk
+    # rule of `rule_sizes`, the right as the check's plain sum on (3, 8)
+    nu, w = 1.0, 0.8
+    f = transforms.CoeffFunction(nu=nu, coeffs={(0, 0): 1.0, (1, 2): 0.5 - 0.25j, (3, 0): 0.3j})
 
-    def g(u, v):  # no rotation symmetry in (u, v)
-        return u * np.conj(u) + 0.5 * v**2 - 0.25j * u + u * v**3
+    def g(u, v):
+        return u * np.conj(u) + 0.5 * v**2 - 0.25j * u
 
-    return f, g
-
-
-def test_adjoint_pairing_orbit_sum_matches_full_sum():
-    # one plane node per rotation orbit gives the sum over every plane node
-    prule, brule = plane_rule(1.0, 8, 12), bidisk_rule(1.0, 1.0, 4, 6)
-    f, g = _adjoint_pair()
-    rstar = transforms.adjoint_apply(1.0, 0.8, 1.0, 1.0, g, prule.nodes, brule)
-    full = complex(np.dot(prule.weights, f(prule.nodes) * np.conj(rstar)))
-    orbit = verify._adjoint_pairing(1.0, 0.8, f, g, prule, brule)
-    assert abs(orbit - full) <= 1e-13
+    lhs = integrate(
+        bidisk_rule(alpha, beta, *rule_sizes),
+        lambda u, v: transforms.dual_apply_coeff(nu, w, f, (u, v)) * np.conj(g(u, v)),
+    )
+    prule = plane_rule(nu, 48, 24)
+    brule = bidisk_rule(alpha, beta, 3, 8)
+    rstar = transforms.adjoint_apply(nu, w, alpha, beta, g, prule.nodes, brule)
+    return lhs, np.dot(prule.weights, f(prule.nodes) * np.conj(rstar))
 
 
-def test_adjoint_pairing_needs_dividing_angles():
-    f, g = _adjoint_pair()
-    with pytest.raises(ValueError, match="divide"):
-        verify._adjoint_pairing(1.0, 0.8, f, g, plane_rule(1.0, 8, 12), bidisk_rule(1.0, 1.0, 4, 5))
+def test_adjoint_identity_plain_sum():
+    (res,) = run_checks(names=["adjoint_identity"])
+    lhs, rhs = _adjoint_sides(1.0, 1.0)
+    assert res.observed == abs(lhs - rhs) <= 1e-12
+    lhs, rhs = _adjoint_sides(2.0, 0.5)
+    assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, 0.5)])
+def test_adjoint_identity_left_side_is_exact(alpha, beta):
+    # <R f, g> on the (3, 8) rule is the integral a 12 x 12 per-disk rule gives
+    small, _ = _adjoint_sides(alpha, beta)
+    large, _ = _adjoint_sides(alpha, beta, (12, 12))
+    assert abs(small - large) <= 1e-15
 
 
 def test_adjoint_identity_kernel_work(monkeypatch):
-    # 96 base plane nodes, each against the 12 x 12 per-disk bi-disk grid
+    # one `adjoint_apply` call: 1152 plane nodes against the 24 x 24 nodes of the (3, 8) rule
     raw, entries = transforms.frft_kernel_raw, []
+    adjoint, calls = verify.adjoint_apply, []
 
     def counted(*args):
         out = raw(*args)
         entries.append(out.size)
         return out
 
+    def counted_adjoint(*args):
+        calls.append(args)
+        return adjoint(*args)
+
     monkeypatch.setattr(transforms, "frft_kernel_raw", counted)
     monkeypatch.setattr(verify, "frft_kernel_raw", counted)
+    monkeypatch.setattr(verify, "adjoint_apply", counted_adjoint)
     (res,) = run_checks(names=["adjoint_identity"])
     assert res.passed
-    assert 0 < sum(entries) <= 96 * 144**2
+    assert len(calls) == 1
+    assert sum(entries) == 1152 * 576
+
+
+def test_parseval_rule_is_exact():
+    # |R_w f|^2 with modes m, n <= 3: the check's (2, 4) rule integrates it as a
+    # 16 x 16 per-disk rule does, and one radius does not
+    nu, w = 1.0, 1.2 + 0.1j
+    f = transforms.CoeffFunction(
+        nu=nu, coeffs={(0, 1): 1.0, (2, 2): -0.5j, (1, 0): 0.75, (3, 3): 0.2}
+    )
+
+    def norm2(n_radial, n_angular):
+        rule = bidisk_rule(1.0, 0.5, n_radial, n_angular)
+        return integrate(
+            rule, lambda u, v: np.abs(transforms.dual_apply_coeff(nu, w, f, (u, v))) ** 2
+        ).real
+
+    full = norm2(16, 16)
+    assert abs(norm2(2, 4) - full) <= 1e-14
+    assert abs(norm2(1, 4) - full) > 1e-3
 
 
 @pytest.mark.parametrize(
