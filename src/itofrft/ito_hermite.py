@@ -3,16 +3,17 @@ and their zero structure.
 
 Evaluation is by the normalized two-term recurrence in (m, n) of `psi_table`,
 stepped a row at a time, which every other evaluation reads from; the
-explicit alternating finite sum is kept in the test suite as an oracle only,
-since it cancels catastrophically for large |z|.
+explicit alternating finite sum is kept in `verify.check_rodrigues_cross_check`
+as an oracle only, since it cancels catastrophically for large |z|.
 
-Domain: the scaling nu > 0 is finite, each index lies in [0, DEGREE_CAP],
-and an evaluation point is finite.  `_check_nu`, `_check_index` and
-`_check_point` are the one home of these rules for the whole package; a
-value outside, NaN and inf included, raises ValueError.
+Domain: the scaling nu > 0 is finite, each index is an integer in
+[0, DEGREE_CAP], and an evaluation point is finite.  `_check_nu`,
+`_check_index` and `_check_point` are the one home of these rules for the
+whole package; a value outside, NaN and inf included, raises ValueError.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,17 @@ __all__ = [
 ]
 
 
+def _integer_in(k, lo, hi):
+    # an integer in [lo, hi], numpy's included, but not a float such as 2.0
+    try:
+        return lo <= operator.index(k) <= hi
+    except TypeError:
+        return False
+
+
 def _check_index(m, n):
-    if not (0 <= m <= DEGREE_CAP and 0 <= n <= DEGREE_CAP):
-        raise ValueError("index (%r, %r) must lie in [0, %d]" % (m, n, DEGREE_CAP))
+    if not (_integer_in(m, 0, DEGREE_CAP) and _integer_in(n, 0, DEGREE_CAP)):
+        raise ValueError("index (%r, %r) must be integers in [0, %d]" % (m, n, DEGREE_CAP))
 
 
 def _check_nu(nu):

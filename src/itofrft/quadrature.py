@@ -22,11 +22,11 @@ The Gauss-Laguerre rule in t = nu r^2 of `plane_rule`, which
 Hankel transforms of one size builds it once.
 
 Domain: the bi-disk and quadrant measures are finite exactly when alpha,
-beta > -1, and the plane measure needs a finite nu > 0.
-`_check_weights` is the one home of the alpha, beta rule for the package
-(the Bergman norms and kernels share it), and `_check_rule` the one test
-that a rule was built for the kind and parameters a transform uses.  NaN
-and inf fail both.
+beta > -1, the plane measure needs a finite nu > 0, and a rule size is an
+integer >= 1.  `_check_weights` is the one home of the alpha, beta rule for
+the package (the Bergman norms and kernels share it), `_check_sizes` of the
+size rule, and `_check_rule` the one test that a rule was built for the
+kind and parameters a transform uses.  NaN and inf fail all three.
 """
 
 import functools
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ito_hermite import _check_nu
+from .ito_hermite import _check_nu, _integer_in
 from .specfun import scipy_special
 
 __all__ = ["QuadratureRule", "plane_rule", "bidisk_rule", "quadrant_rule", "integrate"]
@@ -68,6 +68,11 @@ def _check_weights(alpha, beta):
         raise ValueError(
             "Bergman weights require finite alpha, beta > -1, got alpha=%r beta=%r" % (alpha, beta)
         )
+
+
+def _check_sizes(*sizes):
+    if not all(_integer_in(n, 1, math.inf) for n in sizes):
+        raise ValueError("rule sizes must be integers >= 1, got %s" % (sizes,))
 
 
 def _check_rule(rule, kind, **params):
@@ -129,8 +134,7 @@ def plane_rule(nu, n_radial=DEFAULT_N_RADIAL, n_angular=DEFAULT_N_ANGULAR):
     z^a conj(z)^b exactly whenever a + b <= 2 n_radial - 1 and |a-b| < n_angular.
     """
     _check_nu(nu)
-    if n_radial < 1 or n_angular < 1:
-        raise ValueError("rule sizes must be >= 1")
+    _check_sizes(n_radial, n_angular)
     t, wt = _laguerre(n_radial)
     return QuadratureRule(
         "plane",
@@ -146,6 +150,7 @@ def bidisk_rule(alpha, beta, n_radial, n_angular):
     (1-s)^alpha (resp. (1-t)^beta), tensored with uniform angular nodes.
     """
     _check_weights(alpha, beta)
+    _check_sizes(n_radial, n_angular)
     return _tensor(
         "bidisk",
         *_disk_polar(alpha, n_radial, n_angular),
@@ -158,8 +163,7 @@ def quadrant_rule(alpha, beta, n=DEFAULT_N_RADIAL):
     """Tensor of generalized Gauss-Laguerre rules with weights s^alpha e^{-s}
     and t^beta e^{-t}; exact for per-variable degree <= 2n - 1."""
     _check_weights(alpha, beta)
-    if n < 1:
-        raise ValueError("rule size must be >= 1")
+    _check_sizes(n)
     roots_genlaguerre = scipy_special().roots_genlaguerre
     return _tensor(
         "quadrant",

@@ -636,29 +636,29 @@ class TestSpectrumCommand:
 
 class TestVerifyCommand:
     def test_passing_subset(self, tmp_path, schemas):
-        res = run_cli("verify", "--check", "hankel_fixed_point", "--check", "bessel_monotone",
+        res = run_cli("verify", "--check", "schatten_bound", "--check", "hankel_fixed_point",
                       "--out-dir", str(tmp_path))
         assert res.returncode == 0, res.stderr
         assert "hankel_fixed_point" in res.stdout and "PASS" in res.stdout
         report = strict_json((tmp_path / "report.json").read_text())
         jsonschema.validate(report, schemas["report"])
         assert report["passed"] is True
-        assert [c["name"] for c in report["checks"]] == ["hankel_fixed_point", "bessel_monotone"]
+        assert [c["name"] for c in report["checks"]] == ["schatten_bound", "hankel_fixed_point"]
 
     def test_select_by_reported_name(self, tmp_path, schemas):
         # the checks run in declaration order, whatever the order of the flags
-        res = run_cli("verify", "--check", "bessel_monotone", "--check", "frft_eigenrelation",
+        res = run_cli("verify", "--check", "hankel_fixed_point", "--check", "frft_eigenrelation",
                       "--out-dir", str(tmp_path))
         assert res.returncode == 0, res.stderr
         report = strict_json((tmp_path / "report.json").read_text())
         jsonschema.validate(report, schemas["report"])
-        assert [c["name"] for c in report["checks"]] == ["frft_eigenrelation", "bessel_monotone"]
+        assert [c["name"] for c in report["checks"]] == ["frft_eigenrelation", "hankel_fixed_point"]
 
     def test_scipy_import_timed_apart(self, tmp_path, schemas):
         # in a fresh interpreter the first check that needs scipy makes its
         # one import; the report gives that time apart from the check's wall_s
         res = run_cli_process("verify", "--check", "mehler_classical", "--check",
-                              "hankel_fixed_point", "--check", "bessel_monotone",
+                              "hankel_fixed_point", "--check", "schatten_bound",
                               "--out-dir", str(tmp_path))
         assert res.returncode == 0, res.stderr
         report = strict_json((tmp_path / "report.json").read_text())
@@ -711,7 +711,7 @@ class TestVerifyCommand:
     def test_out_dir(self, tmp_path, monkeypatch):
         # --out-dir is created if missing, and ITOFRFT_OUT_DIR overrides it
         flag_dir, env_dir = tmp_path / "flag" / "nested", tmp_path / "env"
-        args = ("verify", "--check", "bessel_monotone", "--out-dir", str(flag_dir))
+        args = ("verify", "--check", "schatten_bound", "--out-dir", str(flag_dir))
         assert run_cli(*args).returncode == 0
         assert [p.name for p in flag_dir.iterdir()] == ["report.json"]
         (flag_dir / "report.json").unlink()
@@ -723,7 +723,7 @@ class TestVerifyCommand:
     def test_unwritable_out_dir(self, tmp_path):
         # an --out-dir below a plain file: exit 1 with one line, no traceback
         (tmp_path / "file").write_text("")
-        res = run_cli_process("verify", "--check", "bessel_monotone",
+        res = run_cli_process("verify", "--check", "schatten_bound",
                               "--out-dir", str(tmp_path / "file" / "sub"))
         assert res.returncode == 1
         assert res.stdout == ""

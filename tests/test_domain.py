@@ -11,7 +11,7 @@ import pytest
 
 from itofrft import cli, ito_hermite, kernels, quadrature, spectral
 from itofrft.ito_hermite import hermite_ito, null_index_set, psi_table, zero_radii
-from itofrft.kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed
+from itofrft.kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed, mehler_series
 from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
 from itofrft.spectral import finite_rank_tail, gamma_norm, kw_constant, schatten_partial, spectrum
 from itofrft.transforms import (
@@ -65,6 +65,11 @@ BAD_CALLS = [
     case("gamma_norm-beta-inf", lambda: gamma_norm(1.0, INF, 0, 0)),
     case("gamma_norm-beta--1", lambda: gamma_norm(1.0, -1.0, 0, 0)),
     case("bidisk_rule-alpha-nan", lambda: bidisk_rule(NAN, 1.0, 4, 4)),
+    # rule sizes: integers >= 1
+    case("bidisk_rule-n_angular-0", lambda: bidisk_rule(1.0, 1.0, 3, 0)),
+    case("bidisk_rule-n_radial-0", lambda: bidisk_rule(1.0, 1.0, 0, 4)),
+    case("plane_rule-n_angular-2.5", lambda: plane_rule(1.0, 4, 2.5)),
+    case("quadrant_rule-n-4.0", lambda: quadrant_rule(1.0, 1.0, 4.0)),
     case("quadrant_rule-beta-nan", lambda: quadrant_rule(1.0, NAN, 4)),
     case("bergman_kernel-alpha--2", lambda: bergman_kernel(-2.0, 1.0, (0.1, 0.2), (0.3, 0.1))),
     case("bergman_kernel-alpha-nan", lambda: bergman_kernel(NAN, 1.0, (0.1, 0.2), (0.3, 0.1))),
@@ -128,6 +133,27 @@ BAD_CALLS = [
 def test_rejects_bad_value(call):
     with pytest.raises(ValueError):
         call()
+
+
+# an index is an integer: a float such as 2.5, or even 2.0, is rejected, and a
+# numpy integer gives what the Python integer gives
+INDEX_CALLS = [
+    case("CoeffFunction", lambda k: dict(CoeffFunction(1.0, {(k, 0): 1.0, (1, 1): 0.5}).coeffs)),
+    case("zero_radii", lambda k: zero_radii(1.0, k, 2).radii),
+    case("psi_table", lambda k: psi_table(1.0, 0.5 + 0.2j, k, 2)),
+    case("hermite_ito", lambda k: hermite_ito(1.0, k, 1, 0.5 + 0.2j)),
+    case("spectrum", lambda k: spectrum(1.0, 1.0, 1.0, 0.5, k, 2).values),
+    case("null_index_set", lambda k: null_index_set(1.0, 1.0, k, 2, 1e-10)),
+    case("mehler_series", lambda k: mehler_series(P, 0.5, 0.3j, k)),
+]
+
+
+@pytest.mark.parametrize("call", INDEX_CALLS)
+def test_index_is_an_integer(call):
+    for k in (2.5, 2.0):
+        with pytest.raises(ValueError, match="must be integers in"):
+            call(k)
+    np.testing.assert_equal(call(np.int64(2)), call(2))
 
 
 # values beyond double precision: a named OverflowError, with no RuntimeWarning
@@ -206,6 +232,17 @@ HOMES = {
         lambda _: psi_table(1.0, 0.5, 2, 2),
         lambda _: zero_radii(1.0, 1, 1),
         lambda _: CoeffFunction(1.0, {(0, 0): 1.0}),
+    ],
+    (ito_hermite, "_integer_in"): [
+        lambda _: psi_table(1.0, 0.5, 2, 2),
+        lambda _: plane_rule(1.0, 4, 4),
+        lambda _: bidisk_rule(1.0, 1.0, 4, 4),
+        lambda _: quadrant_rule(1.0, 1.0, 4),
+    ],
+    (quadrature, "_check_sizes"): [
+        lambda _: plane_rule(1.0, 4, 4),
+        lambda _: bidisk_rule(1.0, 1.0, 4, 4),
+        lambda _: quadrant_rule(1.0, 1.0, 4),
     ],
     (quadrature, "_check_weights"): [
         lambda _: bidisk_rule(1.0, 1.0, 4, 4),

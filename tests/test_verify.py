@@ -45,6 +45,44 @@ def test_mehler_check_sums_through_mehler_series(monkeypatch):
     assert res.passed
 
 
+def test_mehler_classical_checks_mehler_closed(monkeypatch):
+    # the check has no closed Mehler formula of its own
+    closed, params = verify.mehler_closed, []
+
+    def spy(p, z, w):
+        params.append((p.nu, p.u, p.v))
+        return closed(p, z, w)
+
+    monkeypatch.setattr(verify, "mehler_closed", spy)
+    (res,) = run_checks(names=["mehler_classical"])
+    assert params == [(nu, t, t) for t in (0.1, 0.3, 0.5, -0.4) for nu in (0.5, 1.0, 2.0)]
+    assert res.passed
+
+
+# the itofrft functions verify imports, scipy_special aside, which only
+# hands out scipy's own functions
+PACKAGE_FUNCTIONS = [
+    name for name, obj in vars(verify).items()
+    if callable(obj) and not isinstance(obj, type) and name != "scipy_special"
+    and getattr(obj, "__module__", "").startswith("itofrft.") and obj.__module__ != verify.__name__
+]
+
+
+@pytest.mark.parametrize("name", [fn.__name__.removeprefix("check_")
+                                  for fn in verify.ACCEPTANCE_CHECKS + verify.INVARIANT_CHECKS])
+def test_check_calls_package_code(name, monkeypatch):
+    # every check reports on itofrft, not only on scipy or on code of its own
+    called = []
+    for fname in PACKAGE_FUNCTIONS:
+        def spy(*args, fn=getattr(verify, fname), fname=fname, **kwargs):
+            called.append(fname)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(verify, fname, spy)
+    run_checks(names=[name])
+    assert called
+
+
 # A compound check fails when its other condition fails, even where the
 # observed value is within its stated tolerance.
 
@@ -294,8 +332,8 @@ def test_tracer_sees_each_check():
     tracer = tracer_mod.Tracer()
     undo = tracer.install(itofrft)
     try:
-        run_checks(names=["hankel_fixed_point", "bessel_monotone"])
+        run_checks(names=["schatten_bound", "hankel_fixed_point"])
     finally:
         tracer.uninstall(undo)
     spans = {span[0] for span in tracer.spans}
-    assert {"verify.hankel_fixed_point", "verify.bessel_monotone"} <= spans
+    assert {"verify.schatten_bound", "verify.hankel_fixed_point"} <= spans
