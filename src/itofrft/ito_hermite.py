@@ -9,7 +9,8 @@ as an oracle only, since it cancels catastrophically for large |z|.
 Domain: the scaling nu > 0 is finite, each index is an integer in
 [0, DEGREE_CAP], and an evaluation point is finite.  `_check_nu`,
 `_check_index` and `_check_point` are the one home of these rules for the
-whole package; a value outside, NaN and inf included, raises ValueError.
+whole package, with `_check_bergman_index` for a Bergman monomial index or
+a cut (no cap); a value outside, NaN and inf included, raises ValueError.
 """
 
 import math
@@ -35,6 +36,15 @@ def _integer_in(k, lo, hi):
         return lo <= operator.index(k) <= hi
     except TypeError:
         return False
+
+
+def _check_bergman_index(what, *ks):
+    # integers or integer arrays >= 0, with no cap: the closed forms hold at any index
+    for k in ks:
+        if isinstance(k, np.ndarray) or not _integer_in(k, 0, math.inf):
+            k = np.asarray(k)
+            if not (k.dtype.kind in "iu" and (k >= 0).all()):
+                raise ValueError("%s %s must be integers >= 0" % (what, ks))
 
 
 def _check_index(m, n):

@@ -14,11 +14,11 @@ package, and NaN fails it.  nu and the points of the Mehler function and
 the fractional Fourier kernel are checked by `ito_hermite._check_nu` and
 `_check_point`, the Bergman weights by `quadrature._check_weights`.
 
-Every kernel quadrature in the package (`transforms.frft_apply`,
-`transforms.adjoint_apply` and `verify._psi_images`) contracts its kernel
-matrix through `_contract`, which forms it one block of points at a time on
-the calling thread.  Each block holds at most `BLOCK_ENTRIES` kernel
-entries, so memory stays bounded whatever the number of nodes.
+Both kernel quadratures in the package, `transforms.frft_apply` and
+`transforms.adjoint_apply`, contract their kernel matrix through
+`_contract`, which forms it one block of points at a time on the calling
+thread.  Each block holds at most `BLOCK_ENTRIES` kernel entries, so memory
+stays bounded whatever the number of nodes.
 """
 
 import math
@@ -55,7 +55,8 @@ def _check_disk(what, *points):
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Scaling nu > 0 plus fractional parameters u, v with |u|, |v| < 1."""
+    """Scaling nu > 0 plus fractional parameters u, v with |u|, |v| < 1;
+    u, v may be arrays, which `transforms.frft_apply` broadcasts with xi."""
 
     nu: float
     u: complex
@@ -68,11 +69,13 @@ class TransformParams:
 
 def _contract(kernel_rows, weighted, points):
     """kernel_rows(x) @ weighted at each point x of the array points, for
-    (points, nodes) kernel rows and (nodes,) or (nodes, k) weights: an array
-    of shape points.shape + weighted.shape[1:], a complex number if that is
-    ().  The rows are formed in the fewest blocks of at most `BLOCK_ENTRIES`
+    (points, nodes) kernel rows and weighted samples of shape lead + (nodes,):
+    an array of shape lead + points.shape, a complex number if that is ().
+    The rows are formed in the fewest blocks of at most `BLOCK_ENTRIES`
     entries (one row if a row is wider), so memory stays bounded."""
     flat = points.ravel()
+    lead = weighted.shape[:-1]
+    weighted = weighted.reshape(-1, weighted.shape[-1]).T  # one column per lead index
     out = np.empty(flat.shape + weighted.shape[1:], dtype=complex)
     step = max(1, BLOCK_ENTRIES // len(weighted))
     if len(flat):
@@ -82,7 +85,7 @@ def _contract(kernel_rows, weighted, points):
         # change the value of its point
         for rows in np.array_split(np.arange(len(flat)), -(-len(flat) // step)):
             out[rows] = kernel_rows(flat[rows]) @ weighted
-    out = out.reshape(points.shape + weighted.shape[1:])
+    out = out.T.reshape(lead + points.shape)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -25,8 +25,9 @@ Domain: the bi-disk and quadrant measures are finite exactly when alpha,
 beta > -1, the plane measure needs a finite nu > 0, and a rule size is an
 integer >= 1.  `_check_weights` is the one home of the alpha, beta rule for
 the package (the Bergman norms and kernels share it), `_check_sizes` of the
-size rule, and `_check_rule` the one test that a rule was built for the
-kind and parameters a transform uses.  NaN and inf fail all three.
+size rule, and `_check_rule` the one test that a rule has the kind a
+transform uses and, for a plane rule, its nu (the other transforms take
+alpha and beta from their rule).  NaN and inf fail all three.
 """
 
 import functools
@@ -75,17 +76,14 @@ def _check_sizes(*sizes):
         raise ValueError("rule sizes must be integers >= 1, got %s" % (sizes,))
 
 
-def _check_rule(rule, kind, **params):
-    """Raise ValueError unless `rule` is a `kind` rule built for the given
-    parameter values (to a relative 1e-12)."""
+def _check_rule(rule, kind, nu=None):
+    """Raise ValueError unless `rule` is a `kind` rule and, where nu is
+    given, a plane rule built for that nu (to a relative 1e-12)."""
     if rule.kind != kind:
         raise ValueError("expected a %s quadrature rule, got kind=%r" % (kind, rule.kind))
-    for name, val in params.items():
-        built = rule.params.get(name, math.nan)
-        if not math.isclose(built, val, rel_tol=1e-12):
-            raise ValueError(
-                "rule was built for %s=%r but the transform uses %s=%r" % (name, built, name, val)
-            )
+    built = rule.params.get("nu", math.nan)
+    if nu is not None and not math.isclose(built, nu, rel_tol=1e-12):
+        raise ValueError("rule was built for nu=%r but the transform uses nu=%r" % (built, nu))
 
 
 @functools.cache
@@ -174,16 +172,19 @@ def quadrant_rule(alpha, beta, n=DEFAULT_N_RADIAL):
 
 
 def _samples(rule, f):
-    # f at every node, called as `integrate` documents, flat in node order
+    # f at every node, called as `integrate` documents, in node order along
+    # the last axis, after any axes of f's values ahead of the rule's grid
     if rule.axes is not None:
         x, y = rule.axes
-        vals, shape = f(x[:, None], y[None, :]), (len(x), len(y))
+        vals, grid = f(x[:, None], y[None, :]), (len(x), len(y))
     else:
-        vals, shape = f(rule.nodes), rule.weights.shape
-    vals = np.broadcast_to(np.asarray(vals, dtype=complex), shape).ravel()
+        vals, grid = f(rule.nodes), rule.weights.shape
+    vals = np.asarray(vals, dtype=complex)
+    lead = vals.shape[:max(0, vals.ndim - len(grid))]
+    vals = np.broadcast_to(vals, lead + grid).reshape(lead + (-1,))
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        k = int(np.argmax(bad))
+        k = int(np.argmax(bad)) % len(rule.weights)
         node = rule.nodes[k] if rule.axes is None else (x[k // len(y)], y[k % len(y)])
         raise ValueError("non-finite integrand sample at node %r" % (node,))
     return vals
@@ -196,7 +197,9 @@ def integrate(rule, f):
     and quadrant rules always carry their two axes, and f is called once as
     f(x[:, None], y[None, :]) on them; any result that broadcasts to
     (len(x), len(y)) is accepted (a function of one variable, a constant,
-    the full grid) and read row-major, the order of `rule.weights`.  Raises
+    the full grid) and read row-major, the order of `rule.weights`.  Axes
+    ahead of those (a table of functions) lead an array result.  Raises
     ValueError on any non-finite sample, naming the offending node.
     """
-    return complex(np.dot(rule.weights, _samples(rule, f)))
+    out = np.dot(_samples(rule, f), rule.weights)
+    return complex(out) if out.ndim == 0 else out

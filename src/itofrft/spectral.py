@@ -10,8 +10,9 @@ Domain: the weighted Bergman spaces exist for alpha and beta above -1
 transform is bounded, and its singular values, `k_w` constant and tail
 bounds are defined, only for alpha, beta > 0, which `_check_bounded` is
 the one home of.  nu > 0 is finite (`ito_hermite._check_nu`), and so is the
-point w (`ito_hermite._check_point`).  A value outside, NaN and inf
-included, raises ValueError.
+point w (`ito_hermite._check_point`), and an index or a cut is an integer
+>= 0 (`_check_bergman_index`).  A value outside, NaN and inf included,
+raises ValueError.
 """
 
 import math
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ito_hermite import _check_nu, _check_point, _require_finite, psi_table
+from .ito_hermite import _check_bergman_index, _check_nu, _check_point, _require_finite, psi_table
 from .kernels import _EXP_GUARD
 from .quadrature import _check_weights, _unit_jacobi
 from .specfun import scipy_special
@@ -57,9 +58,10 @@ def gamma_norm(alpha, beta, m, n):
     """Squared Bergman norm of the monomial z^m w^n:
     pi^2 Gamma(alpha+1) Gamma(beta+1) m! n! / (Gamma(alpha+m+2) Gamma(beta+n+2)).
 
-    `m` and `n` may be integer arrays; the result broadcasts over them.
+    `m` and `n` are integers >= 0 or integer arrays; the result broadcasts.
     """
     _check_weights(alpha, beta)
+    _check_bergman_index("gamma_norm index (m, n)", m, n)
     betaln = scipy_special().betaln
     return np.exp(
         2.0 * math.log(math.pi) + _log_ratio(betaln, alpha, m) + _log_ratio(betaln, beta, n)
@@ -178,8 +180,7 @@ def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
     _check_nu(nu)
     _check_bounded(alpha, beta)
     _check_point("finite_rank_tail point w", w)
-    if not (p_cut >= 0 and q_cut >= 0):
-        raise ValueError("cuts must be non-negative")
+    _check_bergman_index("finite_rank_tail cuts", p_cut, q_cut)
     first = gamma_norm(alpha, beta, p_cut + 1, q_cut + 1)
     axes = (p_cut + alpha + 2.0) / alpha * (q_cut + beta + 2.0) / beta
     tail = float(_growth(nu, w, "finite_rank_tail") * first * axes)

@@ -22,7 +22,7 @@ import numpy as np
 from .specfun import scipy_special
 from .ito_hermite import _check_index, _check_nu, _check_point, psi_table
 from .kernels import _check_disk, _contract, frft_kernel_raw
-from .quadrature import _check_rule, _laguerre, _samples, integrate
+from .quadrature import _check_rule, _check_weights, _laguerre, _samples, integrate
 from .spectral import gamma_norm
 
 __all__ = [
@@ -127,14 +127,17 @@ def frft_apply(p, f, xi, rule=None):
 
         integral of f(zeta) K^nu_{u,v}(zeta; xi) e^{-nu |zeta|^2} dA(zeta).
 
-    An array xi gives an array of its shape, a scalar xi a complex number.
-    Two routes, chosen by the type of f:
+    p.u, p.v and xi broadcast: arrays give an array of the broadcast shape,
+    scalars a complex number.  Two routes, chosen by the type of f:
     - a `CoeffFunction` is transformed exactly by the eigenrelation, psi_{m,n}
       maps to u^m v^n psi_{m,n}: the result is sum a_{m,n} u^m v^n
       psi_{m,n}(xi), from one psi table at xi.  Its nu must equal p.nu.
       No rule is needed;
     - any other callable is sampled once on the plane quadrature `rule`,
-      which is then required.
+      which is then required, and contracted against kernel rows in blocks
+      (`_contract`).  Samples with axes of their own, as those of
+      `lambda z: psi_table(nu, z, M, N)`, give them first, ahead of the
+      broadcast shape.
     A rule that is given is validated (kind and nu) on either route.
     """
     if rule is not None:
@@ -145,10 +148,12 @@ def frft_apply(p, f, xi, rule=None):
         raise ValueError("a callable input needs a plane quadrature rule")
     xi = np.asarray(xi, dtype=complex)
     _check_point("frft_apply point xi", xi)
+    shape = np.broadcast_shapes(np.shape(p.u), np.shape(p.v), xi.shape)
+    u, v, xi = (np.broadcast_to(c, shape).ravel()[:, None] for c in (p.u, p.v, xi))
     return _contract(
-        lambda x: frft_kernel_raw(p.nu, p.u, p.v, rule.nodes, x[:, None]),
+        lambda j: frft_kernel_raw(p.nu, u[j], v[j], rule.nodes, xi[j]),
         rule.weights * _samples(rule, f),
-        xi,
+        np.arange(xi.size).reshape(shape),
     )
 
 
@@ -191,19 +196,21 @@ def dual_apply_coeff(nu, w, f, uv):
     return complex(out) if out.ndim == 0 else out
 
 
-def adjoint_apply(nu, w, alpha, beta, g, z, rule):
+def adjoint_apply(nu, w, g, z, rule):
     """Adjoint of the dual transform at the planar point(s) z:
 
-        integral over D^2 of g(u, v) conj(K^nu_{u,v}(z; w)) dmu_{alpha,beta}(u, v).
+        integral over D^2 of g(u, v) conj(K^nu_{u,v}(z; w)) dmu_{alpha,beta}(u, v),
 
-    An array z gives an array of its shape, a scalar z a complex number.
-    g is sampled once on the rule's grid, as `integrate` calls it, and
-    contracted against conj(K) in blocks of points (`_contract`).  A
-    non-finite sample of g raises ValueError naming the node; an exponent
-    the kernel's overflow guard rejects raises OverflowError.
+    alpha, beta being the bi-disk `rule`'s.  An array z gives an array of
+    its shape, a scalar z a complex number.  g is sampled once on the
+    rule's grid, as `integrate` calls it (axes ahead of the grid lead the
+    result), and contracted against conj(K) in blocks of points
+    (`_contract`).  A non-finite sample of g raises ValueError naming the
+    node; an exponent the kernel's overflow guard rejects raises
+    OverflowError.
     """
     _check_nu(nu)
-    _check_rule(rule, "bidisk", alpha=alpha, beta=beta)
+    _check_rule(rule, "bidisk")
     z = np.asarray(z, dtype=complex)
     w = complex(w)
     _check_point("adjoint_apply points (w, z)", w, z)
@@ -218,12 +225,12 @@ def adjoint_apply(nu, w, alpha, beta, g, z, rule):
 
 def bergman_norm(coeffs, alpha, beta):
     """Norm (sum gamma_{m,n} |b_{m,n}|^2)^{1/2} of the analytic bi-disk
-    function with monomial coefficients b_{m,n}."""
-    total = 0.0
-    for (m, n), b in coeffs.items():
-        if b != 0:
-            total += gamma_norm(alpha, beta, m, n) * abs(b) ** 2
-    return math.sqrt(total)
+    function with monomial coefficients b_{m,n}: indices (m, n) are
+    integers >= 0 and coefficients finite."""
+    # a zero (0, 0) term keeps the index array integer when coeffs is empty
+    (m, n), b = np.array([*coeffs, (0, 0)]).T, np.array([*coeffs.values(), 0], dtype=complex)
+    _check_point("bergman_norm coefficient", b)
+    return math.sqrt(np.dot(gamma_norm(alpha, beta, m, n), b.real**2 + b.imag**2))
 
 
 def hankel_apply(nu, order, u, v, psi_profile, y):
@@ -302,16 +309,17 @@ def rotational_frft(nu, u, v, k, psi_profile, xi):
     return phase * hankel_apply(nu, k, u, v, psi_profile, abs(xi))
 
 
-def bargmann2_apply(alpha, beta, phi, zw, rule):
+def bargmann2_apply(phi, zw, rule):
     """Second Bargmann transform of phi at the bi-disk point (z, w):
 
         (1-z)^{-alpha-1} (1-w)^{-beta-1}
           * integral over the quadrant of s^alpha t^beta
               exp[(s w + t z - s - t) / ((1-z)(1-w))] phi(s, t) ds dt.
 
-    The quadrant rule carries the weight s^alpha t^beta e^{-s-t}, so the
-    integrand passed to it is phi times exp of the displayed exponent plus
-    s + t, keeping the rule's weight exact.
+    alpha and beta are those the quadrant `rule` was built for: it carries
+    the weight s^alpha t^beta e^{-s-t}, so the integrand passed to it is phi
+    times exp of the displayed exponent plus s + t, keeping the rule's
+    weight exact.
 
     On the Laguerre basis, phi = L_m^{(alpha)}(s) L_n^{(beta)}(t) maps to
     [Gamma(alpha+m+1)/m!] [Gamma(beta+n+1)/n!] z^m w^n (constant pinned
@@ -320,7 +328,9 @@ def bargmann2_apply(alpha, beta, phi, zw, rule):
     """
     z, w = complex(zw[0]), complex(zw[1])
     _check_disk("bargmann2_apply point (z, w)", z, w)
-    _check_rule(rule, "quadrant", alpha=alpha, beta=beta)
+    _check_rule(rule, "quadrant")
+    alpha, beta = (rule.params.get(k, math.nan) for k in ("alpha", "beta"))
+    _check_weights(alpha, beta)  # a rule built by hand may not carry them
     denom = (1.0 - z) * (1.0 - w)
 
     def integrand(s, t):

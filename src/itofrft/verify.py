@@ -13,9 +13,7 @@ from numpy.polynomial.hermite import hermvander
 
 from .specfun import scipy_special
 from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
-from .kernels import (
-    TransformParams, _contract, bergman_kernel, frft_kernel_raw, mehler_closed, mehler_series,
-)
+from .kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed, mehler_series
 from .quadrature import bidisk_rule, integrate, plane_rule, quadrant_rule
 from .spectral import finite_rank_tail, gamma_norm, kw_constant, spectrum
 from .transforms import (
@@ -92,22 +90,6 @@ def _rel(a, b, floor=1e-300):
     return np.abs(a - b) / np.maximum(np.abs(b), floor)
 
 
-def _psi_images(nu, rule, max_m, max_n, u, v, xi):
-    """Plane-quadrature transforms of the basis: entry [m, n, j] is the sum
-    over the nodes z of w(z) psi_{m,n}(z) K_{u_j, v_j}(z; xi_j), with u, v
-    and xi broadcast together and flattened to the index j.  The kernel
-    rows of the indices j are formed and contracted one block at a time
-    (`kernels._contract`)."""
-    u, v, xi = (a.ravel() for a in np.broadcast_arrays(u, v, xi))
-    PW = psi_table(nu, rule.nodes, max_m, max_n).reshape(-1, len(rule.nodes)) * rule.weights
-    images = _contract(
-        lambda j: frft_kernel_raw(nu, u[j, None], v[j, None], rule.nodes, xi[j, None]),
-        PW.T,
-        np.arange(len(xi)),
-    )
-    return images.T.reshape(max_m + 1, max_n + 1, -1)
-
-
 _Z_POINTS = np.array([0.3 + 0.2j, -1.0 + 1.1j, 1.5, -0.7 - 1.2j, 0.9j])
 _UV_PAIRS = [(0.5, 0.5), (0.4j, 0.3), (-0.25, 0.5)]
 
@@ -172,12 +154,12 @@ def check_frft_eigenrelation():
     """frft_apply(psi_{m,n}) = u^m v^n psi_{m,n} for m, n <= 6 on a 4x4 target
     grid, three parameter points including complex values."""
     nu = 1.0
-    rule = plane_rule(nu)
     axis = np.linspace(-1.2, 1.2, 4)
     xis = (axis[:, None] + 1j * axis[None, :]).ravel()
     uv = np.array([(0.3, 0.5), (0.5j, 0.2), (-0.4, 0.4)])
-    # one column per (parameter point, target): a (3, 1) grid against 16 targets
-    got = _psi_images(nu, rule, 6, 6, uv[:, :1], uv[:, 1:], xis).reshape(7, 7, 3, -1)
+    # the psi table transformed at once: three parameter points (a column) against 16 targets
+    got = frft_apply(TransformParams(nu, uv[:, :1], uv[:, 1:]),
+                     lambda z: psi_table(nu, z, 6, 6), xis, plane_rule(nu))
     k = np.arange(7)[:, None]
     eig = (uv[:, 0] ** k)[:, None] * (uv[:, 1] ** k)[None, :]  # u^m v^n, (7, 7, 3)
     return np.max(np.abs(got - eig[..., None] * psi_table(nu, xis, 6, 6)[:, :, None]))
@@ -191,10 +173,9 @@ def check_kernel_autocorrelation():
     worst = 0.0
     for u, v in ((0.6, 0.6), (0.5j, 0.4), (-0.3 + 0.3j, 0.25), (0.2, -0.55j)):
         for w in (0.7, -0.4 + 1.1j):
-            lhs = integrate(
-                rule, lambda z: np.abs(frft_kernel_raw(nu, u, v, z, w)) ** 2
-            )
-            rhs = frft_kernel_raw(nu, abs(u) ** 2, abs(v) ** 2, w, w)
+            p = TransformParams(nu, u, v)
+            lhs = integrate(rule, lambda z: np.abs(frft_kernel(p, z, w)) ** 2)
+            rhs = frft_kernel(TransformParams(nu, abs(u) ** 2, abs(v) ** 2), w, w)
             worst = max(worst, float(_rel(lhs, rhs)))
     return worst
 
@@ -215,10 +196,11 @@ def check_singular_values():
     rule = plane_rule(nu)
     brule = bidisk_rule(alpha, beta, 3, 3)
     x, y = brule.axes
+    p = TransformParams(nu, x[:, None], y)
     worst = 0.0
     for w in (1.0 + 0.0j, 0.6 + 0.5j):
         closed = spectrum(nu, alpha, beta, w, 4, 4).values
-        images = _psi_images(nu, rule, 4, 4, x[:, None], y, w)
+        images = frft_apply(p, lambda z: psi_table(nu, z, 4, 4), w, rule).reshape(5, 5, -1)
         quad = np.sqrt((images.real**2 + images.imag**2) @ brule.weights)
         worst = max(worst, float(np.max(np.abs(closed - quad))))
         if w == 1.0:
@@ -370,10 +352,10 @@ def check_null_space():
     }
     detected = null_index_set(nu, w, 5, 5, 1e-10)
     # the modes whose images vanish on a 3x3 (u, v) grid
-    rule = plane_rule(nu)
     grid = np.array([0.2, 0.45, 0.7])
-    images = _psi_images(nu, rule, 5, 5, grid[:, None], grid, w)
-    vanish = np.max(np.abs(images), axis=-1) < 1e-10
+    images = frft_apply(TransformParams(nu, grid[:, None], grid),
+                        lambda z: psi_table(nu, z, 5, 5), w, plane_rule(nu))
+    vanish = np.max(np.abs(images), axis=(-2, -1)) < 1e-10
     annihilated = {(int(m), int(n)) for m, n in np.argwhere(vanish)}
     mismatches = len(predicted ^ detected) + len(predicted ^ annihilated)
     return mismatches, "predicted null indices: %s" % sorted(predicted), True
@@ -399,17 +381,9 @@ def check_rodrigues_cross_check():
     for z in zs:
         for m in range(6):
             for n in range(6):
-                ref = 0j
-                for k in range(min(m, n) + 1):
-                    ref += (
-                        (-1) ** k
-                        * math.factorial(k)
-                        * math.comb(m, k)
-                        * math.comb(n, k)
-                        * nu ** (m + n - k)
-                        * z ** (m - k)
-                        * np.conj(z) ** (n - k)
-                    )
+                ref = sum((-1) ** k * math.factorial(k) * math.comb(m, k) * math.comb(n, k)
+                          * nu ** (m + n - k) * z ** (m - k) * np.conj(z) ** (n - k)
+                          for k in range(min(m, n) + 1))
                 got = hermite_ito(nu, m, n, z)
                 worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     return worst
@@ -497,7 +471,7 @@ def check_pointwise_estimate():
     for u in (0.2, 0.5, 0.7):
         for v in (0.1, 0.45, 0.65):
             val = abs(dual_apply_coeff(nu, w, f, (u, v)))
-            bound = math.sqrt(frft_kernel_raw(nu, u * u, v * v, w, w).real) * norm
+            bound = math.sqrt(frft_kernel(TransformParams(nu, u * u, v * v), w, w).real) * norm
             worst = max(worst, val - bound)
     return worst
 
@@ -528,7 +502,7 @@ def check_adjoint_identity():
         brule,
         lambda u, v: dual_apply_coeff(nu, w, f, (u, v)) * np.conj(g(u, v)),
     )
-    rstar = adjoint_apply(nu, w, alpha, beta, g, prule.nodes, brule)
+    rstar = adjoint_apply(nu, w, g, prule.nodes, brule)
     return abs(lhs - np.dot(prule.weights, f(prule.nodes) * np.conj(rstar)))
 
 
@@ -574,11 +548,7 @@ def check_bargmann_laguerre_basis():
         )
         for zw in ((0.3, 0.2), (0.1 - 0.2j, 0.25j)):
             got = bargmann2_apply(
-                alpha,
-                beta,
-                lambda s, t: eval_genlaguerre(m, alpha, s) * eval_genlaguerre(n, beta, t),
-                zw,
-                rule,
+                lambda s, t: eval_genlaguerre(m, alpha, s) * eval_genlaguerre(n, beta, t), zw, rule
             )
             want = const * zw[0] ** m * zw[1] ** n
             worst = max(worst, abs(got - want) / max(abs(want), 1.0))

@@ -18,6 +18,7 @@ from itofrft.transforms import (
     CoeffFunction,
     adjoint_apply,
     bargmann2_apply,
+    bergman_norm,
     dual_apply_coeff,
     frft_apply,
     hankel_apply,
@@ -56,10 +57,21 @@ BAD_CALLS = [
     case("finite_rank_tail-nu-nan", lambda: finite_rank_tail(NAN, 1.0, 1.0, 0.5, 2, 2)),
     case("finite_rank_tail-nu-inf", lambda: finite_rank_tail(INF, 1.0, 1.0, 0.5, 2, 2)),
     case("hankel_apply-nu-nan", lambda: hankel_apply(NAN, 0, 0.3, 0.3, one, 0.5)),
-    case("adjoint_apply-nu-nan", lambda: adjoint_apply(NAN, 0.5, 1.0, 1.0, one, 0.1, BIDISK)),
+    case("adjoint_apply-nu-nan", lambda: adjoint_apply(NAN, 0.5, one, 0.1, BIDISK)),
     # index in [0, DEGREE_CAP]
     case("CoeffFunction-index-nan", lambda: CoeffFunction(1.0, {(NAN, 0): 1.0})),
     case("CoeffFunction-index-201", lambda: CoeffFunction(1.0, {(0, 201): 1.0})),
+    # Bergman monomial index and cut: integers >= 0, no cap; coefficients finite
+    case("bergman_norm-coeff-nan", lambda: bergman_norm({(0, 0): NAN}, 1.0, 1.0)),
+    case("bergman_norm-coeff-inf", lambda: bergman_norm({(0, 0): INF}, 1.0, 1.0)),
+    case("bergman_norm-index--1", lambda: bergman_norm({(-1, 0): 1.0}, 1.0, 1.0)),
+    case("bergman_norm-index-1.5", lambda: bergman_norm({(1.5, 0): 1.0}, 1.0, 1.0)),
+    case("gamma_norm-index--1", lambda: gamma_norm(1.0, 1.0, -1, 0)),
+    case("gamma_norm-index-1.5", lambda: gamma_norm(1.0, 1.0, 1.5, 0)),
+    case("gamma_norm-index-array--1", lambda: gamma_norm(1.0, 1.0, np.arange(-1, 3), 0)),
+    case("gamma_norm-index-float-array", lambda: gamma_norm(1.0, 1.0, np.arange(3.0), 0)),
+    case("finite_rank_tail-cut-2.5", lambda: finite_rank_tail(1.0, 1.0, 1.0, 1.0, 2.5, 2)),
+    case("finite_rank_tail-cut--1", lambda: finite_rank_tail(1.0, 1.0, 1.0, 1.0, 2, -1)),
     # alpha, beta finite and > -1
     case("gamma_norm-alpha-nan", lambda: gamma_norm(NAN, 1.0, 0, 0)),
     case("gamma_norm-beta-inf", lambda: gamma_norm(1.0, INF, 0, 0)),
@@ -83,14 +95,14 @@ BAD_CALLS = [
     case("TransformParams-u-nan", lambda: TransformParams(1.0, NAN, 0.5)),
     case("TransformParams-v-1", lambda: TransformParams(1.0, 0.5, 1.0)),
     case("bergman_kernel-point-nan", lambda: bergman_kernel(1.0, 1.0, (NAN, 0.2), (0.3, 0.1))),
-    case("bargmann2_apply-point-nan", lambda: bargmann2_apply(1.0, 1.0, one, (0.1, NAN), QUADRANT)),
+    case("bargmann2_apply-point-nan", lambda: bargmann2_apply(one, (0.1, NAN), QUADRANT)),
+    # a quadrant rule built by hand, without the alpha, beta the transform reads
+    case("bargmann2_apply-rule-without-weights", lambda: bargmann2_apply(
+        one, (0.1, 0.2), quadrature.QuadratureRule(
+            "quadrant", None, np.array(QUADRANT.weights), axes=tuple(map(np.array, QUADRANT.axes))))),
     # the rule matches the transform
     case("frft_apply-rule-nu", lambda: frft_apply(TransformParams(2.0, 0.2, 0.3), one, 0.5, PLANE)),
-    case("adjoint_apply-rule-kind", lambda: adjoint_apply(1.0, 0.5, 1.0, 1.0, one, 0.1, QUADRANT)),
-    case("adjoint_apply-alpha-nan", lambda: adjoint_apply(1.0, 0.5, NAN, 1.0, one, 0.1, BIDISK)),
-    case("bargmann2_apply-rule-alpha",
-         lambda: bargmann2_apply(0.5, 1.0, one, (0.1, 0.2), QUADRANT)),
-    case("bargmann2_apply-rule-beta", lambda: bargmann2_apply(1.0, 0.5, one, (0.1, 0.2), QUADRANT)),
+    case("adjoint_apply-rule-kind", lambda: adjoint_apply(1.0, 0.5, one, 0.1, QUADRANT)),
     # positive scalars
     case("null_index_set-tol-nan", lambda: null_index_set(1.0, 0.5, 2, 2, NAN)),
     case("null_index_set-tol-0", lambda: null_index_set(1.0, 0.5, 2, 2, 0.0)),
@@ -118,9 +130,9 @@ BAD_CALLS = [
     case("kw_constant-w-nan", lambda: kw_constant(1.0, 1.0, 1.0, NAN)),
     case("finite_rank_tail-w-nan", lambda: finite_rank_tail(1.0, 1.0, 1.0, NAN, 2, 2)),
     case("finite_rank_tail-w-inf", lambda: finite_rank_tail(1.0, 1.0, 1.0, INF, 2, 2)),
-    case("adjoint_apply-w-nan", lambda: adjoint_apply(1.0, NAN, 1.0, 1.0, one, 0.1, BIDISK)),
+    case("adjoint_apply-w-nan", lambda: adjoint_apply(1.0, NAN, one, 0.1, BIDISK)),
     case("adjoint_apply-z-nan",
-         lambda: adjoint_apply(1.0, 0.5, 1.0, 1.0, one, np.array([0.1, NAN]), BIDISK)),
+         lambda: adjoint_apply(1.0, 0.5, one, np.array([0.1, NAN]), BIDISK)),
     case("frft_kernel-xi-nan", lambda: frft_kernel(P, 0.5, NAN)),
     case("mehler_closed-z-inf", lambda: mehler_closed(P, INF, 0.5)),
     # the dual transform's points (u, v): open unit disk
@@ -154,6 +166,14 @@ def test_index_is_an_integer(call):
         with pytest.raises(ValueError, match="must be integers in"):
             call(k)
     np.testing.assert_equal(call(np.int64(2)), call(2))
+
+
+def test_bergman_index_has_no_cap():
+    # the closed forms hold at any index: past DEGREE_CAP, and numpy integers
+    # give what Python integers give
+    assert 0 < gamma_norm(1.0, 1.0, 500, 10**30) < math.inf
+    assert gamma_norm(1.0, 1.0, np.int64(3), np.int32(2)) == gamma_norm(1.0, 1.0, 3, 2)
+    assert finite_rank_tail(1.0, 1.0, 1.0, 1.0, np.int64(250), 2) > 0
 
 
 # values beyond double precision: a named OverflowError, with no RuntimeWarning
@@ -226,7 +246,7 @@ HOMES = {
         lambda _: kw_constant(1.0, 1.0, 1.0, 0.5),
         lambda _: finite_rank_tail(1.0, 1.0, 1.0, 0.5, 2, 2),
         lambda _: hankel_apply(1.0, 0, 0.3, 0.3, one, 0.5),
-        lambda _: adjoint_apply(1.0, 0.5, 1.0, 1.0, one, 0.1, BIDISK),
+        lambda _: adjoint_apply(1.0, 0.5, one, 0.1, BIDISK),
     ],
     (ito_hermite, "_check_index"): [
         lambda _: psi_table(1.0, 0.5, 2, 2),
@@ -239,6 +259,11 @@ HOMES = {
         lambda _: bidisk_rule(1.0, 1.0, 4, 4),
         lambda _: quadrant_rule(1.0, 1.0, 4),
     ],
+    (ito_hermite, "_check_bergman_index"): [
+        lambda _: gamma_norm(1.0, 1.0, 0, 0),
+        lambda _: bergman_norm({(1, 0): 1.0}, 1.0, 1.0),
+        lambda _: finite_rank_tail(1.0, 1.0, 1.0, 0.5, 2, 2),
+    ],
     (quadrature, "_check_sizes"): [
         lambda _: plane_rule(1.0, 4, 4),
         lambda _: bidisk_rule(1.0, 1.0, 4, 4),
@@ -246,6 +271,7 @@ HOMES = {
     ],
     (quadrature, "_check_weights"): [
         lambda _: bidisk_rule(1.0, 1.0, 4, 4),
+        lambda _: bargmann2_apply(one, (0.1, 0.2), QUADRANT),
         lambda _: quadrant_rule(1.0, 1.0, 4),
         lambda _: gamma_norm(1.0, 1.0, 0, 0),
         lambda _: bergman_kernel(1.0, 1.0, (0.1, 0.2), (0.3, 0.1)),
@@ -258,7 +284,7 @@ HOMES = {
     (kernels, "_check_disk"): [
         lambda _: TransformParams(1.0, 0.2, 0.3),
         lambda _: bergman_kernel(1.0, 1.0, (0.1, 0.2), (0.3, 0.1)),
-        lambda _: bargmann2_apply(1.0, 1.0, one, (0.1, 0.2), QUADRANT),
+        lambda _: bargmann2_apply(one, (0.1, 0.2), QUADRANT),
         lambda _: dual_apply_coeff(1.0, 0.5, F, (0.1, 0.2)),
         _transform_dual,
     ],
@@ -266,11 +292,12 @@ HOMES = {
         lambda _: psi_table(1.0, 0.5, 2, 2),
         lambda _: kw_constant(1.0, 1.0, 1.0, 0.5),
         lambda _: finite_rank_tail(1.0, 1.0, 1.0, 0.5, 2, 2),
-        lambda _: adjoint_apply(1.0, 0.5, 1.0, 1.0, one, 0.1, BIDISK),
+        lambda _: adjoint_apply(1.0, 0.5, one, 0.1, BIDISK),
         lambda _: frft_kernel(P, 0.5, 0.1),
         lambda _: mehler_closed(P, 0.5, 0.1),
         lambda _: hankel_apply(1.0, 0, 0.3, 0.3, one, 0.5),
         lambda _: frft_apply(P, one, 0.5, PLANE),
+        lambda _: bergman_norm({(1, 0): 1.0}, 1.0, 1.0),
     ],
     (ito_hermite, "_require_finite"): [
         lambda _: psi_table(1.0, 0.5, 2, 2),
@@ -280,8 +307,8 @@ HOMES = {
     ],
     (quadrature, "_check_rule"): [
         lambda _: frft_apply(TransformParams(1.0, 0.2, 0.3), F, 0.5, PLANE),
-        lambda _: adjoint_apply(1.0, 0.5, 1.0, 1.0, one, 0.1, BIDISK),
-        lambda _: bargmann2_apply(1.0, 1.0, one, (0.1, 0.2), QUADRANT),
+        lambda _: adjoint_apply(1.0, 0.5, one, 0.1, BIDISK),
+        lambda _: bargmann2_apply(one, (0.1, 0.2), QUADRANT),
     ],
 }
 

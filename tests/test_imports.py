@@ -4,6 +4,8 @@ package and the CLI subcommands that need only numpy load neither of them,
 and no call starts a thread.  Each such case runs
 in a fresh interpreter, since this test process has them loaded already."""
 
+import ast
+import importlib
 import inspect
 import json
 import subprocess
@@ -27,6 +29,18 @@ def exported():
 
 def test_exports_are_the_modules_all():
     assert exported() == {name for mod in MODULES for name in mod.__all__}
+
+
+def test_verify_imports_public_names_only():
+    # the checks reach the package as a user does, so no private helper can
+    # creep back into them; scipy_special only hands out scipy's functions
+    tree = ast.parse(inspect.getsource(importlib.import_module("itofrft.verify")))
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert ("transforms", "frft_apply") in imports
+    private = [(mod, name) for mod, name in imports if (mod, name) != ("specfun", "scipy_special")
+               and name not in importlib.import_module("itofrft." + mod).__all__]
+    assert private == []
 
 
 def test_removed_names_stay_removed():
@@ -114,7 +128,7 @@ def test_adjoint_apply_starts_no_thread(monkeypatch):
     zs = np.linspace(-1.0, 1.0, 100) + 0.2j
     assert zs.size > kernels.BLOCK_ENTRIES // len(brule.weights)
     before = threading.active_count()
-    out = transforms.adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: u, zs, brule)
+    out = transforms.adjoint_apply(1.0, 0.5, lambda u, v: u, zs, brule)
     assert np.all(np.isfinite(out))
     assert ran_on == {threading.main_thread().name}  # every block ran on the caller
     assert threading.active_count() == before

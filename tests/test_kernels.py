@@ -15,8 +15,8 @@ from itofrft.kernels import (
 )
 from itofrft.quadrature import bidisk_rule, plane_rule
 from itofrft.spectral import gamma_norm
-from itofrft.transforms import adjoint_apply
-from itofrft.verify import _psi_images
+from itofrft.ito_hermite import psi_table
+from itofrft.transforms import adjoint_apply, frft_apply
 
 
 class TestTransformParams:
@@ -214,9 +214,9 @@ def block_slices(count, nodes):
 
 
 class TestBlockwise:
-    """The one block loop, `_contract`, behind `frft_apply`, `adjoint_apply`
-    and `_psi_images`: the blocks run in order on the calling thread, and
-    the results of many blocks match those of one."""
+    """The one block loop, `_contract`, behind `frft_apply` and
+    `adjoint_apply`: the blocks run in order on the calling thread, and the
+    results of many blocks match those of one."""
 
     def test_slices_in_order(self, monkeypatch):
         seen = []
@@ -241,13 +241,13 @@ class TestBlockwise:
 
     def test_result_shape(self):
         rows = lambda x: np.ones((len(x), 4)) * x[:, None]
-        weighted = np.arange(8.0).reshape(4, 2)  # (nodes, k)
-        assert type(_contract(rows, weighted[:, 0], np.array(2.0))) is complex
-        np.testing.assert_array_equal(_contract(rows, weighted, np.array(2.0)), [24, 32])
+        weighted = np.arange(8.0).reshape(2, 4)  # a leading axis of 2, then 4 nodes
+        assert type(_contract(rows, weighted[0], np.array(2.0))) is complex
+        np.testing.assert_array_equal(_contract(rows, weighted, np.array(2.0)), [12, 44])
         points = np.arange(6.0).reshape(2, 3)
         got = _contract(rows, weighted, points)
-        assert got.shape == (2, 3, 2)
-        np.testing.assert_array_equal(got, points[..., None] * [12, 16])
+        assert got.shape == (2, 2, 3)  # leading axes first
+        np.testing.assert_array_equal(got, np.multiply.outer([6, 22], points))
 
     @pytest.mark.parametrize("nu", [1, 2])
     def test_adjoint_apply_bit_identical(self, nu, monkeypatch):
@@ -257,42 +257,49 @@ class TestBlockwise:
         zs = np.linspace(-1.5, 1.5, 300) + 0.4j
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", zs.size * len(brule.weights))
         assert len(block_slices(zs.size, len(brule.weights))) == 1
-        whole = adjoint_apply(nu, w, alpha, beta, g, zs, brule)
+        whole = adjoint_apply(nu, w, g, zs, brule)
         # blocks of 7 points, the last one partial: each point is a row of
         # one matrix-vector product, whose rounding the blocks do not change
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7 * len(brule.weights))
         assert len(block_slices(zs.size, len(brule.weights))) == 43
-        np.testing.assert_array_equal(adjoint_apply(nu, w, alpha, beta, g, zs, brule), whole)
+        np.testing.assert_array_equal(adjoint_apply(nu, w, g, zs, brule), whole)
 
-    def test_psi_images_blocks_match_one_block(self, monkeypatch):
+    @staticmethod
+    def table_images(nu, rule, u, v, xi):
+        # plane-quadrature images of the psi table up to (3, 2), leading axes first
+        return frft_apply(TransformParams(nu, u, v), lambda z: psi_table(nu, z, 3, 2), xi, rule)
+
+    @staticmethod
+    def draw(rng, count):
+        # (u, v) inside the unit disk, |u|, |v| <= 0.6 sqrt(2), and targets xi
+        u, v = rng.uniform(-0.6, 0.6, (2, count)) + 0.6j * rng.uniform(-1.0, 1.0, (2, count))
+        return u, v, rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+    def test_frft_apply_table_blocks_match_one_block(self, monkeypatch):
         nu = 1.0
         rule = plane_rule(nu, 16, 16)
-        rng = np.random.default_rng(5)
-        u, v = 0.4 * rng.standard_normal((2, 1100)) + 0.3j * rng.standard_normal((2, 1100))
-        xi = rng.standard_normal(1100) + 1j * rng.standard_normal(1100)
+        u, v, xi = self.draw(np.random.default_rng(5), 1100)
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", xi.size * len(rule.nodes))
-        whole = _psi_images(nu, rule, 3, 2, u, v, xi)
+        whole = self.table_images(nu, rule, u, v, xi)
         assert whole.shape == (4, 3, 1100)
         # 158 blocks of 6 or 7 points: each point is a row of one matrix
         # product, whose rounding the blocks do not change
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7 * len(rule.nodes))
         assert len(block_slices(xi.size, len(rule.nodes))) == 158
-        np.testing.assert_array_equal(_psi_images(nu, rule, 3, 2, u, v, xi), whole)
+        np.testing.assert_array_equal(self.table_images(nu, rule, u, v, xi), whole)
 
     @pytest.mark.parametrize("nu", [1, 2])
-    def test_psi_images_bit_identical(self, nu, monkeypatch):
+    def test_frft_apply_table_bit_identical(self, nu, monkeypatch):
         rule = plane_rule(nu, 16, 16)
-        rng = np.random.default_rng(7)
-        u, v = 0.4 * rng.standard_normal((2, 300)) + 0.3j * rng.standard_normal((2, 300))
-        xi = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        u, v, xi = self.draw(np.random.default_rng(7), 300)
         # blocks of 7 columns, the last one partial: each block's images are
         # those of its own columns alone, in place and bit for bit
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 7 * len(rule.nodes))
         blocks = block_slices(xi.size, len(rule.nodes))
         assert len(blocks) == 43 and blocks[-1].stop - blocks[-1].start == 6
-        got = _psi_images(nu, rule, 3, 2, u, v, xi)
+        got = self.table_images(nu, rule, u, v, xi)
         for j in blocks:
-            np.testing.assert_array_equal(got[..., j], _psi_images(nu, rule, 3, 2, u[j], v[j], xi[j]))
+            np.testing.assert_array_equal(got[..., j], self.table_images(nu, rule, u[j], v[j], xi[j]))
 
     def test_overflow_in_a_later_block_propagates(self):
         brule = bidisk_rule(1.0, 1.0, 8, 8)
@@ -300,4 +307,4 @@ class TestBlockwise:
         zs[-1] = 200.0  # exponent ~ 0.4 |z|^2 in the last block
         assert zs.size > kernels.BLOCK_ENTRIES // len(brule.weights)
         with pytest.raises(OverflowError):
-            adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: u, zs, brule)
+            adjoint_apply(1.0, 0.5, lambda u, v: u, zs, brule)

@@ -50,7 +50,7 @@ def test_adjoint_apply_memory():
     zs = np.linspace(-2.0, 2.0, 2200) + 0.5j
     assert zs.size * len(brule.weights) * 16 > 130 * 2**20
     out, peak = traced_peak(
-        lambda: adjoint_apply(1.0, 0.8, 1.0, 1.0, lambda u, v: u * np.conj(u), zs, brule)
+        lambda: adjoint_apply(1.0, 0.8, lambda u, v: u * np.conj(u), zs, brule)
     )
     assert np.all(np.isfinite(out))
     assert peak <= LIMIT, "peak %.1f MB" % (peak / 2**20)

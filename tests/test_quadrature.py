@@ -113,6 +113,19 @@ class TestRuleObjects:
         rule = bidisk_rule(0.0, 0.0, 8, 8)
         assert integrate(rule, lambda u, v: 2.0) == pytest.approx(2 * math.pi**2)
 
+    def test_table_valued_integrand_gives_leading_axes(self):
+        # axes ahead of those that broadcast to the rule's grid lead the result
+        got = integrate(plane_rule(1.0), lambda z: np.stack([z, z]))
+        assert got.shape == (2,) and np.all(np.abs(got) < 1e-14)
+        got = integrate(plane_rule(1.0, 8, 8), lambda z: np.stack([np.ones_like(z), np.abs(z) ** 2]))
+        np.testing.assert_allclose(got, [math.pi, math.pi], rtol=1e-13)
+        rule = bidisk_rule(0.0, 0.0, 8, 8)
+        got = integrate(rule, lambda u, v: np.array([1.0, 2.0])[:, None, None] * np.abs(v) ** 2)
+        np.testing.assert_allclose(got, [math.pi**2 / 2, math.pi**2], rtol=1e-13)
+        # a non-finite sample of a later table entry still names its node
+        with pytest.raises(ValueError, match="non-finite integrand sample at node"):
+            integrate(rule, lambda u, v: np.stack(np.broadcast_arrays(u * v, np.where(v == v.flat[2], np.nan, u))))
+
 
 class TestTensorGrid:
     """Tensor rules call f once on the broadcast (x[:, None], y[None, :]) grid

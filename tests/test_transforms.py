@@ -8,7 +8,7 @@ from scipy.special import eval_genlaguerre, gamma as gamma_fn
 from itofrft import kernels, quadrature, transforms
 from itofrft.ito_hermite import psi_table
 from itofrft.kernels import TransformParams, frft_kernel, frft_kernel_raw
-from itofrft.quadrature import bidisk_rule, plane_rule, quadrant_rule
+from itofrft.quadrature import bidisk_rule, integrate, plane_rule, quadrant_rule
 from itofrft.specfun import scipy_special
 from itofrft.spectral import gamma_norm
 from itofrft.transforms import (
@@ -114,6 +114,30 @@ class TestFrft:
         for xi in (0.0, 0.6 - 0.4j, -1.1 + 0.3j):
             quad = frft_apply(p, lambda z: f(z), xi, rule)
             assert frft_apply(p, f, xi, rule) == pytest.approx(quad, abs=1e-11)
+
+    @pytest.mark.parametrize("count", [3, 100])
+    def test_array_uv_broadcast_on_both_routes(self, rule, count):
+        # a column of three (u, v) against a row of targets: the quadrature
+        # route took the diagonal at 3 targets and raised at 100
+        rng = np.random.default_rng(11)
+        p = TransformParams(1.0, np.array([[0.3], [0.5j], [-0.4 + 0.1j]]), np.array([[0.5], [0.2], [0.4j]]))
+        f = CoeffFunction(nu=1.0, coeffs={(0, 0): 0.5, (2, 1): 1.0 - 0.5j, (1, 3): 0.25j})
+        xi = 0.8 * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+        exact = frft_apply(p, f, xi)
+        quad = frft_apply(p, lambda z: f(z), xi, rule)
+        assert exact.shape == quad.shape == (3, count)
+        np.testing.assert_allclose(quad, exact, rtol=0, atol=1e-11)
+
+    def test_table_samples_give_leading_axes(self, rule):
+        # a psi table's images, leading axes first: psi_{m,n} -> u^m v^n psi_{m,n}
+        p = TransformParams(1.0, np.array([0.3, -0.2j]), 0.45)
+        xi = np.array([[0.2 - 0.1j], [-0.6 + 0.5j]])
+        got = frft_apply(p, lambda z: psi_table(1.0, z, 3, 2), xi, rule)
+        assert got.shape == (4, 3, 2, 2)
+        k = np.arange(4)[:, None, None, None], np.arange(3)[None, :, None, None]
+        want = p.u ** k[0] * p.v ** k[1] * psi_table(1.0, np.broadcast_to(xi, (2, 2)), 3, 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert frft_apply(p, lambda z: psi_table(1.0, z, 3, 2), 0.5, rule).shape == (4, 3, 2)
 
     def test_exact_route_runs_no_quadrature(self, monkeypatch):
         import itofrft.transforms as transforms
@@ -273,14 +297,11 @@ class TestDual:
 class TestAdjoint:
     def test_zero_input(self):
         brule = bidisk_rule(1.0, 1.0, 8, 8)
-        assert adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: 0.0, 0.3, brule) == 0.0
+        assert adjoint_apply(1.0, 0.5, lambda u, v: 0.0, 0.3, brule) == 0.0
 
     def test_rule_validation(self, rule):
         with pytest.raises(ValueError):
-            adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: 1.0, 0.3, rule)
-        brule = bidisk_rule(2.0, 1.0, 8, 8)
-        with pytest.raises(ValueError):
-            adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: 1.0, 0.3, brule)
+            adjoint_apply(1.0, 0.5, lambda u, v: 1.0, 0.3, rule)
 
     def test_array_z_matches_pointwise(self):
         nu, w, alpha, beta = 1.0, 0.7 - 0.2j, 1.0, 0.5
@@ -290,23 +311,40 @@ class TestAdjoint:
         zs = (rng.standard_normal(300) + 1j * rng.standard_normal(300)).reshape(20, 15)
         # more than one kernel block of points
         assert zs.size > kernels.BLOCK_ENTRIES // len(brule.weights)
-        got = adjoint_apply(nu, w, alpha, beta, g, zs, brule)
+        got = adjoint_apply(nu, w, g, zs, brule)
         assert got.shape == zs.shape
         want = np.array(
-            [adjoint_apply(nu, w, alpha, beta, g, z, brule) for z in zs.ravel()]
+            [adjoint_apply(nu, w, g, z, brule) for z in zs.ravel()]
         ).reshape(zs.shape)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
+    def test_table_valued_g_gives_leading_axes(self):
+        brule = bidisk_rule(1.0, 0.5, 6, 6)
+        zs = np.array([0.3 - 0.1j, -0.5j, 1.2])
+        parts = (lambda u, v: u + v, lambda u, v: u * np.conj(v))
+        got = adjoint_apply(1.0, 0.4, lambda u, v: np.stack([g(u, v) for g in parts]), zs, brule)
+        assert got.shape == (2, 3)
+        for row, g in zip(got, parts):
+            np.testing.assert_allclose(row, adjoint_apply(1.0, 0.4, g, zs, brule), rtol=1e-14)
+
+    def test_weights_come_from_the_rule(self):
+        # at g = 1 the adjoint integrates conj(K) against the rule's own measure
+        z, w = 0.3 - 0.2j, 0.5
+        for alpha, beta in ((1.0, 1.0), (2.0, 0.5)):
+            brule = bidisk_rule(alpha, beta, 8, 8)
+            want = integrate(brule, lambda u, v: np.conj(frft_kernel_raw(1.0, u, v, z, w)))
+            assert adjoint_apply(1.0, w, lambda u, v: 1.0, z, brule) == pytest.approx(want, rel=1e-14)
+
     def test_scalar_z_returns_complex(self):
         brule = bidisk_rule(1.0, 1.0, 8, 8)
-        out = adjoint_apply(1.0, 0.5, 1.0, 1.0, lambda u, v: u + v, 0.3 - 0.1j, brule)
+        out = adjoint_apply(1.0, 0.5, lambda u, v: u + v, 0.3 - 0.1j, brule)
         assert type(out) is complex
 
     def test_nonfinite_sample_rejected(self):
         brule = bidisk_rule(1.0, 1.0, 8, 8)
         with pytest.raises(ValueError, match="non-finite"):
             adjoint_apply(
-                1.0, 0.5, 1.0, 1.0, lambda u, v: np.where(u == u.flat[3], np.nan, 1.0),
+                1.0, 0.5, lambda u, v: np.where(u == u.flat[3], np.nan, 1.0),
                 np.zeros(4), brule,
             )
 
@@ -324,7 +362,7 @@ class TestAdjoint:
             * abs(psi_table(nu, w, m, n)[m, n]) ** 2
             * psi_table(nu, z, m, n)[m, n]
         )
-        got = adjoint_apply(nu, w, alpha, beta, g, z, brule)
+        got = adjoint_apply(nu, w, g, z, brule)
         assert got == pytest.approx(want, rel=1e-4)
 
 
@@ -334,6 +372,10 @@ class TestBergmanNorm:
 
     def test_empty(self):
         assert bergman_norm({}, 1.0, 1.0) == 0.0
+
+    def test_numpy_indices(self):
+        coeffs = {(np.int64(2), np.int32(1)): 0.5j, (0, 3): 1.0}
+        assert bergman_norm(coeffs, 1.0, 0.5) == bergman_norm({(2, 1): 0.5j, (0, 3): 1.0}, 1.0, 0.5)
 
     def test_pythagoras(self):
         coeffs = {(1, 0): 1.0, (0, 1): 2.0j}
@@ -513,21 +555,30 @@ class TestBargmann2:
                 * gamma_fn(beta + n + 1.0) / math.factorial(n)
                 * z**m * w**n
             )
-            got = bargmann2_apply(alpha, beta, phi, (z, w), qrule)
+            got = bargmann2_apply(phi, (z, w), qrule)
             assert got == pytest.approx(want, rel=1e-8), (m, n)
 
     def test_zero_input(self):
         qrule = quadrant_rule(0.0, 0.0, 16)
-        assert bargmann2_apply(0.0, 0.0, lambda s, t: 0.0, (0.1, 0.1), qrule) == 0.0
+        assert bargmann2_apply(lambda s, t: 0.0, (0.1, 0.1), qrule) == 0.0
 
     def test_rejects_outside_disk(self):
         qrule = quadrant_rule(0.0, 0.0, 8)
         with pytest.raises(ValueError):
-            bargmann2_apply(0.0, 0.0, lambda s, t: 1.0, (1.0, 0.0), qrule)
+            bargmann2_apply(lambda s, t: 1.0, (1.0, 0.0), qrule)
 
     def test_rule_kind_checked(self):
         with pytest.raises(ValueError):
-            bargmann2_apply(0.0, 0.0, lambda s, t: 1.0, (0.1, 0.1), plane_rule(1.0, 8, 8))
+            bargmann2_apply(lambda s, t: 1.0, (0.1, 0.1), plane_rule(1.0, 8, 8))
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.5, 0.5)])
+    def test_weights_come_from_the_rule(self, alpha, beta):
+        # phi = 1 maps to Gamma(alpha+1) Gamma(beta+1) at the rule's alpha, beta:
+        # the prefactor cancels the integral's (1-z)^{alpha+1} (1-w)^{beta+1}
+        z, w = 0.3, -0.2 + 0.1j
+        want = gamma_fn(alpha + 1.0) * gamma_fn(beta + 1.0)
+        got = bargmann2_apply(lambda s, t: 1.0, (z, w), quadrant_rule(alpha, beta, 48))
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestRadialFunction:

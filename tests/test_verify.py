@@ -31,6 +31,18 @@ def test_invariant(name):
     )
 
 
+@pytest.mark.parametrize("name", ["frft_eigenrelation", "singular_values", "null_space"])
+def test_image_checks_transform_through_frft_apply(name, monkeypatch):
+    # each check forms its plane-quadrature images of the psi table with
+    # `frft_apply`, the package's one plane-quadrature transform
+    apply, calls = verify.frft_apply, []
+    monkeypatch.setattr(verify, "frft_apply", lambda *args: calls.append(args) or apply(*args))
+    (res,) = run_checks(names=[name])
+    assert res.passed and calls
+    assert all(len(args) == 4 and not isinstance(args[1], transforms.CoeffFunction)
+               for args in calls)
+
+
 def test_mehler_check_sums_through_mehler_series(monkeypatch):
     # the check has no bilinear psi sum of its own
     series, truncs = verify.mehler_series, []
@@ -134,15 +146,16 @@ def test_singular_values_rule_is_exact(alpha, beta):
 
 
 def test_singular_values_kernel_work(monkeypatch):
-    # 4096 plane nodes against the 81 nodes of the (3, 3) bi-disk rule, at two points w
-    raw, entries = verify.frft_kernel_raw, []
+    # 4096 plane nodes against the 81 nodes of the (3, 3) bi-disk rule, at two
+    # points w, formed by `frft_apply`
+    raw, entries = transforms.frft_kernel_raw, []
 
     def counted(*args):
         out = raw(*args)
         entries.append(out.size)
         return out
 
-    monkeypatch.setattr(verify, "frft_kernel_raw", counted)
+    monkeypatch.setattr(transforms, "frft_kernel_raw", counted)
     (res,) = run_checks(names=["singular_values"])
     assert res.passed
     assert sum(entries) == 2 * 81 * 4096
@@ -211,7 +224,7 @@ def _adjoint_sides(alpha, beta, rule_sizes=(3, 8)):
     )
     prule = plane_rule(nu, 48, 24)
     brule = bidisk_rule(alpha, beta, 3, 8)
-    rstar = transforms.adjoint_apply(nu, w, alpha, beta, g, prule.nodes, brule)
+    rstar = transforms.adjoint_apply(nu, w, g, prule.nodes, brule)
     return lhs, np.dot(prule.weights, f(prule.nodes) * np.conj(rstar))
 
 
@@ -246,7 +259,6 @@ def test_adjoint_identity_kernel_work(monkeypatch):
         return adjoint(*args)
 
     monkeypatch.setattr(transforms, "frft_kernel_raw", counted)
-    monkeypatch.setattr(verify, "frft_kernel_raw", counted)
     monkeypatch.setattr(verify, "adjoint_apply", counted_adjoint)
     (res,) = run_checks(names=["adjoint_identity"])
     assert res.passed
