@@ -20,7 +20,7 @@ import numpy as np
 from . import ito_hermite, spectral
 from .kernels import TransformParams, bergman_kernel, frft_kernel, mehler_closed
 from .specfun import scipy_special
-from .transforms import CoeffFunction, dual_apply_coeff, frft_apply, hankel_apply
+from .transforms import CoeffFunction, frft_apply, hankel_apply
 
 OUT_DIR_ENV = "ITOFRFT_OUT_DIR"
 
@@ -150,7 +150,8 @@ def cmd_transform(args):
         vals = frft_apply(TransformParams(f.nu, u, v), f, xis)
         points = [_cnum(xi) for xi in xis.ravel()]
     elif args.kind == "dual":
-        vals = dual_apply_coeff(f.nu, _complex(args, "w"), f, (xs[:, None], ys))
+        # the dual transform at (u, v) is the 2D transform with (u, v) read at w
+        vals = frft_apply(TransformParams(f.nu, xs[:, None], ys), f, _complex(args, "w"))
         points = [{"u": uu, "v": vv} for uu in xs for vv in ys]
     else:  # hankel, at the order of f's one angular mode; hankel_apply rejects any other
         order = max((abs(m - n) for m, n in f.coeffs), default=0)

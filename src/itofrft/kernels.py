@@ -53,10 +53,11 @@ def _check_disk(what, *points):
             raise ValueError("%s must lie in the open unit disk, got %s" % (what, bad))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformParams:
     """Scaling nu > 0 plus fractional parameters u, v with |u|, |v| < 1;
-    u, v may be arrays, which `transforms.frft_apply` broadcasts with xi."""
+    u, v may be arrays, which `transforms.frft_apply` broadcasts with xi, so
+    instances compare and hash by identity, not by their fields."""
 
     nu: float
     u: complex
@@ -110,13 +111,13 @@ def mehler_series(p, z, w, trunc):
 
     Converges to (nu/pi) * mehler_closed as trunc grows; the truncation order
     is an explicit caller choice, never adaptive; it lies in [0, DEGREE_CAP].
+    Memory: the psi tables are contracted with no (trunc+1)^2 x |z| x |w| product.
     """
     pz = psi_table(p.nu, z, trunc, trunc)
     pw = psi_table(p.nu, w, trunc, trunc)
     U = p.u ** np.arange(trunc + 1)
     V = p.v ** np.arange(trunc + 1)
-    terms = pz * pw
-    out = np.einsum("m,n,mn...->...", U, V, terms)
+    out = np.einsum("m,n,mn...,mn...->...", U, V, pz, pw)
     return complex(out) if np.ndim(out) == 0 else out
 
 

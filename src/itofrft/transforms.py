@@ -2,12 +2,13 @@
 adjoint, the second Bargmann transform, and the fractional Hankel reduction.
 
 Finite psi-expansions (`CoeffFunction`) are the preferred input
-representation: the 2D transform and its dual evaluate them exactly through
-the eigenrelation psi_{m,n} -> u^m v^n psi_{m,n}, with no quadrature.  On a
-column x row grid of (u, v) the dual transform is one matrix product,
-(u^m) B (v^n)^T with B[m, n] = a_{m,n} psi_{m,n}(w); elementwise (u, v)
-pairs, and `frft_apply` over its points, take the term sum.  Plain
-callables are also accepted; `frft_apply` integrates them on a plane
+representation: `frft_apply` evaluates them exactly through the
+eigenrelation psi_{m,n} -> u^m v^n psi_{m,n}, with no quadrature, in
+`_eigen_sum`, the package's one evaluation of that sum.  The dual transform
+into the bi-disk is `frft_apply` with the bi-disk points as its (u, v),
+read at the one point w; on a column x row grid of (u, v) that is one
+matrix product, (u^m) B (v^n)^T with B[m, n] = a_{m,n} psi_{m,n}(w).
+Plain callables are also accepted; `frft_apply` integrates them on a plane
 quadrature rule, which then serves as the independent cross-check of the
 exact route.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .specfun import scipy_special
 from .ito_hermite import _check_index, _check_nu, _check_point, psi_table
-from .kernels import _check_disk, _contract, frft_kernel_raw
+from .kernels import TransformParams, _check_disk, _contract, frft_kernel_raw
 from .quadrature import _check_rule, _check_weights, _laguerre, _samples, integrate
 from .spectral import gamma_norm
 
@@ -99,26 +100,41 @@ class RadialFunction:
         return cls(profile=lambda r: f(np.asarray(r, dtype=complex)))
 
 
-def _check_basis(nu, f):
-    """The psi_{m,n} of f must be the eigenfunctions of a transform with
-    scaling nu: f.nu must equal nu."""
-    if nu != f.nu:
-        raise ValueError(
-            "f is expanded in the basis for nu=%r but the transform uses nu=%r"
-            % (f.nu, nu)
-        )
-
-
 def _eigen_sum(nu, f, point, uv):
     """sum a_{m,n} u^m v^n psi_{m,n}(point) for a finite expansion f, from
-    one psi table over the point(s); (u, v) entries broadcast elementwise.
+    one psi table over the point(s); (u, v) and the point(s) broadcast.
 
     This is the eigenrelation of the transform with parameters (nu, u, v), so
-    the psi_{m,n} of f must be its eigenfunctions: f.nu must equal nu.
+    the psi_{m,n} of f must be its eigenfunctions: f.nu must equal nu.  It
+    is the package's one evaluation of that sum, in one of two orders:
+    - at one point, where u or v is an array and the two vary along disjoint
+      axes of their broadcast shape (a column times a row, or an array and
+      a scalar), the matrix product (u^m) B (v^n)^T with
+      B[m, n] = a_{m,n} psi_{m,n}(point), written once into the output;
+    - otherwise (two scalars, elementwise pairs, an array of points), the
+      term sum.
     """
-    _check_basis(nu, f)
+    if nu != f.nu:
+        raise ValueError("f is expanded in the basis for nu=%r but the transform uses nu=%r"
+                         % (f.nu, nu))
+    point = np.asarray(point, dtype=complex)
     u, v = (np.asarray(c, dtype=complex) for c in uv)
-    out = sum(t * u**m * v**n for m, n, t in _coeff_terms(f, np.asarray(point, dtype=complex)))
+    terms = _coeff_terms(f, point)
+    if point.ndim == 0 and (u.ndim or v.ndim):
+        shape = np.broadcast_shapes(u.shape, v.shape)
+        # the axes of the broadcast shape along which u (v) varies
+        u_axes, v_axes = (
+            [i for i, k in enumerate(c.shape, len(shape) - c.ndim) if k != 1] for c in (u, v)
+        )
+        if not set(u_axes) & set(v_axes):
+            m, n, terms = zip(*terms)
+            B = np.zeros((max(m) + 1, max(n) + 1), dtype=complex)
+            B[m, n] = terms
+            # the entries of u (of v) in C order run over its varying axes in order
+            upow, vpow = (np.vander(c.ravel(), k, increasing=True) for c, k in zip((u, v), B.shape))
+            out = (upow @ B @ vpow.T).reshape([shape[i] for i in u_axes + v_axes])
+            return out.transpose(np.argsort(u_axes + v_axes)).reshape(shape)
+    out = sum(t * u**m * v**n for m, n, t in terms)
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -128,11 +144,14 @@ def frft_apply(p, f, xi, rule=None):
         integral of f(zeta) K^nu_{u,v}(zeta; xi) e^{-nu |zeta|^2} dA(zeta).
 
     p.u, p.v and xi broadcast: arrays give an array of the broadcast shape,
-    scalars a complex number.  Two routes, chosen by the type of f:
+    scalars a complex number.  Read at one point xi = w with (u, v) as the
+    variables, it is the dual transform R_w f(u, v) into the bi-disk.  Two
+    routes, chosen by the type of f:
     - a `CoeffFunction` is transformed exactly by the eigenrelation, psi_{m,n}
       maps to u^m v^n psi_{m,n}: the result is sum a_{m,n} u^m v^n
-      psi_{m,n}(xi), from one psi table at xi.  Its nu must equal p.nu.
-      No rule is needed;
+      psi_{m,n}(xi), from one psi table at xi (`_eigen_sum`; a column x row
+      grid of (u, v) at one xi is one matrix product).  Its nu must equal
+      p.nu.  No rule is needed;
     - any other callable is sampled once on the plane quadrature `rule`,
       which is then required, and contracted against kernel rows in blocks
       (`_contract`).  Samples with axes of their own, as those of
@@ -158,42 +177,11 @@ def frft_apply(p, f, xi, rule=None):
 
 
 def dual_apply_coeff(nu, w, f, uv):
-    """Quadrature-free dual transform of a finite expansion:
-    sum a_{m,n} psi_{m,n}(w) u^m v^n.
-
-    w is one point.  (u, v) entries may be scalars or arrays (broadcast
-    elementwise), each in the open unit disk; an array input gives an array
-    of the broadcast shape, two scalars a complex number.  The dual
-    transform at (u, v) is the 2D transform with TransformParams(nu, u, v),
-    read at the target w; both evaluate the same eigenrelation sum.
-
-    Two routes, chosen by the shapes of u and v:
-    - where they vary along disjoint axes of the broadcast shape (a column
-      times a row, or a scalar on either side), the result is the matrix
-      product (u^m) B (v^n)^T with B[m, n] = a_{m,n} psi_{m,n}(w), from one
-      psi table at w, written once into the output;
-    - where they share an axis (elementwise pairs), it is the term sum of
-      `_eigen_sum`.
-    """
-    _check_disk("dual transform points (u, v)", *uv)
-    w = complex(w)
-    u, v = (np.asarray(c, dtype=complex) for c in uv)
-    shape = np.broadcast_shapes(u.shape, v.shape)
-    # the axes of the broadcast shape along which u (v) varies
-    u_axes, v_axes = (
-        [i for i, k in enumerate(c.shape, len(shape) - c.ndim) if k != 1] for c in (u, v)
-    )
-    if set(u_axes) & set(v_axes):
-        return _eigen_sum(nu, f, w, (u, v))
-    _check_basis(nu, f)
-    m, n, terms = zip(*_coeff_terms(f, w))
-    B = np.zeros((max(m) + 1, max(n) + 1), dtype=complex)
-    B[m, n] = terms
-    # the entries of u (of v) in C order run over its varying axes in order
-    upow, vpow = (np.vander(c.ravel(), k, increasing=True) for c, k in zip((u, v), B.shape))
-    out = (upow @ B @ vpow.T).reshape([shape[i] for i in u_axes + v_axes])
-    out = out.transpose(np.argsort(u_axes + v_axes)).reshape(shape)
-    return complex(out) if out.ndim == 0 else out
+    """Dual transform of a finite expansion at the one point w, the 2D
+    transform read at w: frft_apply(TransformParams(nu, u, v), f, w).  The
+    package no longer uses it; it stays public for `perfbench/workloads.py`,
+    which calls it by name."""
+    return frft_apply(TransformParams(nu, *uv), f, complex(w))
 
 
 def adjoint_apply(nu, w, g, z, rule):

@@ -21,7 +21,6 @@ from .transforms import (
     adjoint_apply,
     bargmann2_apply,
     bergman_norm,
-    dual_apply_coeff,
     frft_apply,
     hankel_apply,
 )
@@ -97,12 +96,15 @@ _UV_PAIRS = [(0.5, 0.5), (0.4j, 0.3), (-0.25, 0.5)]
 @_check(ACCEPTANCE_CHECKS, 1e-10)
 def check_orthonormality():
     """Gram matrix of the normalized basis under plane quadrature is the
-    identity for all indices <= 8 and nu in {0.5, 1, 2}."""
+    identity for all indices <= 8 and nu in {0.5, 1, 2}; G is summed over 8
+    blocks of nodes, so that no 81 x 4096 psi table is held."""
     worst = 0.0
     for nu in (0.5, 1.0, 2.0):
         rule = plane_rule(nu)
-        P = psi_table(nu, rule.nodes, 8, 8).reshape(81, -1)
-        G = (P * rule.weights) @ P.conj().T
+        G = np.zeros((81, 81), dtype=complex)
+        for nodes, weights in zip(*(np.array_split(c, 8) for c in (rule.nodes, rule.weights))):
+            P = psi_table(nu, nodes, 8, 8).reshape(81, -1)
+            G += (P * weights) @ P.conj().T
         worst = max(worst, float(np.max(np.abs(G - np.eye(81)))))
     return worst
 
@@ -255,8 +257,8 @@ def check_boundedness_bracket():
     """k_w bracket containment plus empirical Rayleigh quotients below
     k_w^{1/2}, over the full parameter battery; observed is the largest margin.
 
-    Each quotient integrates |R_w f|^2, the image from `dual_apply_coeff`,
-    on `bidisk_rule(alpha, beta, 4, 7)`, not through the closed norms gamma.
+    Each quotient integrates |R_w f|^2, the image from `frft_apply` read at
+    w, on `bidisk_rule(alpha, beta, 4, 7)`, not through the closed norms gamma.
     The rule is exact: per disk the image has degree <= 6, so the 7 angles
     cancel every u^m conj(u)^p with 0 < |m - p| <= 6, as the exact integral
     does, and the 4 Gauss-Jacobi nodes in |u|^2 integrate the rest, of
@@ -268,7 +270,7 @@ def check_boundedness_bracket():
         worst = max(worst, kw.lower - kw.value, kw.value - kw.upper)
         for f in fs:
             norm2 = integrate(
-                rules[alpha, beta], lambda u, v: np.abs(dual_apply_coeff(nu, w, f, (u, v))) ** 2
+                rules[alpha, beta], lambda u, v: np.abs(frft_apply(TransformParams(nu, u, v), f, w)) ** 2
             ).real
             quotient = math.sqrt(norm2) / f.norm
             worst = max(worst, quotient - math.sqrt(kw.value))
@@ -441,9 +443,10 @@ def check_zero_radii_consistency():
 
 @_check(INVARIANT_CHECKS, 1e-9)
 def check_dual_coeff_vs_quadrature():
-    """Coefficient-path dual transform against the quadrature path of
-    `frft_apply` on the plane rule.  f is handed to `frft_apply` as a plain
-    callable, so that it integrates instead of taking the same exact route."""
+    """The dual transform of a finite expansion, `frft_apply`'s exact route
+    read at w, against its quadrature route on the plane rule.  f is handed
+    to the latter as a plain callable, so that it integrates instead of
+    taking the same exact route."""
     nu, w = 1.0, 0.6 + 0.4j
     rule = plane_rule(nu)
     f = CoeffFunction(
@@ -452,9 +455,8 @@ def check_dual_coeff_vs_quadrature():
     )
     worst = 0.0
     for uv in ((0.3, 0.2), (0.5j, -0.4), (-0.35, 0.55j)):
-        a = frft_apply(TransformParams(nu, *uv), lambda z: f(z), w, rule)
-        b = dual_apply_coeff(nu, w, f, uv)
-        worst = max(worst, abs(a - b))
+        p = TransformParams(nu, *uv)
+        worst = max(worst, abs(frft_apply(p, lambda z: f(z), w, rule) - frft_apply(p, f, w)))
     return worst
 
 
@@ -470,7 +472,7 @@ def check_pointwise_estimate():
     worst = -math.inf
     for u in (0.2, 0.5, 0.7):
         for v in (0.1, 0.45, 0.65):
-            val = abs(dual_apply_coeff(nu, w, f, (u, v)))
+            val = abs(frft_apply(TransformParams(nu, u, v), f, w))
             bound = math.sqrt(frft_kernel(TransformParams(nu, u * u, v * v), w, w).real) * norm
             worst = max(worst, val - bound)
     return worst
@@ -500,7 +502,7 @@ def check_adjoint_identity():
 
     lhs = integrate(
         brule,
-        lambda u, v: dual_apply_coeff(nu, w, f, (u, v)) * np.conj(g(u, v)),
+        lambda u, v: frft_apply(TransformParams(nu, u, v), f, w) * np.conj(g(u, v)),
     )
     rstar = adjoint_apply(nu, w, g, prule.nodes, brule)
     return abs(lhs - np.dot(prule.weights, f(prule.nodes) * np.conj(rstar)))
@@ -522,7 +524,7 @@ def check_parseval_dual_norm():
         nu=nu, coeffs={(0, 1): 1.0, (2, 2): -0.5j, (1, 0): 0.75, (3, 3): 0.2}
     )
     quad = integrate(
-        brule, lambda u, v: np.abs(dual_apply_coeff(nu, w, f, (u, v))) ** 2
+        brule, lambda u, v: np.abs(frft_apply(TransformParams(nu, u, v), f, w)) ** 2
     ).real
     P = psi_table(nu, complex(w), 3, 3)
     img = {(m, n): a * P[m, n] for (m, n), a in f.coeffs.items()}

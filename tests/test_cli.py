@@ -411,7 +411,8 @@ class TestTransformCommand:
     def test_one_call_per_grid(self, tmp_path, monkeypatch, kind):
         # each kind makes one library call over its whole grid, and its
         # records equal the per-point calls
-        name = {"frft": "frft_apply", "dual": "dual_apply_coeff", "hankel": "hankel_apply"}[kind]
+        # the dual transform is frft_apply read at w, over the (u, v) grid
+        name = "hankel_apply" if kind == "hankel" else "frft_apply"
         library, calls = getattr(cli, name), []
         monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or library(*args))
         nu, coeffs = 1.0, {(1, 0): 1.0, (2, 1): 0.5 - 0.25j}  # one mode, k = 1
@@ -427,7 +428,7 @@ class TestTransformCommand:
             p = TransformParams(nu, 0.3, 0.4)
             want = [library(p, f, complex(r["point"]["re"], r["point"]["im"])) for r in doc]
         elif kind == "dual":
-            want = [library(nu, 0.7, f, (r["point"]["u"], r["point"]["v"])) for r in doc]
+            want = [library(TransformParams(nu, r["point"]["u"], r["point"]["v"]), f, 0.7) for r in doc]
         else:
             want = [library(nu, 1, 0.3, 0.4, f, r["point"]["y"]) for r in doc]
         got = [complex(r["value"]["re"], r["value"]["im"]) for r in doc]

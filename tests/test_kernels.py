@@ -28,6 +28,14 @@ class TestTransformParams:
         with pytest.raises(ValueError):
             TransformParams(nu, u, v)
 
+    def test_array_params_compare_and_hash(self):
+        # by identity: comparing array fields raised numpy's "truth value is ambiguous"
+        p = TransformParams(1.0, np.array([0.1, 0.2]), 0.3)
+        q = TransformParams(1.0, np.array([0.1, 0.2]), 0.3)
+        assert p == p and p != q
+        assert hash(p) == hash(p)
+        assert len({p, q}) == 2
+
 
 class TestMehler:
     def test_degenerate_parameters(self):

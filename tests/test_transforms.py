@@ -193,24 +193,29 @@ class TestFrft:
         )
 
 
+def dual(nu, w, f, uv):
+    """R_w f(u, v): the 2D transform with parameters (nu, u, v), read at w."""
+    return frft_apply(TransformParams(nu, *uv), f, w)
+
+
 class TestDual:
     def test_matches_frft(self, rule):
         f = CoeffFunction(nu=1.0, coeffs={(1, 1): 1.0, (0, 2): 0.5})
         w, uv = 0.8 + 0.3j, (0.4, -0.25j)
         # a plain callable, so that frft_apply integrates on the rule
         quad = frft_apply(TransformParams(1.0, *uv), lambda z: f(z), w, rule)
-        assert dual_apply_coeff(1.0, w, f, uv) == pytest.approx(quad, abs=1e-11)
+        assert dual(1.0, w, f, uv) == pytest.approx(quad, abs=1e-11)
 
     def test_coeff_route(self):
         f = CoeffFunction(nu=1.0, coeffs={(2, 1): 3.0})
         w, u, v = 1.0 - 0.5j, 0.3, 0.6j
         want = 3.0 * psi_table(1.0, w, 2, 1)[2, 1] * u**2 * v
-        assert dual_apply_coeff(1.0, w, f, (u, v)) == pytest.approx(want, rel=1e-13)
+        assert dual(1.0, w, f, (u, v)) == pytest.approx(want, rel=1e-13)
 
     def test_coeff_route_broadcasts(self):
         f = CoeffFunction(nu=1.0, coeffs={(1, 0): 1.0})
         us = np.linspace(-0.5, 0.5, 5)
-        out = dual_apply_coeff(1.0, 2.0, f, (us, 0.0))
+        out = dual(1.0, 2.0, f, (us, 0.0))
         np.testing.assert_allclose(out, psi_table(1.0, 2.0, 1, 0)[1, 0] * us, rtol=1e-13)
 
     AGREE_RTOL = 1e-14  # relative to the largest entry of the reference
@@ -247,7 +252,7 @@ class TestDual:
         u, v = (
             0.65 * (rng.uniform(-1, 1, s) + 1j * rng.uniform(-1, 1, s)) for s in (u_shape, v_shape)
         )
-        got = dual_apply_coeff(nu, w, f, (u, v))
+        got = dual(nu, w, f, (u, v))
         want = self.per_term(nu, w, f, u, v)
         assert np.shape(got) == want.shape
         if want.shape == ():
@@ -260,13 +265,13 @@ class TestDual:
         ids=["grid", "elementwise"],
     )
     def test_empty_function_gives_zeros_of_broadcast_shape(self, u, v):
-        out = dual_apply_coeff(1.0, 1.0, CoeffFunction(nu=1.0, coeffs={}), (u, v))
+        out = dual(1.0, 1.0, CoeffFunction(nu=1.0, coeffs={}), (u, v))
         assert out.shape == np.broadcast_shapes(u.shape, v.shape)
         assert not np.any(out)
 
     def test_empty_grid(self):
         f = CoeffFunction(nu=1.0, coeffs={(1, 2): 1.0})
-        out = dual_apply_coeff(1.0, 0.5, f, (np.zeros((0, 1)), np.full((1, 5), 0.3)))
+        out = dual(1.0, 0.5, f, (np.zeros((0, 1)), np.full((1, 5), 0.3)))
         assert out.shape == (0, 5)
 
     def test_array_w_rejected(self):
@@ -276,16 +281,26 @@ class TestDual:
         with pytest.raises(TypeError):
             dual_apply_coeff(1.0, np.array([0.5, 1.0, 1.5]), f, (us, 0.0))
 
+    def test_dual_apply_coeff_is_frft_apply_at_w(self):
+        # on the 384 x 384 column x row grid of bi-disk points, bit for bit
+        f = CoeffFunction(nu=1.0, coeffs={(0, 0): 1.0, (8, 3): 0.5j, (2, 8): -0.25})
+        radii = np.sqrt(np.linspace(0.05, 0.95, 16))
+        disk = (radii[:, None] * np.exp(2j * np.pi * np.arange(24) / 24)).ravel()
+        U, V = disk[:, None], disk[None, :]
+        got = frft_apply(TransformParams(1.0, U, V), f, 0.7 - 0.2j)
+        assert got.shape == (384, 384)
+        np.testing.assert_array_equal(got, dual_apply_coeff(1.0, 0.7 - 0.2j, f, (U, V)))
+
     def test_empty_function(self):
         f = CoeffFunction(nu=1.0, coeffs={})
-        assert dual_apply_coeff(1.0, 1.0, f, (0.5, 0.5)) == 0.0
+        assert dual(1.0, 1.0, f, (0.5, 0.5)) == 0.0
 
     def test_rejects_other_nu(self):
         # f's coefficients refer to the nu = 1 basis; reading them in the
         # nu = 2 basis would silently transform a different function
         f = CoeffFunction(nu=1.0, coeffs={(1, 0): 1.0})
         with pytest.raises(ValueError):
-            dual_apply_coeff(2.0, 0.5, f, (0.3, 0.2))
+            dual(2.0, 0.5, f, (0.3, 0.2))
 
     def test_vanishes_on_zero_circle(self, rule):
         # w = 1 lies on the zero circle of psi_{1,1} at nu = 1
