@@ -1,10 +1,11 @@
 """Ito-Hermite polynomials H^nu_{m,n}, their normalized versions psi^nu_{m,n},
 and their zero structure.
 
-Evaluation is by the normalized two-term recurrence in (m, n) of `psi_table`,
-stepped a row at a time, which every other evaluation reads from; the
-explicit alternating finite sum is kept in `verify.check_rodrigues_cross_check`
-as an oracle only, since it cancels catastrophically for large |z|.
+Evaluation is by the normalized Laguerre recurrence along the diagonals
+m - n (`_diagonal_step`): `psi_table` steps a whole box a row at a time, and
+`_psi_entries` steps each wanted entry along its own diagonal.  The explicit
+alternating finite sum is kept in `verify.check_rodrigues_cross_check` as
+an oracle only, since it cancels catastrophically for large |z|.
 
 Domain: the scaling nu > 0 is finite, each index is an integer in
 [0, DEGREE_CAP], and an evaluation point is finite.  `_check_nu`,
@@ -13,6 +14,8 @@ whole package, with `_check_bergman_index` for a Bergman monomial index or
 a cut (no cap); a value outside, NaN and inf included, raises ValueError.
 """
 
+import contextlib
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -81,59 +84,105 @@ class ZeroSet:
 
 
 def _require_finite(values, what):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():  # not np.all, which costs twice as much
         raise OverflowError("%s overflows double precision" % what)
     return values
 
 
-def psi_table(nu, z, max_m, max_n):
-    """Table of normalized polynomials psi^nu_{m,n}(z) for the index box.
+def _diagonal_step(m, n):
+    """(s, b, d) of psi_{m+1,n+1} = (x - s) b psi_{m,n} - d psi_{m-1,n-1}: s = m+n+1,
+    b = ((m+1)(n+1))^{-1/2}, d = sqrt(mn) b, equal for ints and integral float arrays."""
+    sqrt = np.sqrt if isinstance(m, np.ndarray) else math.sqrt
+    rm, rn = 1.0 / sqrt(m + 1.0), 1.0 / sqrt(n + 1.0)
+    return m + 1.0 + n, rm * rn, (sqrt(m) * rm) * (sqrt(n) * rn)
 
-    Uses the normalized recurrence
-        psi_{m+1,n} = sqrt(nu/(m+1)) z psi_{m,n} - sqrt(n/(m+1)) psi_{m,n-1}
-    so that no intermediate overflows where the entries themselves fit in
-    double precision.  Row m+1 is stepped from row m in place, a row at a
-    time, so an entry does not depend on the size of the box around it.  Far
-    from the origin at high degree the entries do not fit, and the table
-    raises OverflowError rather than return inf or NaN entries.
-    """
+
+def _point(nu, z, what):
+    """Validated z (a Python complex at one point), x = nu |z|^2, and whether no step can
+    overflow: |psi_{m,n}| <= sqrt(nu/pi) e^{x/2} (a displacement operator's matrix element
+    times that) and a step multiplies by <= x + 30, so x < 1384 - log(nu/pi) keeps all < e^700."""
     _check_nu(nu)
-    _check_index(max_m, max_n)
     z = np.asarray(z, dtype=complex)
-    _check_point("psi table point z", z)
-    zc = np.conj(z)
-    P = np.empty((max_m + 1, max_n + 1) + z.shape, dtype=complex)
-    P[0, 0] = math.sqrt(nu / math.pi)
-    n = np.arange(1, max_n + 1).reshape((-1,) + (1,) * z.ndim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_n + 1):
-            P[0, k] = math.sqrt(nu / k) * zc * P[0, k - 1]
+    _check_point(what, z)
+    if z.ndim == 0:  # plain float arithmetic, which neither warns nor needs numpy
+        z = complex(z)
+        x = top = nu * (z.real * z.real + z.imag * z.imag)
+    else:
+        with np.errstate(over="ignore"):
+            x = nu * (z.real * z.real + z.imag * z.imag)
+        top = x.max(initial=0.0)
+    return z, x, top < 1384.0 - math.log(nu / math.pi)
+
+
+def _quiet(safe):
+    # np.errstate slows each numpy call by a third: only where a step may overflow
+    return contextlib.nullcontext() if safe else np.errstate(over="ignore", invalid="ignore")
+
+
+def _edge(nu, z, k):
+    # [psi_{0,0}, ..., psi_{k,0}] at z, each of z's kind and shape, by factors sqrt(nu/j) z
+    return list(itertools.accumulate((math.sqrt(nu / j) * z for j in range(1, k + 1)),
+                                     operator.mul, initial=math.sqrt(nu / math.pi) + 0 * z))
+
+
+def psi_table(nu, z, max_m, max_n):
+    """Table of normalized polynomials psi^nu_{m,n}(z) for the index box: the
+    edges psi_{k,0} = sqrt(nu/pi) (sqrt(nu) z)^k / sqrt(k!) = conj(psi_{0,k}),
+    then, x = nu |z|^2, the Laguerre recurrence along each diagonal m - n
+        psi_{m+1,n+1} = [(x-m-n-1) psi_{m,n} - sqrt(mn) psi_{m-1,n-1}] / sqrt((m+1)(n+1)),
+    which does not drift.  Rows are stepped in place from the two above, so
+    an entry does not depend on the box; past double precision, OverflowError."""
+    _check_index(max_m, max_n)
+    z, x, safe = _point(nu, z, "psi table point z")
+    axes = (1,) * np.ndim(z)  # (max_m, max_n) coefficient boxes, an axis per axis of z
+    s, b, d = _diagonal_step(np.arange(max_m, dtype=float).reshape((-1, 1) + axes),
+                             np.arange(max_n, dtype=float).reshape((-1,) + axes))
+    P = np.empty((max_m + 1, max_n + 1) + np.shape(z), dtype=complex)
+    with _quiet(safe):
+        a = (x - s) * b
+        edge = _edge(nu, z, max(max_m, max_n))
+        P[:, 0], P[0] = edge[: max_m + 1], np.conj(edge[: max_n + 1])
         for m in range(max_m):
-            np.multiply(math.sqrt(nu / (m + 1)) * z, P[m], out=P[m + 1])
-            P[m + 1, 1:] -= np.sqrt(n / (m + 1)) * P[m, :-1]
-    # a non-finite entry makes the z psi_{m,n} term of every entry below it
-    # non-finite too, so the last row shows any overflow in the table
-    _require_finite(P[max_m], "psi table up to index (%d, %d) at nu=%g" % (max_m, max_n, nu))
+            np.multiply(a[m], P[m, :-1], out=P[m + 1, 1:])
+            if m:
+                P[m + 1, 2:] -= d[m, 1:] * P[m - 1, :-2]
+    # a non-finite entry spreads down its diagonal, to the last row or column
+    _require_finite(np.concatenate((P[max_m], P[:, max_n])),
+                    "psi table up to index (%d, %d) at nu=%g" % (max_m, max_n, nu))
     return P
 
 
-def hermite_ito(nu, m, n, z):
-    """H^nu_{m,n}(z, conj(z)); scalar or vectorized over an ndarray z.
+def _psi_entries(nu, z, index):
+    """psi^nu_{m,n}(z) for each valid (m, n) of `index` (a list at one point, else shape
+    (len(index),) + z.shape): min(m, n) of `psi_table`'s steps from psi_{|m-n|,0} or its
+    conjugate, equal to its entries; OverflowError past them, where `_point` allows any."""
+    z, x, safe = _point(nu, z, "psi point z")
+    out = []
+    with _quiet(safe):
+        edge = _edge(nu, z, max((abs(m - n) for m, n in index), default=0))
+        for m, n in index:
+            p0, p1 = 0.0, edge[m - n] if m >= n else edge[n - m].conjugate()
+            for j in range(min(m, n), 0, -1):
+                s, b, d = _diagonal_step(m - j, n - j)
+                p0, p1 = p1, (x - s) * b * p1 - d * p0
+            out.append(p1)
+    out = out if np.ndim(z) == 0 else np.array(out)
+    if not safe:
+        _require_finite(out, "psi of index up to %d at nu=%g" % (max(map(max, index)), nu))
+    return out
 
-    Read off the normalized table as psi_{m,n} (pi nu^{m+n-1} m! n!)^{1/2},
-    with the scale formed in log space; raises OverflowError where the value
-    exceeds double precision.
-    """
-    P = psi_table(nu, z, m, n)
-    log_scale = 0.5 * (
-        math.log(math.pi)
-        + (m + n - 1) * math.log(nu)
-        + math.lgamma(m + 1.0)
-        + math.lgamma(n + 1.0)
-    )
+
+def hermite_ito(nu, m, n, z):
+    """H^nu_{m,n}(z, conj(z)); scalar or vectorized over an ndarray z: psi_{m,n}
+    (`_psi_entries`) times (pi nu^{m+n-1} m! n!)^{1/2}, formed in log space;
+    raises OverflowError where the value exceeds double precision."""
+    _check_index(m, n)
+    (P,) = _psi_entries(nu, z, [(m, n)])
+    log_scale = 0.5 * (math.log(math.pi) + (m + n - 1) * math.log(nu)
+                       + math.lgamma(m + 1.0) + math.lgamma(n + 1.0))
     # an exact zero, such as H_{m,n}(0) for m != n, stays zero at any scale
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(P[m, n] == 0, 0j, P[m, n] * np.exp(log_scale))
+        out = np.where(P == 0, 0j, P * np.exp(log_scale))
     out = _require_finite(out, "H^nu_(%d,%d) at nu=%g" % (m, n, nu))
     return complex(out) if out.ndim == 0 else out
 
@@ -166,10 +215,10 @@ def null_index_set(nu, w, max_m, max_n, tol):
     """Indices (m, n) in the box with |psi^nu_{m,n}(w)| < tol.
 
     The test is applied to the normalized psi rather than the raw polynomial
-    so that `tol` is scale-free across the index box.
+    so that `tol` is scale-free across the index box, at the real point |w|.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and > 0, got %r" % (tol,))
-    P = psi_table(nu, complex(w), max_m, max_n)
+    P = psi_table(nu, abs(complex(w)), max_m, max_n)
     mm, nn = np.nonzero(np.abs(P) < tol)
     return {(int(m), int(n)) for m, n in zip(mm, nn)}

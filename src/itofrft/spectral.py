@@ -90,9 +90,9 @@ class Spectrum:
 
 def spectrum(nu, alpha, beta, w, max_m, max_n):
     """Singular values s_{m,n}(w) = |psi^nu_{m,n}(w)| gamma_{m,n}^{1/2} over
-    the index box [0, max_m] x [0, max_n]."""
+    the index box [0, max_m] x [0, max_n], read at the real point |w|."""
     _check_bounded(alpha, beta)
-    P = np.abs(psi_table(nu, complex(w), max_m, max_n))
+    P = np.abs(psi_table(nu, abs(complex(w)), max_m, max_n))
     g = gamma_norm(alpha, beta, np.arange(max_m + 1)[:, None], np.arange(max_n + 1))
     vals = P * np.sqrt(g)
     return Spectrum(

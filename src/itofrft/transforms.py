@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .specfun import scipy_special
-from .ito_hermite import _check_index, _check_nu, _check_point, psi_table
+from .ito_hermite import _check_index, _check_nu, _check_point, _psi_entries
 from .kernels import TransformParams, _check_disk, _contract, frft_kernel_raw
 from .quadrature import _check_rule, _check_weights, _laguerre, _samples, integrate
 from .spectral import gamma_norm
@@ -67,20 +67,16 @@ class CoeffFunction:
         return math.sqrt(sum(abs(a) ** 2 for a in self.coeffs.values()))
 
     def __call__(self, z):
-        out = sum(t for _, _, t in _coeff_terms(self, np.asarray(z, dtype=complex)))
+        out = sum(t for _, _, t in _coeff_terms(self, z))
         return complex(out) if np.ndim(out) == 0 else out
 
 
 def _coeff_terms(f, z):
-    """(m, n, a_{m,n} psi_{m,n}(z)) for each coefficient of f, from one table.
-
-    The empty expansion gives one zero term, so that a sum over the terms
-    always has the shape of z."""
+    """(m, n, a_{m,n} psi_{m,n}(z)) for each coefficient of f, each psi
+    stepped along its own diagonal (`_psi_entries`); the empty expansion
+    gives one zero term, so that a sum of terms has the shape of z."""
     coeffs = f.coeffs or {(0, 0): 0j}
-    max_m = max(m for m, _ in coeffs)
-    max_n = max(n for _, n in coeffs)
-    P = psi_table(f.nu, z, max_m, max_n)
-    return [(m, n, a * P[m, n]) for (m, n), a in coeffs.items()]
+    return [(m, n, a * p) for ((m, n), a), p in zip(coeffs.items(), _psi_entries(f.nu, z, coeffs))]
 
 
 @dataclass(frozen=True)
@@ -101,8 +97,8 @@ class RadialFunction:
 
 
 def _eigen_sum(nu, f, point, uv):
-    """sum a_{m,n} u^m v^n psi_{m,n}(point) for a finite expansion f, from
-    one psi table over the point(s); (u, v) and the point(s) broadcast.
+    """sum a_{m,n} u^m v^n psi_{m,n}(point) for a finite expansion f; (u, v)
+    and the point(s) broadcast.
 
     This is the eigenrelation of the transform with parameters (nu, u, v), so
     the psi_{m,n} of f must be its eigenfunctions: f.nu must equal nu.  It
@@ -134,6 +130,7 @@ def _eigen_sum(nu, f, point, uv):
             upow, vpow = (np.vander(c.ravel(), k, increasing=True) for c, k in zip((u, v), B.shape))
             out = (upow @ B @ vpow.T).reshape([shape[i] for i in u_axes + v_axes])
             return out.transpose(np.argsort(u_axes + v_axes)).reshape(shape)
+    u, v = (c if c.ndim else complex(c) for c in (u, v))  # Python arithmetic at scalars
     out = sum(t * u**m * v**n for m, n, t in terms)
     return complex(out) if np.ndim(out) == 0 else out
 
@@ -149,9 +146,8 @@ def frft_apply(p, f, xi, rule=None):
     routes, chosen by the type of f:
     - a `CoeffFunction` is transformed exactly by the eigenrelation, psi_{m,n}
       maps to u^m v^n psi_{m,n}: the result is sum a_{m,n} u^m v^n
-      psi_{m,n}(xi), from one psi table at xi (`_eigen_sum`; a column x row
-      grid of (u, v) at one xi is one matrix product).  Its nu must equal
-      p.nu.  No rule is needed;
+      psi_{m,n}(xi) (`_eigen_sum`; a column x row grid of (u, v) at one xi
+      is one matrix product).  Its nu must equal p.nu.  No rule is needed;
     - any other callable is sampled once on the plane quadrature `rule`,
       which is then required, and contracted against kernel rows in blocks
       (`_contract`).  Samples with axes of their own, as those of

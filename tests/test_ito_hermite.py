@@ -1,12 +1,15 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
 from itofrft.ito_hermite import (
     ZeroSet,
+    _psi_entries,
     hermite_ito,
     null_index_set,
     psi_table,
@@ -31,6 +34,20 @@ def hermite_ito_sum(nu, m, n, z):
             * zc ** (n - k)
         )
     return total
+
+
+def psi_mpmath(nu, z, m, n):
+    """psi_{m,n}(z) from the Laguerre factorization in 30-digit mpmath:
+    sqrt(nu/pi) (-1)^q sqrt(q!/(q+k)!) x^{k/2} L_q^{(k)}(x) e^{+-ik arg z},
+    with x = nu |z|^2, q = min(m, n), k = |m - n| and the sign of m - n."""
+    with mpmath.workdps(30):
+        q, k = min(m, n), abs(m - n)
+        x = mpmath.mpf(nu) * abs(mpmath.mpc(z)) ** 2
+        phase = mpmath.expj(k * cmath.phase(z) * (1 if m >= n else -1)) if z != 0 else 1
+        val = (mpmath.sqrt(mpmath.mpf(nu) / mpmath.pi) * (-1) ** q
+               * mpmath.sqrt(mpmath.factorial(q) / mpmath.factorial(q + k))
+               * x ** (mpmath.mpf(k) / 2) * mpmath.laguerre(q, k, x) * phase)
+        return complex(val)
 
 
 complex_points = st.builds(
@@ -137,6 +154,71 @@ class TestPsi:
         for c in (10, 20, 40, 57):
             np.testing.assert_array_equal(big[: c + 1, : c + 1], psi_table(1.3, z, c, c))
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.3])
+    @pytest.mark.parametrize("r", [0.6, 1.2, 2.0, 3.0])
+    def test_matches_mpmath_over_the_cap_box(self, nu, r):
+        # the diagonal recurrence does not drift: sampled entries of the 200^2
+        # box up to sqrt(nu)|w| = 3 (where |psi| reaches 17 at nu = 1)
+        z = r / math.sqrt(nu) * cmath.exp(0.7j)
+        P = psi_table(nu, z, DEGREE_CAP, DEGREE_CAP)
+        for m in [*range(0, DEGREE_CAP + 1, 23), DEGREE_CAP]:
+            for n in [*range(0, DEGREE_CAP + 1, 23), DEGREE_CAP]:
+                want = psi_mpmath(nu, z, m, n)
+                assert abs(P[m, n] - want) <= 1e-13 * max(1.0, abs(want)), (m, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(DEGREE_CAP - 12, DEGREE_CAP),
+        st.integers(0, DEGREE_CAP),
+        st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e-3)),
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([0.5, 1.0, 1.7]),
+        st.booleans(),
+    )
+    def test_matches_mpmath_near_the_cap(self, m, n, r, theta, nu, swap):
+        # near x = 0 the recurrence's two solutions merge and rounding grows
+        # along the diagonal: 5.6e-13 at psi_(200,200)(1e-5), hence 1e-12
+        m, n = (n, m) if swap else (m, n)
+        z = r / math.sqrt(nu) * cmath.exp(1j * theta)
+        want = psi_mpmath(nu, z, m, n)
+        tol = 1e-12 * max(1.0, abs(want))
+        (entry,) = _psi_entries(nu, z, [(m, n)])
+        assert abs(psi_table(nu, z, m, n)[m, n] - want) <= tol
+        assert abs(entry - want) <= tol
+
+    @pytest.mark.parametrize(
+        "z",
+        [0.6 + 0.5j, -1.1, 2.9j, np.array([[0.3 - 0.2j, -1.1j, 1.4], [-0.5 + 0.9j, 0.0, 2.8 + 0.8j]])],
+        ids=["point", "real_point", "far_point", "array"],
+    )
+    def test_entries_equal_the_table(self, z):
+        # each entry steps its own diagonal with the table's coefficients
+        P = psi_table(1.3, z, 120, 90)
+        index = [(m, n) for m in range(0, 121, 7) for n in range(0, 91, 6)]
+        got = _psi_entries(1.3, z, index)
+        assert isinstance(got, list) == (np.ndim(z) == 0)
+        for (m, n), e in zip(index, got):
+            assert np.all(np.abs(e - P[m, n]) <= 1e-15 * np.maximum(1.0, np.abs(P[m, n]))), (m, n)
+
+    def test_entries_keep_the_shape_of_z(self):
+        z = np.array([[0.1, 0.2j], [0.3, -0.4]])
+        got = _psi_entries(1.0, z, [(0, 0), (2, 1)])
+        assert got.shape == (2, 2, 2)
+        np.testing.assert_array_equal(got[0], np.full((2, 2), 1 / math.sqrt(math.pi)))
+
+    def test_overflow_in_the_last_column(self):
+        # a wide box at nu |z|^2 = 1e6: the first entry to overflow in row
+        # order is psi_(0,145), on a diagonal that ends in the last column
+        with pytest.raises(OverflowError, match=r"psi table up to index \(1, 150\)"):
+            psi_table(1.0, 1000.0, 1, 150)
+
+    def test_entry_overflow_raises(self):
+        # an entry past double precision raises, at one point and on an array
+        with pytest.raises(OverflowError, match=r"psi of index up to 150 at nu=1 overflows"):
+            _psi_entries(1.0, 1000.0, [(0, 1), (0, 150)])
+        with pytest.raises(OverflowError):
+            _psi_entries(1.0, np.array([0.5, 1000.0]), [(150, 2)])
+
 
 class TestZeroRadii:
     def test_simple_cases(self):
@@ -188,6 +270,11 @@ class TestNullIndexSet:
         # a non-finite entry is never below tol, so it would drop out unseen
         with pytest.raises(OverflowError):
             null_index_set(1.0, 60.0, 200, 200, 1e-10)
+
+    def test_equal_modulus_points_give_identical_sets(self):
+        # |psi_(m,n)(w)| depends on |w| alone: the set is read at |w|
+        for w in (0.5 * cmath.exp(0.7j), 1.2 * cmath.exp(-2.1j), -1.0):
+            assert null_index_set(1.0, w, 200, 200, 1e-3) == null_index_set(1.0, abs(w), 200, 200, 1e-3)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -98,6 +99,14 @@ class TestSpectrum:
         for c in (10, 20, 40, 57):
             small = spectrum(1.3, 1.0, 0.5, 0.6 + 0.5j, c, c).values
             np.testing.assert_array_equal(big[: c + 1, : c + 1], small)
+
+    @pytest.mark.parametrize("r", [0.5, 1.2])
+    def test_equal_modulus_points_give_identical_spectra(self, r):
+        # s_(m,n)(w) depends on |w| alone, and the table is read at |w|
+        w = r * cmath.exp(0.7j)
+        np.testing.assert_array_equal(
+            spectrum(1.0, 1.0, 1.0, w, 200, 200).values, spectrum(1.0, 1.0, 1.0, r, 200, 200).values
+        )
 
     def test_sorted_values_decreasing(self):
         spec = spectrum(1.0, 1.0, 1.0, 0.5, 6, 6)
