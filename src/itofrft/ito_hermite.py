@@ -3,9 +3,10 @@ and their zero structure.
 
 Evaluation is by the normalized Laguerre recurrence along the diagonals
 m - n (`_diagonal_step`): `psi_table` steps a whole box a row at a time, and
-`_psi_entries` steps each wanted entry along its own diagonal.  The explicit
-alternating finite sum is kept in `verify.check_rodrigues_cross_check` as
-an oracle only, since it cancels catastrophically for large |z|.
+`_psi_entries` steps each of a few wanted entries along its own diagonal,
+or reads many off a table.  The explicit alternating finite sum is kept in
+`verify.check_rodrigues_cross_check` as an oracle only, since it cancels
+catastrophically for large |z|.
 
 Domain: the scaling nu > 0 is finite, each index is an integer in
 [0, DEGREE_CAP], and an evaluation point is finite.  `_check_nu`,
@@ -14,7 +15,6 @@ whole package, with `_check_bergman_index` for a Bergman monomial index or
 a cut (no cap); a value outside, NaN and inf included, raises ValueError.
 """
 
-import contextlib
 import itertools
 import math
 import operator
@@ -24,13 +24,7 @@ import numpy as np
 
 from .specfun import DEGREE_CAP, scipy_special
 
-__all__ = [
-    "ZeroSet",
-    "hermite_ito",
-    "psi_table",
-    "zero_radii",
-    "null_index_set",
-]
+__all__ = ["ZeroSet", "hermite_ito", "psi_table", "zero_radii", "null_index_set"]
 
 
 def _integer_in(k, lo, hi):
@@ -97,32 +91,16 @@ def _diagonal_step(m, n):
     return m + 1.0 + n, rm * rn, (sqrt(m) * rm) * (sqrt(n) * rn)
 
 
-def _point(nu, z, what):
-    """Validated z (a Python complex at one point), x = nu |z|^2, and whether no step can
-    overflow: |psi_{m,n}| <= sqrt(nu/pi) e^{x/2} (a displacement operator's matrix element
-    times that) and a step multiplies by <= x + 30, so x < 1384 - log(nu/pi) keeps all < e^700."""
+def _start(nu, z, k, what):
+    """Validated z (a Python complex at one point, for plain float arithmetic), x = nu |z|^2
+    and [psi_{0,0}, ..., psi_{k,0}] at z, each of z's kind and shape, by factors sqrt(nu/j) z."""
     _check_nu(nu)
     z = np.asarray(z, dtype=complex)
     _check_point(what, z)
-    if z.ndim == 0:  # plain float arithmetic, which neither warns nor needs numpy
-        z = complex(z)
-        x = top = nu * (z.real * z.real + z.imag * z.imag)
-    else:
-        with np.errstate(over="ignore"):
-            x = nu * (z.real * z.real + z.imag * z.imag)
-        top = x.max(initial=0.0)
-    return z, x, top < 1384.0 - math.log(nu / math.pi)
-
-
-def _quiet(safe):
-    # np.errstate slows each numpy call by a third: only where a step may overflow
-    return contextlib.nullcontext() if safe else np.errstate(over="ignore", invalid="ignore")
-
-
-def _edge(nu, z, k):
-    # [psi_{0,0}, ..., psi_{k,0}] at z, each of z's kind and shape, by factors sqrt(nu/j) z
-    return list(itertools.accumulate((math.sqrt(nu / j) * z for j in range(1, k + 1)),
-                                     operator.mul, initial=math.sqrt(nu / math.pi) + 0 * z))
+    z = complex(z) if z.ndim == 0 else z
+    edge = itertools.accumulate((math.sqrt(nu / j) * z for j in range(1, k + 1)),
+                                operator.mul, initial=math.sqrt(nu / math.pi) + 0 * z)
+    return z, nu * (z.real * z.real + z.imag * z.imag), list(edge)
 
 
 def psi_table(nu, z, max_m, max_n):
@@ -130,36 +108,42 @@ def psi_table(nu, z, max_m, max_n):
     edges psi_{k,0} = sqrt(nu/pi) (sqrt(nu) z)^k / sqrt(k!) = conj(psi_{0,k}),
     then, x = nu |z|^2, the Laguerre recurrence along each diagonal m - n
         psi_{m+1,n+1} = [(x-m-n-1) psi_{m,n} - sqrt(mn) psi_{m-1,n-1}] / sqrt((m+1)(n+1)),
-    which does not drift.  Rows are stepped in place from the two above, so
-    an entry does not depend on the box; past double precision, OverflowError."""
+    which does not drift: within 1e-13 up to sqrt(nu)|z| = 3, but near x = 0, where its
+    two solutions merge, rounding grows along a diagonal to about 1e-12 at index 200.
+    Rows are stepped in place, so an entry does not depend on the box; past double
+    precision, OverflowError."""
     _check_index(max_m, max_n)
-    z, x, safe = _point(nu, z, "psi table point z")
-    axes = (1,) * np.ndim(z)  # (max_m, max_n) coefficient boxes, an axis per axis of z
-    s, b, d = _diagonal_step(np.arange(max_m, dtype=float).reshape((-1, 1) + axes),
-                             np.arange(max_n, dtype=float).reshape((-1,) + axes))
-    P = np.empty((max_m + 1, max_n + 1) + np.shape(z), dtype=complex)
-    with _quiet(safe):
-        a = (x - s) * b
-        edge = _edge(nu, z, max(max_m, max_n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, x, edge = _start(nu, z, max(max_m, max_n), "psi table point z")
+        axes = (1,) * np.ndim(z)  # (max_m, max_n) coefficient boxes, an axis per axis of z
+        s, b, d = _diagonal_step(np.arange(max_m, dtype=float).reshape((-1, 1) + axes),
+                                 np.arange(max_n, dtype=float).reshape((-1,) + axes))
+        P = np.empty((max_m + 1, max_n + 1) + np.shape(z), dtype=complex)
         P[:, 0], P[0] = edge[: max_m + 1], np.conj(edge[: max_n + 1])
+        a = np.empty((max_n,) + np.shape(z))  # one row of (x - s) b, reused
         for m in range(max_m):
-            np.multiply(a[m], P[m, :-1], out=P[m + 1, 1:])
+            np.multiply(np.subtract(x, s[m], out=a), b[m], out=a)
+            np.multiply(a, P[m, :-1], out=P[m + 1, 1:])
             if m:
                 P[m + 1, 2:] -= d[m, 1:] * P[m - 1, :-2]
-    # a non-finite entry spreads down its diagonal, to the last row or column
-    _require_finite(np.concatenate((P[max_m], P[:, max_n])),
-                    "psi table up to index (%d, %d) at nu=%g" % (max_m, max_n, nu))
+    # a non-finite entry spreads down its diagonal only, but entries overflow only where
+    # nu |z|^2 > 1384 exceeds every index, and there |psi_{m,n}| grows with m
+    _require_finite(P[max_m], "psi table up to index (%d, %d) at nu=%g" % (max_m, max_n, nu))
     return P
 
 
 def _psi_entries(nu, z, index):
-    """psi^nu_{m,n}(z) for each valid (m, n) of `index` (a list at one point, else shape
-    (len(index),) + z.shape): min(m, n) of `psi_table`'s steps from psi_{|m-n|,0} or its
-    conjugate, equal to its entries; OverflowError past them, where `_point` allows any."""
-    z, x, safe = _point(nu, z, "psi point z")
+    """psi^nu_{m,n}(z) for each valid (m, n) of `index` (a sequence at one point, else shape
+    (len(index),) + z.shape), each by min(m, n) of `psi_table`'s steps from psi_{|m-n|,0} or
+    its conjugate; a step costs about half a table row, so past 2 (max m + max n + 1) steps
+    the entries are read off `psi_table`.  OverflowError past double precision."""
+    top_m, top_n = (max(k) for k in zip(*index))
+    steps = itertools.accumulate(min(m, n) for m, n in index)  # stops at the limit
+    if any(k > 2 * (top_m + top_n + 1) for k in steps):
+        return psi_table(nu, z, top_m, top_n)[tuple(zip(*index))]
     out = []
-    with _quiet(safe):
-        edge = _edge(nu, z, max((abs(m - n) for m, n in index), default=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, x, edge = _start(nu, z, max(abs(m - n) for m, n in index), "psi point z")
         for m, n in index:
             p0, p1 = 0.0, edge[m - n] if m >= n else edge[n - m].conjugate()
             for j in range(min(m, n), 0, -1):
@@ -167,9 +151,7 @@ def _psi_entries(nu, z, index):
                 p0, p1 = p1, (x - s) * b * p1 - d * p0
             out.append(p1)
     out = out if np.ndim(z) == 0 else np.array(out)
-    if not safe:
-        _require_finite(out, "psi of index up to %d at nu=%g" % (max(map(max, index)), nu))
-    return out
+    return _require_finite(out, "psi of index up to %d at nu=%g" % (max(top_m, top_n), nu))
 
 
 def hermite_ito(nu, m, n, z):

@@ -72,9 +72,9 @@ class CoeffFunction:
 
 
 def _coeff_terms(f, z):
-    """(m, n, a_{m,n} psi_{m,n}(z)) for each coefficient of f, each psi
-    stepped along its own diagonal (`_psi_entries`); the empty expansion
-    gives one zero term, so that a sum of terms has the shape of z."""
+    """(m, n, a_{m,n} psi_{m,n}(z)) for each coefficient of f (`_psi_entries`:
+    each psi along its own diagonal, or a table for a dense expansion); the
+    empty expansion gives one zero term, so a sum of terms has the shape of z."""
     coeffs = f.coeffs or {(0, 0): 0j}
     return [(m, n, a * p) for ((m, n), a), p in zip(coeffs.items(), _psi_entries(f.nu, z, coeffs))]
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre
 
+from itofrft import ito_hermite
 from itofrft.ito_hermite import (
     ZeroSet,
     _psi_entries,
@@ -155,16 +156,19 @@ class TestPsi:
             np.testing.assert_array_equal(big[: c + 1, : c + 1], psi_table(1.3, z, c, c))
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 2.3])
-    @pytest.mark.parametrize("r", [0.6, 1.2, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [0.0, 1e-5, 0.6, 1.2, 2.0, 3.0])
     def test_matches_mpmath_over_the_cap_box(self, nu, r):
         # the diagonal recurrence does not drift: sampled entries of the 200^2
-        # box up to sqrt(nu)|w| = 3 (where |psi| reaches 17 at nu = 1)
+        # box up to sqrt(nu)|w| = 3 (where |psi| reaches 17 at nu = 1) within
+        # 1e-13; near the origin, where its two solutions merge, psi_(200,200)
+        # is off by up to 7e-13 (at nu = 2.3, r = 1e-5), hence 1e-12 there
+        tol = 1e-12 if r < 0.5 else 1e-13
         z = r / math.sqrt(nu) * cmath.exp(0.7j)
         P = psi_table(nu, z, DEGREE_CAP, DEGREE_CAP)
         for m in [*range(0, DEGREE_CAP + 1, 23), DEGREE_CAP]:
             for n in [*range(0, DEGREE_CAP + 1, 23), DEGREE_CAP]:
                 want = psi_mpmath(nu, z, m, n)
-                assert abs(P[m, n] - want) <= 1e-13 * max(1.0, abs(want)), (m, n)
+                assert abs(P[m, n] - want) <= tol * max(1.0, abs(want)), (m, n)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -194,11 +198,19 @@ class TestPsi:
     def test_entries_equal_the_table(self, z):
         # each entry steps its own diagonal with the table's coefficients
         P = psi_table(1.3, z, 120, 90)
-        index = [(m, n) for m in range(0, 121, 7) for n in range(0, 91, 6)]
-        got = _psi_entries(1.3, z, index)
-        assert isinstance(got, list) == (np.ndim(z) == 0)
-        for (m, n), e in zip(index, got):
-            assert np.all(np.abs(e - P[m, n]) <= 1e-15 * np.maximum(1.0, np.abs(P[m, n]))), (m, n)
+        for m in range(0, 121, 7):
+            for n in range(0, 91, 6):
+                (e,) = _psi_entries(1.3, z, [(m, n)])
+                assert np.all(np.abs(e - P[m, n]) <= 1e-15 * np.maximum(1.0, np.abs(P[m, n]))), (m, n)
+
+    @pytest.mark.parametrize("z", [0.6 + 0.5j, np.array([[0.3 - 0.2j, -1.1j], [0.0, 2.8 + 0.8j]])],
+                             ids=["point", "array"])
+    def test_many_steps_read_the_table(self, z):
+        # a sparse index walks its diagonals; past 2 (m + n + 1) steps, as in
+        # a dense box, the entries are the table's own
+        sparse, dense = [(0, 9), (9, 2), (3, 4)], [(m, n) for m in range(10) for n in range(9)]
+        assert isinstance(_psi_entries(1.3, z, sparse), list) == (np.ndim(z) == 0)
+        np.testing.assert_array_equal(_psi_entries(1.3, z, dense), psi_table(1.3, z, 9, 8).reshape((90,) + np.shape(z)))
 
     def test_entries_keep_the_shape_of_z(self):
         z = np.array([[0.1, 0.2j], [0.3, -0.4]])
@@ -206,11 +218,20 @@ class TestPsi:
         assert got.shape == (2, 2, 2)
         np.testing.assert_array_equal(got[0], np.full((2, 2), 1 / math.sqrt(math.pi)))
 
-    def test_overflow_in_the_last_column(self):
-        # a wide box at nu |z|^2 = 1e6: the first entry to overflow in row
-        # order is psi_(0,145), on a diagonal that ends in the last column
-        with pytest.raises(OverflowError, match=r"psi table up to index \(1, 150\)"):
-            psi_table(1.0, 1000.0, 1, 150)
+    @pytest.mark.parametrize("box", [(1, 150), (150, 1), (40, 120), (200, 200)])
+    def test_overflow_reaches_the_last_row(self, box, monkeypatch):
+        # entries overflow only where nu |z|^2 exceeds every index, and there
+        # |psi_(m,n)| grows with m: the last row, which the table checks,
+        # overflows with any other entry, from the threshold on
+        with pytest.raises(OverflowError, match=r"psi table up to index \(%d, %d\)" % box):
+            psi_table(1.0, 1000.0, *box)
+        monkeypatch.setattr(ito_hermite, "_require_finite", lambda values, what: values)
+        overflowed = 0
+        for x in np.geomspace(1000.0, 1e6, 40):
+            P = psi_table(1.0, math.sqrt(x) * cmath.exp(0.3j), *box)
+            overflowed += not np.isfinite(P).all()
+            assert np.isfinite(P).all() or not np.isfinite(P[-1]).all(), x
+        assert 0 < overflowed < 40  # the scan crosses the threshold
 
     def test_entry_overflow_raises(self):
         # an entry past double precision raises, at one point and on an array

@@ -12,6 +12,8 @@ writes its output once, and the Bergman kernel multiplies its two per-disk
 factors once.  `mehler_series` contracts its two psi tables without their
 product array, within 8 MB at trunc 80 on a 20 x 20 grid, and
 `orthonormality` sums its Gram matrix over blocks of nodes, within 4 MB.
+`psi_table` on an array of points forms its step coefficients a row at a
+time, so its peak stays within 1.15 times the table it returns.
 `bergman_reproducing` and `boundedness_bracket` integrate on bi-disk rules
 of at most 96 nodes per disk, so no array of theirs is larger than
 96 x 96.  numpy's array buffers are allocated through the traced
@@ -24,6 +26,7 @@ import tracemalloc
 
 import numpy as np
 
+from itofrft.ito_hermite import psi_table
 from itofrft.kernels import TransformParams, bergman_kernel, mehler_series
 from itofrft.quadrature import bidisk_rule
 from itofrft.specfun import scipy_special
@@ -114,6 +117,15 @@ def test_mehler_series_memory():
     out, peak = traced_peak(lambda: mehler_series(TransformParams(1.0, 0.5, 0.4j), z, w, 80))
     assert out.shape == (20, 20)
     assert peak <= 8 * 2**20, "peak %.1f MB" % (peak / 2**20)
+
+
+def test_psi_table_memory():
+    # 512 points at box 40: a whole (40, 40, 512) coefficient box would add
+    # 6.6 MB, almost half of the 13.8 MB table
+    z = np.linspace(-2.0, 2.0, 512) + 0.3j
+    P, peak = traced_peak(lambda: psi_table(1.0, z, 40, 40))
+    assert P.shape == (41, 41, 512)
+    assert peak <= 1.15 * P.nbytes, "peak %.2f x the table" % (peak / P.nbytes)
 
 
 def test_orthonormality_memory():
