@@ -1,12 +1,10 @@
 """Ito-Hermite polynomials H^nu_{m,n}, their normalized versions psi^nu_{m,n},
 and their zero structure.
 
-Evaluation is by the normalized Laguerre recurrence along the diagonals
-m - n (`_diagonal_step`): `psi_table` steps a whole box a row at a time, and
-`_psi_entries` steps each of a few wanted entries along its own diagonal,
-or reads many off a table.  The explicit alternating finite sum is kept in
-`verify.check_rodrigues_cross_check` as an oracle only, since it cancels
-catastrophically for large |z|.
+Evaluation is by the normalized Laguerre recurrence along the diagonals m - n: `psi_table`
+steps a box a row at a time, `_psi_entries` a few entries each along its own diagonal.
+The explicit alternating finite sum is kept in `verify.check_rodrigues_cross_check` as
+an oracle only, since it cancels catastrophically for large |z|.
 
 Domain: the scaling nu > 0 is finite, each index is an integer in
 [0, DEGREE_CAP], and an evaluation point is finite.  `_check_nu`,
@@ -15,6 +13,7 @@ whole package, with `_check_bergman_index` for a Bergman monomial index or
 a cut (no cap); a value outside, NaN and inf included, raises ValueError.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -91,6 +90,15 @@ def _diagonal_step(m, n):
     return m + 1.0 + n, rm * rn, (sqrt(m) * rm) * (sqrt(n) * rn)
 
 
+_int_step = functools.lru_cache(maxsize=4096)(_diagonal_step)  # the walk's (m, n) ints
+
+
+@functools.cache
+def _step_box():  # (s, b, d) over the DEGREE_CAP^2 box, 0.9 MB formed once; tables cut it
+    k = np.arange(DEGREE_CAP, dtype=float)
+    return _diagonal_step(k[:, None], k)
+
+
 def _start(nu, z, k, what):
     """Validated z (a Python complex at one point, for plain float arithmetic), x = nu |z|^2
     and [psi_{0,0}, ..., psi_{k,0}] at z, each of z's kind and shape, by factors sqrt(nu/j) z."""
@@ -104,20 +112,18 @@ def _start(nu, z, k, what):
 
 
 def psi_table(nu, z, max_m, max_n):
-    """Table of normalized polynomials psi^nu_{m,n}(z) for the index box: the
-    edges psi_{k,0} = sqrt(nu/pi) (sqrt(nu) z)^k / sqrt(k!) = conj(psi_{0,k}),
-    then, x = nu |z|^2, the Laguerre recurrence along each diagonal m - n
-        psi_{m+1,n+1} = [(x-m-n-1) psi_{m,n} - sqrt(mn) psi_{m-1,n-1}] / sqrt((m+1)(n+1)),
-    which does not drift: within 1e-13 up to sqrt(nu)|z| = 3, but near x = 0, where its
-    two solutions merge, rounding grows along a diagonal to about 1e-12 at index 200.
-    Rows are stepped in place, so an entry does not depend on the box; past double
-    precision, OverflowError."""
+    """Table of normalized polynomials psi^nu_{m,n}(z) for the index box: from the edges
+    psi_{k,0} = sqrt(nu/pi) (sqrt(nu) z)^k / sqrt(k!) = conj(psi_{0,k}), with x = nu |z|^2,
+        psi_{m+1,n+1} = [(x-m-n-1) psi_{m,n} - sqrt(mn) psi_{m-1,n-1}] / sqrt((m+1)(n+1))
+    along each diagonal m - n.  It does not drift (1e-13 up to sqrt(nu)|z| = 3), but near
+    x = 0 its two solutions merge, and rounding grows to about 1e-12 at index 200.  Rows
+    are stepped in place, so an entry does not depend on the box; past double precision,
+    OverflowError."""
     _check_index(max_m, max_n)
     with np.errstate(over="ignore", invalid="ignore"):
         z, x, edge = _start(nu, z, max(max_m, max_n), "psi table point z")
         axes = (1,) * np.ndim(z)  # (max_m, max_n) coefficient boxes, an axis per axis of z
-        s, b, d = _diagonal_step(np.arange(max_m, dtype=float).reshape((-1, 1) + axes),
-                                 np.arange(max_n, dtype=float).reshape((-1,) + axes))
+        s, b, d = (c[:max_m, :max_n].reshape((max_m, max_n) + axes) for c in _step_box())
         P = np.empty((max_m + 1, max_n + 1) + np.shape(z), dtype=complex)
         P[:, 0], P[0] = edge[: max_m + 1], np.conj(edge[: max_n + 1])
         a = np.empty((max_n,) + np.shape(z))  # one row of (x - s) b, reused
@@ -126,17 +132,15 @@ def psi_table(nu, z, max_m, max_n):
             np.multiply(a, P[m, :-1], out=P[m + 1, 1:])
             if m:
                 P[m + 1, 2:] -= d[m, 1:] * P[m - 1, :-2]
-    # a non-finite entry spreads down its diagonal only, but entries overflow only where
-    # nu |z|^2 > 1384 exceeds every index, and there |psi_{m,n}| grows with m
+    # overflow needs nu |z|^2 > 1384 > every index, where |psi_{m,n}| grows with m: last row
     _require_finite(P[max_m], "psi table up to index (%d, %d) at nu=%g" % (max_m, max_n, nu))
     return P
 
 
 def _psi_entries(nu, z, index):
-    """psi^nu_{m,n}(z) for each valid (m, n) of `index` (a sequence at one point, else shape
-    (len(index),) + z.shape), each by min(m, n) of `psi_table`'s steps from psi_{|m-n|,0} or
-    its conjugate; a step costs about half a table row, so past 2 (max m + max n + 1) steps
-    the entries are read off `psi_table`.  OverflowError past double precision."""
+    """psi^nu_{m,n}(z) for each valid (m, n) of `index` (a list at one point, else shape
+    (len(index),) + z.shape): min(m, n) table steps from psi_{|m-n|,0} or its conjugate each,
+    or, past 2 (max m + max n + 1) steps in all, read off `psi_table`.  May raise OverflowError."""
     top_m, top_n = (max(k) for k in zip(*index))
     steps = itertools.accumulate(min(m, n) for m, n in index)  # stops at the limit
     if any(k > 2 * (top_m + top_n + 1) for k in steps):
@@ -147,7 +151,7 @@ def _psi_entries(nu, z, index):
         for m, n in index:
             p0, p1 = 0.0, edge[m - n] if m >= n else edge[n - m].conjugate()
             for j in range(min(m, n), 0, -1):
-                s, b, d = _diagonal_step(m - j, n - j)
+                s, b, d = _int_step(m - j, n - j)
                 p0, p1 = p1, (x - s) * b * p1 - d * p0
             out.append(p1)
     out = out if np.ndim(z) == 0 else np.array(out)
@@ -155,9 +159,8 @@ def _psi_entries(nu, z, index):
 
 
 def hermite_ito(nu, m, n, z):
-    """H^nu_{m,n}(z, conj(z)); scalar or vectorized over an ndarray z: psi_{m,n}
-    (`_psi_entries`) times (pi nu^{m+n-1} m! n!)^{1/2}, formed in log space;
-    raises OverflowError where the value exceeds double precision."""
+    """H^nu_{m,n}(z, conj(z)), scalar or over an ndarray z: psi_{m,n} (`_psi_entries`) times
+    (pi nu^{m+n-1} m! n!)^{1/2}, formed in log space; OverflowError past double precision."""
     _check_index(m, n)
     (P,) = _psi_entries(nu, z, [(m, n)])
     log_scale = 0.5 * (math.log(math.pi) + (m + n - 1) * math.log(nu)

@@ -190,6 +190,15 @@ class TestPsi:
         assert abs(psi_table(nu, z, m, n)[m, n] - want) <= tol
         assert abs(entry - want) <= tol
 
+    def test_table_and_walk_share_the_step_coefficients(self):
+        # the table cuts one cached box of (s, b, d), the walk steps with the
+        # same function on ints: equal to the last bit over the whole cap box
+        box = ito_hermite._step_box()
+        assert all(c.shape == (DEGREE_CAP, DEGREE_CAP) for c in box)
+        for m in range(DEGREE_CAP):
+            for n in range(0, DEGREE_CAP, 7):
+                assert tuple(float(c[m, n]) for c in box) == ito_hermite._int_step(m, n), (m, n)
+
     @pytest.mark.parametrize(
         "z",
         [0.6 + 0.5j, -1.1, 2.9j, np.array([[0.3 - 0.2j, -1.1j, 1.4], [-0.5 + 0.9j, 0.0, 2.8 + 0.8j]])],
