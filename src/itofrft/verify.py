@@ -3,13 +3,14 @@ invariants, as named checks producing {name, status, observed, tolerance}
 records.  Shared by the CLI `verify` subcommand and the acceptance tests.
 """
 
+import decimal
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermvander
 
 from .specfun import scipy_special
 from .ito_hermite import hermite_ito, psi_table, null_index_set, zero_radii
@@ -123,6 +124,25 @@ def check_mehler_series_vs_closed():
     return worst
 
 
+def _classical_mehler(t, x, y):
+    """M_t(x_i, y_j) = sum_{k=0}^{100} t^k / (2^k k!) H_k(x_i) H_k(y_j), physicists'
+    H_k by their three-term recurrence, summed in 40-digit `decimal` arithmetic, so
+    that the oracle is the same on every platform, and rounded to double at the end."""
+    D = decimal.Decimal
+    with decimal.localcontext(prec=40):
+        H = {}
+        for v in {*x, *y}:
+            h = [D(1), 2 * D(v)]
+            for k in range(1, 100):
+                h.append(h[1] * h[k] - 2 * k * h[k - 1])
+            H[v] = h
+        c = [D(1)]
+        for k in range(1, 101):
+            c.append(c[-1] * D(t) / (2 * k))
+        cx = [list(map(operator.mul, c, H[v])) for v in x]
+        return np.array([[float(sum(map(operator.mul, a, H[v]))) for v in y] for a in cx])
+
+
 @_check(ACCEPTANCE_CHECKS, 1e-9)
 def check_mehler_classical():
     """`mehler_closed` at real u = v = t against the classical Mehler series
@@ -130,20 +150,18 @@ def check_mehler_classical():
     K_{t,t}(z, w) = M_t(sqrt(nu) Re z, sqrt(nu) Re w) M_{-t}(sqrt(nu) Im z, sqrt(nu) Im w)
     with sqrt(nu) z on a 9x9 and sqrt(nu) w on a 5x5 grid of [-3, 3]^2.
 
-    The series is summed in extended precision: near x = -y = 3, M_t is
-    ~1e-8 while its terms are O(1), so the 1e-9 relative tolerance sits
-    below double-precision cancellation noise; truncation at 60 terms
-    leaves a ~2e-8 relative tail at t=0.5 and is likewise insufficient."""
+    The series is summed in 40-digit decimal (`_classical_mehler`): near
+    x = -y = 3, M_t is ~1e-8 while its terms are O(1), so the 1e-9 relative
+    tolerance sits below double-precision cancellation noise; truncation at
+    60 terms leaves a ~2e-8 relative tail at t=0.5 and is likewise
+    insufficient."""
     x = np.linspace(-3.0, 3.0, 9)
     z = (x[:, None] + 1j * x)[:, :, None, None]  # entries [Re z, Im z, Re w, Im w]
     w = x[::2, None] + 1j * x[::2]
-    H = hermvander(x.astype(np.longdouble), 100).T  # physicists' H_k(x), k <= 100
-    k = np.arange(1, len(H), dtype=np.longdouble)
     worst = 0.0
     for t in (0.1, 0.3, 0.5, -0.4):
-        # M_t and M_{-t} at (z axis, w axis), from the coefficients t^k / (2^k k!)
-        mp, mm = (H.T @ (np.cumprod(np.r_[1.0, s / (2.0 * k)])[:, None] * H[:, ::2])
-                  for s in (np.longdouble(t), -np.longdouble(t)))
+        # M_t and M_{-t} at (z axis, w axis)
+        mp, mm = (_classical_mehler(s, x.tolist(), x[::2].tolist()) for s in (t, -t))
         series = mp[:, None, :, None] * mm[None, :, None, :]
         for nu in (0.5, 1.0, 2.0):
             closed = mehler_closed(TransformParams(nu, t, t), z / math.sqrt(nu), w / math.sqrt(nu))
@@ -565,6 +583,26 @@ def check_quadrature_selfconvergence():
     a = integrate(plane_rule(nu), f)
     b = integrate(plane_rule(nu, 128), f)
     return float(_rel(a, b))
+
+
+_HS_POINTS = ((1.0, 4.0, 4.0, 1.0), (0.5, 4.0, 5.0, 1.5 + 1.5j), (2.0, 3.0, 4.0, 0.8j))
+
+
+@_check(INVARIANT_CHECKS, 1e-10)
+def check_hilbert_schmidt_identity():
+    """k_w is the squared Hilbert-Schmidt norm of the dual transform, the sum
+    of s_{m,n}^2 over every index: `kw_constant`, a quadrature of the closed
+    kernel, against the sum over the 151 x 151 box of `spectrum`, a psi
+    table, two independent routes; observed is their largest relative
+    difference.  At these alpha, beta >= 3 and x = nu |w|^2 <= 2.25 the s^2
+    beyond the box add less than 1e-14 of k_w (measured to box 200), and
+    k_w's 128-node rule is 1.4e-14 off mpmath at x = 2.25."""
+    worst = 0.0
+    for nu, alpha, beta, w in _HS_POINTS:
+        kw = kw_constant(nu, alpha, beta, w).value
+        hs = np.sum(spectrum(nu, alpha, beta, w, 150, 150).values ** 2)
+        worst = max(worst, abs(kw - hs) / kw)
+    return worst
 
 
 def run_checks(names=None):

@@ -217,6 +217,21 @@ def test_point_rule_names_the_first_non_finite_entry():
         psi_table(1.0, np.array([0.5, NAN, INF]), 2, 2)
 
 
+@pytest.mark.parametrize("bad", [NAN, -INF, complex(0.5, NAN)], ids=["nan", "minus_inf", "complex"])
+def test_point_rule_names_a_value_the_same_way_in_any_container(bad):
+    # a Python number (checked by cmath), a 0-d array, a list and an array
+    # (checked by numpy) name the same entry, formatted as a complex number,
+    # also where a real point steps a real table
+    messages = set()
+    for point in (bad, np.array(bad), [0.5, bad], np.array([0.5, bad, NAN])):
+        for call in (lambda: ito_hermite._check_point("psi table point z", point),
+                     lambda: psi_table(1.0, point, 2, 2)):
+            with pytest.raises(ValueError, match="psi table point z must be finite") as err:
+                call()
+            messages.add(str(err.value))
+    assert messages == {"psi table point z must be finite, got %s" % complex(bad)}
+
+
 # Each rule has one home.  With the home made to raise a sentinel, every
 # listed caller raises it: a caller with a private copy of the rule would
 # not, so such a copy cannot come back unnoticed.
@@ -239,6 +254,8 @@ def _transform_dual(tmp_path):
 HOMES = {
     (ito_hermite, "_check_nu"): [
         lambda _: psi_table(1.0, 0.5, 2, 2),
+        lambda _: spectrum(1.0, 1.0, 1.0, 0.5, 2, 2),
+        lambda _: null_index_set(1.0, 0.5, 2, 2, 1e-3),
         lambda _: zero_radii(1.0, 1, 1),
         lambda _: TransformParams(1.0, 0.2, 0.3),
         lambda _: CoeffFunction(1.0, {(0, 0): 1.0}),
@@ -288,8 +305,16 @@ HOMES = {
         lambda _: dual_apply_coeff(1.0, 0.5, F, (0.1, 0.2)),
         _transform_dual,
     ],
+    (ito_hermite, "_radius"): [
+        lambda _: spectrum(1.0, 1.0, 1.0, 0.5, 2, 2),
+        lambda _: null_index_set(1.0, 0.5, 2, 2, 1e-3),
+        lambda _: kw_constant(1.0, 1.0, 1.0, 0.5),
+        lambda _: finite_rank_tail(1.0, 1.0, 1.0, 0.5, 2, 2),
+    ],
     (ito_hermite, "_check_point"): [
         lambda _: psi_table(1.0, 0.5, 2, 2),
+        lambda _: spectrum(1.0, 1.0, 1.0, 0.5, 2, 2),
+        lambda _: null_index_set(1.0, 0.5, 2, 2, 1e-3),
         lambda _: kw_constant(1.0, 1.0, 1.0, 0.5),
         lambda _: finite_rank_tail(1.0, 1.0, 1.0, 0.5, 2, 2),
         lambda _: adjoint_apply(1.0, 0.5, one, 0.1, BIDISK),

@@ -190,6 +190,32 @@ class TestPsi:
         assert abs(psi_table(nu, z, m, n)[m, n] - want) <= tol
         assert abs(entry - want) <= tol
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.3])
+    @pytest.mark.parametrize("x_root", [0.0, 0.5, 1.3, 2.1, 3.0])
+    def test_real_point_steps_the_real_part(self, nu, x_root):
+        # a real point steps a float table, equal to the last bit to the real
+        # part of the table at the same point as a complex number
+        r = x_root / math.sqrt(nu)
+        want = psi_table(nu, complex(r), DEGREE_CAP, DEGREE_CAP)
+        for box in (8, 40, DEGREE_CAP):
+            got = psi_table(nu, r, box, box)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want[: box + 1, : box + 1].real)
+        assert not np.any(want.imag)
+
+    def test_real_points_keep_real_kinds(self):
+        # an int, a real array and a real entry walk stay real; a complex
+        # dtype stays complex even with zero imaginary parts
+        assert psi_table(1.0, 1, 3, 3).dtype == np.float64
+        np.testing.assert_array_equal(psi_table(1.0, 1, 3, 3), psi_table(1.0, 1.0, 3, 3))
+        z = np.array([[0.0, -1.1], [0.4, 2.0]])
+        P = psi_table(1.3, z, 6, 5)
+        assert P.dtype == np.float64
+        np.testing.assert_array_equal(P, psi_table(1.3, z.astype(complex), 6, 5).real)
+        (e,) = _psi_entries(1.3, -1.1, [(4, 2)])
+        assert isinstance(e, float) and e == P[4, 2, 0, 1]
+        assert psi_table(1.3, np.array([0.5 + 0j]), 2, 2).dtype == np.complex128
+
     def test_table_and_walk_share_the_step_coefficients(self):
         # the table cuts one cached box of (s, b, d), the walk steps with the
         # same function on ints: equal to the last bit over the whole cap box

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from itofrft.ito_hermite import psi_table
+from itofrft import ito_hermite, spectral
+from itofrft.ito_hermite import null_index_set, psi_table
 from itofrft.quadrature import bidisk_rule, integrate
 from itofrft.specfun import scipy_special
 from itofrft.spectral import (
@@ -107,6 +108,21 @@ class TestSpectrum:
         np.testing.assert_array_equal(
             spectrum(1.0, 1.0, 1.0, w, 200, 200).values, spectrum(1.0, 1.0, 1.0, r, 200, 200).values
         )
+
+    def test_spectra_and_null_sets_step_real_tables(self, monkeypatch):
+        # w is read once, as the float r = |w|, and the table at r is real
+        tables = []
+
+        def spy(nu, z, max_m, max_n):
+            P = psi_table(nu, z, max_m, max_n)
+            tables.append((type(z), P.dtype))
+            return P
+
+        for module in (spectral, ito_hermite):
+            monkeypatch.setattr(module, "psi_table", spy)
+        spectrum(1.0, 1.0, 1.0, 0.6 + 0.5j, 40, 40)
+        null_index_set(1.0, -1.0j, 40, 40, 1e-3)
+        assert tables == [(float, np.float64)] * 2
 
     def test_sorted_values_decreasing(self):
         spec = spectrum(1.0, 1.0, 1.0, 0.5, 6, 6)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,12 +36,12 @@ def test_invariant(name):
 # when the budget was set, rounded up to a power of ten: far inside most
 # stated tolerances, so a drift those would hide fails here.  The margin
 # checks, negative when they hold, keep at least half their margin, and
-# null_space finds no mismatch.  compactness_tail and mehler_classical have
-# no budget: the first fails its tolerance, and the second observes its own
-# long-double oracle's cancellation.
+# null_space finds no mismatch.  compactness_tail has no budget: it fails
+# its tolerance.
 OBSERVED_BUDGETS = {
     "orthonormality": 1e-11,
     "mehler_series_vs_closed": 1e-10,
+    "mehler_classical": 1e-12,
     "frft_eigenrelation": 1e-12,
     "kernel_autocorrelation": 1e-12,
     "singular_values": 1e-12,
@@ -60,6 +61,7 @@ OBSERVED_BUDGETS = {
     "parseval_dual_norm": 1e-13,
     "bargmann_laguerre_basis": 1e-12,
     "quadrature_selfconvergence": 1e-12,
+    "hilbert_schmidt_identity": 1e-11,
 }
 
 
@@ -113,6 +115,27 @@ def test_mehler_classical_checks_mehler_closed(monkeypatch):
     (res,) = run_checks(names=["mehler_classical"])
     assert params == [(nu, t, t) for t in (0.1, 0.3, 0.5, -0.4) for nu in (0.5, 1.0, 2.0)]
     assert res.passed
+
+
+def test_classical_mehler_oracle_matches_mpmath():
+    # the 40-digit decimal series against the same series in 50-digit
+    # mpmath, at the corner x = -y = 3 where its terms cancel to ~1e-8
+    x, y = [3.0, -0.75], [-3.0, 1.5]
+    with mpmath.workdps(50):
+        H = {v: [mpmath.hermite(k, v) for k in range(101)] for v in x + y}
+        for t in (0.5, -0.4):
+            c = [mpmath.mpf(t) ** k / (2**k * mpmath.factorial(k)) for k in range(101)]
+            want = [[float(mpmath.fsum(ck * ha * hb for ck, ha, hb in zip(c, H[a], H[b])))
+                     for b in y] for a in x]
+            np.testing.assert_allclose(verify._classical_mehler(t, x, y), want, rtol=1e-15)
+
+
+def test_hilbert_schmidt_box_holds_the_sum():
+    # beyond the check's 151^2 box, the s^2 up to box 200 add below 1e-14 of k_w
+    for nu, alpha, beta, w in verify._HS_POINTS:
+        s2 = verify.spectrum(nu, alpha, beta, w, 200, 200).values ** 2
+        outside = s2[151:].sum() + s2[:151, 151:].sum()
+        assert outside < 1e-14 * verify.kw_constant(nu, alpha, beta, w).value
 
 
 # the itofrft functions verify imports, scipy_special aside, which only
