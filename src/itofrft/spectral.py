@@ -25,15 +25,8 @@ from .kernels import _EXP_GUARD
 from .quadrature import _check_weights, _unit_jacobi
 from .specfun import scipy_special
 
-__all__ = [
-    "Spectrum",
-    "KwBracket",
-    "gamma_norm",
-    "spectrum",
-    "schatten_partial",
-    "kw_constant",
-    "finite_rank_tail",
-]
+__all__ = ["Spectrum", "KwBracket", "gamma_norm", "spectrum", "schatten_partial", "kw_constant",
+           "finite_rank_tail"]
 
 KW_DEFAULT_NODES = 128  # near-corner (1,1) behavior of the k_w integrand needs extra nodes
 
@@ -94,11 +87,7 @@ def spectrum(nu, alpha, beta, w, max_m, max_n):
     r, _ = _radius(nu, w, "spectrum")
     P = np.abs(psi_table(nu, r, max_m, max_n))
     g = gamma_norm(alpha, beta, np.arange(max_m + 1)[:, None], np.arange(max_n + 1))
-    vals = P * np.sqrt(g)
-    return Spectrum(
-        params={"nu": nu, "alpha": alpha, "beta": beta, "w": complex(w)},
-        values=vals,
-    )
+    return Spectrum({"nu": nu, "alpha": alpha, "beta": beta, "w": complex(w)}, P * np.sqrt(g))
 
 
 def schatten_partial(spec, p):
@@ -140,8 +129,7 @@ def kw_constant(nu, alpha, beta, w):
     s, ws = _unit_jacobi(alpha, KW_DEFAULT_NODES)
     t, wt = _unit_jacobi(beta, KW_DEFAULT_NODES)
     st = np.outer(s, t)
-    integrand = np.exp((s[:, None] + t[None, :] - 2.0 * st) * x / (1.0 - st))
-    integrand /= 1.0 - st
+    integrand = np.exp((s[:, None] + t - 2.0 * st) * x / (1.0 - st)) / (1.0 - st)
     value = nu * math.pi * float(ws @ integrand @ wt)
     lower = nu * math.pi / ((alpha + 1.0) * (beta + 1.0))
     # one weight at a time: where alpha beta underflows, the bound overflows to inf
