@@ -55,11 +55,11 @@ def _check_nu(nu):
         raise ValueError("scaling nu must be finite and positive, got %r" % (nu,))
 
 
-def _finite(p, number=(int, float, complex)):
+def _finite(p):
     # cmath at a Python number or a list or tuple of them, 3-5 us faster than numpy there
-    if isinstance(p, number):
+    if isinstance(p, (int, float, complex)):
         return cmath.isfinite(p)
-    if isinstance(p, (list, tuple)) and all(isinstance(v, number) for v in p):
+    if isinstance(p, (list, tuple)) and all(isinstance(v, (int, float, complex)) for v in p):
         return all(map(cmath.isfinite, p))
     return np.isfinite(p).all()  # not np.all, which costs twice as much at a scalar
 
