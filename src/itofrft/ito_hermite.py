@@ -14,7 +14,6 @@ a cut (no cap), and `_radius` for a point read through x = nu |w|^2 alone;
 a value outside, NaN and inf included, raises ValueError.
 """
 
-import cmath
 import functools
 import itertools
 import math
@@ -55,19 +54,10 @@ def _check_nu(nu):
         raise ValueError("scaling nu must be finite and positive, got %r" % (nu,))
 
 
-def _finite(p):
-    # cmath at a Python number or a list or tuple of them, 3-5 us faster than numpy there
-    if isinstance(p, (int, float, complex)):
-        return cmath.isfinite(p)
-    if isinstance(p, (list, tuple)) and all(isinstance(v, (int, float, complex)) for v in p):
-        return all(map(cmath.isfinite, p))
-    return np.isfinite(p).all()  # not np.all, which costs twice as much at a scalar
-
-
 def _check_point(what, *points):
     """Raise ValueError naming the first non-finite entry of the points, as a complex number."""
     for p in points:
-        if not _finite(p):
+        if not np.isfinite(p).all():  # not np.all, which costs twice as much at a scalar
             p = np.ravel(np.asarray(p, dtype=complex))
             raise ValueError("%s must be finite, got %s" % (what, p[~np.isfinite(p)][0]))
 
@@ -77,7 +67,7 @@ def _radius(nu, w, what, limit=math.inf):
     _check_nu(nu)
     _check_point("%s point w" % what, w)
     r = abs(complex(w))
-    x = nu * r**2
+    x = nu * r * r  # inf, not Python's OverflowError, past double precision
     if x > limit:
         raise OverflowError("%s at nu=%r, w=%r is out of range: nu |w|^2 = %g exceeds %g"
                             % (what, nu, complex(w), x, limit))
@@ -98,7 +88,7 @@ class ZeroSet:
 
 
 def _require_finite(values, what):
-    if not _finite(values):
+    if not np.isfinite(values).all():  # not np.all, which costs twice as much
         raise OverflowError("%s overflows double precision" % what)
     return values
 

@@ -117,7 +117,7 @@ def mehler_series(p, z, w, trunc):
     pw = psi_table(p.nu, w, trunc, trunc)
     U = p.u ** np.arange(trunc + 1)
     V = p.v ** np.arange(trunc + 1)
-    out = np.einsum("m,n,mn...,mn...->...", U, V, pz, pw)
+    out = np.einsum("m,n,mn...,mn...->...", U, V, pz, pw, dtype=complex)
     return complex(out) if np.ndim(out) == 0 else out
 
 

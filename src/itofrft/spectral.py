@@ -25,8 +25,15 @@ from .kernels import _EXP_GUARD
 from .quadrature import _check_weights, _unit_jacobi
 from .specfun import scipy_special
 
-__all__ = ["Spectrum", "KwBracket", "gamma_norm", "spectrum", "schatten_partial", "kw_constant",
-           "finite_rank_tail"]
+__all__ = [
+    "Spectrum",
+    "KwBracket",
+    "gamma_norm",
+    "spectrum",
+    "schatten_partial",
+    "kw_constant",
+    "finite_rank_tail",
+]
 
 KW_DEFAULT_NODES = 128  # near-corner (1,1) behavior of the k_w integrand needs extra nodes
 
@@ -49,15 +56,16 @@ def _log_ratio(betaln, a, k):
 
 def gamma_norm(alpha, beta, m, n):
     """Squared Bergman norm of the monomial z^m w^n:
-    pi^2 Gamma(alpha+1) Gamma(beta+1) m! n! / (Gamma(alpha+m+2) Gamma(beta+n+2)),
-    pi^2 times one factor per axis, B(alpha+1, m+1) B(beta+1, n+1).
+    pi^2 Gamma(alpha+1) Gamma(beta+1) m! n! / (Gamma(alpha+m+2) Gamma(beta+n+2)).
 
     `m` and `n` are integers >= 0 or integer arrays; the result broadcasts.
     """
     _check_weights(alpha, beta)
     _check_bergman_index("gamma_norm index (m, n)", m, n)
     betaln = scipy_special().betaln
-    return math.pi**2 * np.exp(_log_ratio(betaln, alpha, m)) * np.exp(_log_ratio(betaln, beta, n))
+    return np.exp(
+        2.0 * math.log(math.pi) + _log_ratio(betaln, alpha, m) + _log_ratio(betaln, beta, n)
+    )
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,11 @@ def spectrum(nu, alpha, beta, w, max_m, max_n):
     r, _ = _radius(nu, w, "spectrum")
     P = np.abs(psi_table(nu, r, max_m, max_n))
     g = gamma_norm(alpha, beta, np.arange(max_m + 1)[:, None], np.arange(max_n + 1))
-    return Spectrum({"nu": nu, "alpha": alpha, "beta": beta, "w": complex(w)}, P * np.sqrt(g))
+    vals = P * np.sqrt(g)
+    return Spectrum(
+        params={"nu": nu, "alpha": alpha, "beta": beta, "w": complex(w)},
+        values=vals,
+    )
 
 
 def schatten_partial(spec, p):
@@ -139,13 +151,12 @@ def kw_constant(nu, alpha, beta, w):
 
 
 def finite_rank_tail(nu, alpha, beta, w, p_cut, q_cut):
-    """e^x * sum_{m>p_cut} sum_{n>q_cut} gamma_{m,n}, with x = nu |w|^2
-    (`ito_hermite._radius`): pi/nu times the envelope (nu/pi) e^x gamma_{m,n}
-    of s_{m,n}^2 summed over the corner beyond both cuts
-    (`verify.check_schatten_bound`).  It leaves out the two strips beyond
-    one cut alone, so it bounds no distance to the finite-rank truncation:
-    at nu = 1, alpha = beta = 6, w = 2.5, p = q = 10 it is 9.27e-7, below
-    s_{0,11}^2 = 2.87e-5.
+    """e^x * sum_{m>p_cut} sum_{n>q_cut} gamma_{m,n}, x = nu |w|^2: pi/nu times
+    the envelope (nu/pi) e^x gamma_{m,n} of s_{m,n}^2 summed over the corner
+    beyond both cuts (`verify.check_schatten_bound`).  It leaves out the two
+    strips beyond one cut alone, so it bounds no distance to the finite-rank
+    truncation: at nu = 1, alpha = beta = 6, w = 2.5, p = q = 10 it is
+    9.27e-7, below s_{0,11}^2 = 2.87e-5.
 
     Each axis sum telescopes: sum_{m>p} m!/Gamma(m+alpha+2)
     = Gamma(p+2) / (alpha Gamma(p+alpha+2)), which is (p+alpha+2)/alpha times

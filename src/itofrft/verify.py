@@ -129,7 +129,8 @@ def _classical_mehler(t, x, y):
     H_k by their three-term recurrence, summed in 40-digit `decimal` arithmetic, so
     that the oracle is the same on every platform, and rounded to double at the end."""
     D = decimal.Decimal
-    with decimal.localcontext(prec=40):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
         H = {}
         for v in {*x, *y}:
             h = [D(1), 2 * D(v)]

@@ -205,6 +205,33 @@ def test_overflow_names_the_point():
     assert abs(bergman_kernel(1e4, 1.0, (0.3, 0.0), (0.2, 0.0))) == pytest.approx(1.2077637e272)
 
 
+@pytest.mark.parametrize("w", [1e200, 1e200j, complex(1e200, -1e200)])
+def test_huge_point_gives_a_named_overflow(w):
+    # nu |w|^2 past double precision is inf, not a bare OverflowError from
+    # float power: k_w and the tail name the point, spectra and null sets
+    # name the psi table that overflows
+    for call in (kw_constant, lambda *a: finite_rank_tail(*a, 2, 2)):
+        with pytest.raises(OverflowError, match=r"at nu=1\.0, w=.* nu \|w\|\^2 = inf exceeds 700"):
+            call(1.0, 1.0, 1.0, w)
+    with pytest.raises(OverflowError, match=r"^psi table up to index \(4, 4\) .* overflows"):
+        spectrum(1.0, 1.0, 1.0, w, 4, 4)
+    with pytest.raises(OverflowError, match=r"^psi table up to index \(4, 4\) .* overflows"):
+        null_index_set(1.0, w, 4, 4, 1e-3)
+
+
+@pytest.mark.parametrize("z", [0.7, np.array([0.0, -1.1, 2.0])], ids=["scalar", "array"])
+def test_public_values_stay_complex_at_real_points(z):
+    # psi tables and entries take the kind of their point, but the public
+    # functions built on them return complex values at a real point too,
+    # equal to those at the same point as a complex number
+    f = CoeffFunction(1.3, {(0, 0): 1.0, (2, 1): 0.5, (3, 3): -2.0})
+    p = TransformParams(1.3, 0.3, 0.2)
+    for call in (f, lambda z: mehler_series(p, z, z, 6), lambda z: hermite_ito(1.3, 3, 1, z)):
+        got, want = call(z), call(np.asarray(z, dtype=complex))
+        assert np.result_type(got) == np.complex128 and type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_hankel_accepts_real_complex():
     # a complex u, v with zero imaginary part is the real parameter
     prof = lambda r: np.exp(-r * r)  # noqa: E731
@@ -219,9 +246,8 @@ def test_point_rule_names_the_first_non_finite_entry():
 
 @pytest.mark.parametrize("bad", [NAN, -INF, complex(0.5, NAN)], ids=["nan", "minus_inf", "complex"])
 def test_point_rule_names_a_value_the_same_way_in_any_container(bad):
-    # a Python number (checked by cmath), a 0-d array, a list and an array
-    # (checked by numpy) name the same entry, formatted as a complex number,
-    # also where a real point steps a real table
+    # a Python number, a 0-d array, a list and an array name the same entry,
+    # formatted as a complex number, also where a real point steps a real table
     messages = set()
     for point in (bad, np.array(bad), [0.5, bad], np.array([0.5, bad, NAN])):
         for call in (lambda: ito_hermite._check_point("psi table point z", point),
